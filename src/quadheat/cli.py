@@ -32,6 +32,7 @@ from .boxop import (
     heat_apply,
     initial_condition_check,
     pde_residual,
+    sample_on_grid,
     semigroup_check,
 )
 from .errors import NumericsError
@@ -195,7 +196,7 @@ class _Parser:
     def atom(self):
         kind, val, pos = self.advance()
         if kind == "num":
-            return lambda env, v=val: v
+            return lambda env, v=np.float64(val): v  # IEEE 1/0, not ZeroDivisionError
         if kind == "ident":
             if val == "exp":
                 self.expect_op("(")
@@ -470,15 +471,19 @@ def cmd_evolve(cfg: JobConfig, out_path: str | None, threads: int) -> int:
     S = cfg.spectral
     if expr is not None:
         f = parse_initial_expression(expr, n)
-        nodes = spec.flat_points()
-        c = nodes[:, 0::2] + 1j * nodes[:, 1::2]
-        z_nodes = c @ S.V.T
-        gf = GridFunction(spec, np.asarray(f(z_nodes)).reshape(spec.shape()))
+        # Overflow and division by zero show up as non-finite nodes, reported below.
+        with np.errstate(all="ignore"):
+            gf = sample_on_grid(f, spec, S)
     else:
         try:
             gf = GridFunction.load_csv(csv_path, spec)
         except OSError as exc:
             raise ValueError(f"config field 'initial_csv': {exc}") from exc
+    bad = int(np.count_nonzero(~np.isfinite(gf.values)))
+    if bad:
+        source = "initial" if expr is not None else "initial_csv"
+        raise ValueError(f"config field '{source}': initial data is not finite at "
+                         f"{bad} of {gf.values.size} grid nodes")
 
     def one_s(s):
         return heat_apply(gf, s, cfg.quadric, S, cfg.L, out_points)

@@ -13,8 +13,8 @@ exponentiates once, so products of up to 16 exp(+-s|mu|)/sinh factors cannot
 overflow.
 
 The two-point weighted kernel multiplies the one-point kernel at z - zt by
-the oscillatory phase exp(-2i lambda . Im phi(z, zt)), evaluated with the
-original (not diagonalized) form since that phase is basis-independent.
+the oscillatory phase exp(-2i lambda . Im phi(z, zt)), which the point kernels
+here evaluate with the original form (boxop.heat_apply uses the eigenbasis sum).
 
 rho_via_inversion reproduces the closed form from the transform-side
 solution by brute-force inverse Fourier integration and is the package's

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import random_hermitian_quadric
 
 from quadheat import (
     FormIndex,
@@ -16,6 +17,7 @@ from quadheat import (
     sample_rho_hat,
     semigroup_check,
     weighted_heat_kernel,
+    weighted_heat_kernel_batch,
 )
 
 L_IN = FormIndex([1])
@@ -196,6 +198,84 @@ class TestHeatApply:
         gf = GridFunction(spec, np.ones(spec.shape()))
         with pytest.raises(NumericsError, match="tail"):
             heat_apply(gf, 1.0, heis_q, heis_spectral, L_IN, [np.zeros(1, complex)])
+
+
+def _n2_geometry(kind):
+    """A non-commuting full-rank n = 2, m = 2 geometry or a rank-1 v v^H one."""
+    rng = np.random.default_rng(20240815)
+    if kind == "full_rank":
+        Q = random_hermitian_quadric(rng, 2, 2)
+        assert np.linalg.norm(Q.A[0] @ Q.A[1] - Q.A[1] @ Q.A[0]) > 0.1
+        S = decompose_form(Q, [0.8, -0.6])
+        assert S.nu == 2
+    else:
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        v /= np.linalg.norm(v)
+        Q = QuadricForm(2, 1, [np.outer(v, v.conj())])
+        S = decompose_form(Q, [1.0])
+        assert S.nu == 1
+    return Q, S
+
+
+class TestHeatApplyFactorised:
+    """heat_apply against the trapezoid sum of the original-basis point kernel."""
+
+    S_TIME = 0.5
+    OUT = [np.array([0.3 + 0.2j, -0.25 + 0.1j]), np.array([-0.4 + 0.05j, 0.15 - 0.3j])]
+
+    def reference(self, spec, f, Q, S, L, z, phase_sign=-1.0):
+        # Nodes c in adapted coordinates are the points V c; trapezoid weights
+        # are built here, independently of the library.
+        x = np.linspace(-spec.half_widths[0], spec.half_widths[0], spec.points)
+        w1 = np.full(spec.points, x[1] - x[0])
+        w1[0] = w1[-1] = 0.5 * (x[1] - x[0])
+        grids = np.meshgrid(x, x, x, x, indexing="ij")
+        c = np.stack([grids[0] + 1j * grids[1], grids[2] + 1j * grids[3]], axis=-1)
+        weights = np.einsum("a,b,c,d->abcd", w1, w1, w1, w1)
+        kern = weighted_heat_kernel_batch(self.S_TIME, z, c @ S.V.T, Q, S, L,
+                                          phase_sign=phase_sign)
+        return complex(np.sum(weights * kern * f))
+
+    @pytest.mark.parametrize("kind", ["full_rank", "rank1"])
+    @pytest.mark.parametrize("L", [[], [1], [1, 2]])
+    def test_matches_point_kernel(self, kind, L):
+        Q, S = _n2_geometry(kind)
+        L = FormIndex(L)
+        spec = GridSpec.cube(4.0, 4, 15)
+        x1, y1, x2, y2 = (spec.axis_coordinate(k) for k in range(4))
+        f = np.broadcast_to(
+            np.exp(-0.5 * (x1**2 + y1**2 + x2**2 + y2**2))
+            * (1.0 + 0.3 * x1 - 0.2j * y2 + 0.1 * x2 * y1),
+            spec.shape(),
+        )
+        got = heat_apply(GridFunction(spec, f), self.S_TIME, Q, S, L, self.OUT)
+        for z, value in zip(self.OUT, got):
+            want = self.reference(spec, f, Q, S, L, z)
+            assert abs(value - want) <= 1e-12 * abs(want)
+            # negative control: the conjugate phase gives a different integral
+            flipped = self.reference(spec, f, Q, S, L, z, phase_sign=+1.0)
+            assert abs(value - flipped) > 1e-3 * abs(want)
+
+    @pytest.mark.parametrize("axis", range(4))
+    @pytest.mark.parametrize("end", [0, -1])
+    def test_tail_guard_sees_every_face(self, axis, end):
+        # data that is 1 on the inside of a single face of a small box (zero
+        # on its edges, which other faces share) must trip the guard; the
+        # same data one node inward on a large box must not
+        Q, S = _n2_geometry("full_rank")
+        origin = [np.zeros(2, complex)]
+        inner = slice(1, -1)
+        for half_width, index, raises in ((1.0, end, True),
+                                          (6.0, 1 if end == 0 else -2, False)):
+            spec = GridSpec.cube(half_width, 4, 9)
+            f = np.zeros(spec.shape())
+            f[(inner,) * axis + (index,) + (inner,) * (3 - axis)] = 1.0
+            gf = GridFunction(spec, f)
+            if raises:
+                with pytest.raises(NumericsError, match="tail"):
+                    heat_apply(gf, 1.0, Q, S, L_IN, origin)
+            else:
+                assert np.isfinite(heat_apply(gf, 1.0, Q, S, L_IN, origin)[0])
 
 
 class TestSemigroupCheck:

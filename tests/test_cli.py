@@ -292,6 +292,38 @@ class TestEvolve:
                      if not l.startswith("#")]
         assert rows_csv == rows_expr
 
+    @pytest.mark.parametrize("expr,bad", [
+        ("1/(x1^2+y1^2)", 1),   # the origin node
+        ("1/(x1)", 21),         # the x1 = 0 column
+        ("1/0", 441),           # a literal division by zero
+    ])
+    def test_nonfinite_initial_data_rejected(self, tmp_path, capsys, expr, bad):
+        grid = {"half_widths": [2.0, 2.0], "points": 21}
+        path, _ = self.evolve_config(tmp_path, initial=expr, grid=grid)
+        out = tmp_path / "x.csv"
+        assert main(["evolve", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config field 'initial'" in err
+        assert f"not finite at {bad} of 441 grid nodes" in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_nonfinite_initial_csv_rejected(self, tmp_path, capsys):
+        from quadheat import GridFunction, GridSpec
+
+        spec = GridSpec([2.0, 2.0], 21)
+        vals = np.ones(spec.shape())
+        vals[3, 4] = np.nan
+        data_csv = tmp_path / "initial.csv"
+        GridFunction(spec, vals).save_csv(str(data_csv))
+        path, cfg = self.evolve_config(tmp_path, name="csv.json",
+                                       initial_csv=str(data_csv),
+                                       grid={"half_widths": [2.0, 2.0], "points": 21})
+        cfg.pop("initial")
+        (tmp_path / "csv.json").write_text(json.dumps(cfg))
+        assert main(["evolve", "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "config field 'initial_csv'" in err and "at 1 of 441" in err
+
     def test_both_initial_sources_rejected(self, tmp_path, capsys):
         path, _ = self.evolve_config(tmp_path, initial_csv="whatever.csv")
         assert main(["evolve", "--config", path, "--out", str(tmp_path / "x.csv")]) == 2

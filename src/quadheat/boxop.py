@@ -27,6 +27,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import reduce
+from itertools import product, repeat
 
 import numpy as np
 
@@ -115,28 +116,62 @@ class GridFunction:
 
     def save_csv(self, path: str) -> None:
         """Header row of coordinate names plus re,im; one node per row."""
-        dim = self.spec.dim
-        names = [f"{'x' if k % 2 == 0 else 'y'}{k // 2 + 1}" for k in range(dim)]
-        pts = self.spec.flat_points()
         vals = np.asarray(self.values, dtype=complex).ravel()
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(names + ["re", "im"]) + "\n")
-            for row, v in zip(pts, vals):
-                cells = [repr(float(x)) for x in row]
-                cells += [repr(float(v.real)), repr(float(v.imag))]
-                fh.write(",".join(cells) + "\n")
-        os.replace(tmp, path)
+        write_grid_csv(path, self.spec, {"re": vals.real, "im": vals.imag})
 
     @classmethod
     def load_csv(cls, path: str, spec: GridSpec) -> "GridFunction":
+        """Read a save_csv file whose coordinate columns are the nodes of ``spec``."""
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        if data.shape[0] != spec.points ** spec.dim:
-            raise ValueError(
-                f"{path} has {data.shape[0]} rows, expected {spec.points ** spec.dim}"
-            )
+        N, dim = spec.points ** spec.dim, spec.dim
+        if data.shape != (N, dim + 2):
+            raise ValueError(f"{path} has {data.shape} rows x columns, expected {(N, dim + 2)}")
+        nodes = spec.flat_points()
+        ok = np.abs(data[:, :dim] - nodes) <= 1e-9 * np.array(spec.spacing)  # False on NaN
+        if not ok.all():
+            i = int(np.argmin(ok.all(axis=1)))
+            raise ValueError(f"{path} line {i + 2}: coordinates {data[i, :dim].tolist()} "
+                             f"are not the grid node {nodes[i].tolist()}")
         vals = (data[:, -2] + 1j * data[:, -1]).reshape(spec.shape())
         return cls(spec, vals)
+
+
+def write_atomic(path: str, chunks) -> None:
+    """Write text chunks to ``path + '.tmp'``, then rename it onto ``path``.
+
+    If anything raises first, the temporary is removed, so ``path`` is never
+    left partial, streamed output included.
+    """
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # only when the rename was not reached
+            os.unlink(tmp)
+
+
+def write_grid_csv(path: str, spec: GridSpec, columns: dict, comments=()) -> None:
+    """Atomic CSV: ``comments`` lines, a header, then per node (in ``flat_points``
+    order) its coordinates and one cell per ``columns`` array of per-node floats.
+
+    Cells are shortest round-trip reprs.  Each axis is formatted once, each
+    column once per index of axis 0 by one list repr, written as one block.
+    """
+    names = [f"{'x' if k % 2 == 0 else 'y'}{k // 2 + 1}" for k in range(spec.dim)]
+    axes = [repr(a.tolist())[1:-1].split(", ") for a in spec.axes()]
+    # Coordinate cells of axes 1..dim-1, shared by every block; none on a 1-D grid.
+    rest = [[",".join(t) for t in product(*axes[1:])]] if spec.dim > 1 else []
+    blocks = [np.asarray(c, dtype=float).reshape(spec.points, -1) for c in columns.values()]
+
+    def rows():
+        yield "".join(f"{c}\n" for c in comments) + ",".join(names + list(columns)) + "\n"
+        for x0, *vals in zip(axes[0], *blocks):
+            cells = [repr(v.tolist())[1:-1].split(", ") for v in vals]
+            yield "\n".join(map(",".join, zip(repeat(x0), *rest, *cells))) + "\n"
+
+    write_atomic(path, rows())
 
 
 def _directions(spec: GridSpec) -> list:

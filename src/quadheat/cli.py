@@ -34,6 +34,8 @@ from .boxop import (
     pde_residual,
     sample_on_grid,
     semigroup_check,
+    write_atomic,
+    write_grid_csv,
 )
 from .errors import NumericsError
 from .forms import FormIndex, epsilon
@@ -330,13 +332,6 @@ def config_digest(raw: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -377,7 +372,7 @@ def cmd_eval(cfg: JobConfig, out_path: str | None) -> int:
             lines.append(json.dumps(record))
     text = "\n".join(lines) + "\n"
     if out_path:
-        _atomic_write(out_path, text)
+        write_atomic(out_path, [text])
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -401,32 +396,7 @@ def _grid_from_config(cfg: JobConfig) -> GridSpec:
     return spec
 
 
-def _scan_rows(cfg: JobConfig, spec: GridSpec, s: float, threads: int) -> list:
-    S = cfg.spectral
-    pts = spec.flat_points()
-    c = pts[:, 0::2] + 1j * pts[:, 1::2]
-
-    def block(lo_hi):
-        lo, hi = lo_hi
-        return rho_hat_adapted(s, c[lo:hi], S, cfg.L)
-
-    chunk = max(1, (pts.shape[0] + threads - 1) // threads)
-    ranges = [(i, min(i + chunk, pts.shape[0])) for i in range(0, pts.shape[0], chunk)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            vals = list(pool.map(block, ranges))
-    else:
-        vals = [block(r) for r in ranges]
-    values = np.concatenate(vals)
-    rows = []
-    for coords, v in zip(pts, values):
-        cells = [repr(float(x)) for x in coords]
-        cells += [repr(float(v)), repr(0.0), repr(float(np.log10(v)))]
-        rows.append(",".join(cells))
-    return rows
-
-
-def cmd_scan(cfg: JobConfig, out_path: str | None, threads: int) -> int:
+def cmd_scan(cfg: JobConfig, out_path: str | None) -> int:
     if out_path is None:
         raise ValueError("scan requires --out PATH for its CSV output")
     if len(cfg.s_values) != 1:
@@ -435,18 +405,20 @@ def cmd_scan(cfg: JobConfig, out_path: str | None, threads: int) -> int:
     s = cfg.s_values[0]
     S = cfg.spectral
     eps = epsilon(cfg.L, S)
-    names = [f"{'x' if k % 2 == 0 else 'y'}{k // 2 + 1}" for k in range(spec.dim)]
-    header = [
+    pts = spec.flat_points()
+    values = rho_hat_adapted(s, pts[:, 0::2] + 1j * pts[:, 1::2], S, cfg.L)
+    with np.errstate(divide="ignore"):  # log10(0.0) = -inf where the value underflows
+        logs = np.log10(values)
+    comments = [
         f"# config_sha256={config_digest(cfg.raw)}",
         f"# lambda={[float(x) for x in cfg.lam]}",
         f"# mu={[float(x) for x in S.mu]}",
         f"# nu={S.nu}",
         f"# eps={[int(e) for e in eps]}",
         f"# s={repr(s)}",
-        ",".join(names + ["re", "im", "log10_abs"]),
     ]
-    rows = _scan_rows(cfg, spec, s, threads)
-    _atomic_write(out_path, "\n".join(header + rows) + "\n")
+    columns = {"re": values, "im": np.zeros_like(values), "log10_abs": logs}
+    write_grid_csv(out_path, spec, columns, comments)
     return EXIT_OK
 
 
@@ -477,7 +449,7 @@ def cmd_evolve(cfg: JobConfig, out_path: str | None, threads: int) -> int:
     else:
         try:
             gf = GridFunction.load_csv(csv_path, spec)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise ValueError(f"config field 'initial_csv': {exc}") from exc
     bad = int(np.count_nonzero(~np.isfinite(gf.values)))
     if bad:
@@ -500,7 +472,7 @@ def cmd_evolve(cfg: JobConfig, out_path: str | None, threads: int) -> int:
     for s, vals in zip(cfg.s_values, results):
         for i, v in enumerate(vals):
             lines.append(f"{repr(float(s))},{i},{repr(v.real)},{repr(v.imag)}")
-    _atomic_write(out_path, "\n".join(lines) + "\n")
+    write_atomic(out_path, ["\n".join(lines) + "\n"])
     return EXIT_OK
 
 
@@ -693,7 +665,7 @@ def cmd_verify(cfg: JobConfig, out_path: str | None, tol_override: float | None)
     report = run_verification(cfg, tol_override)
     text = json.dumps(report, indent=2) + "\n"
     if out_path:
-        _atomic_write(out_path, text)
+        write_atomic(out_path, [text])
     else:
         sys.stdout.write(text)
     return EXIT_OK if report["all_pass"] else EXIT_NUMERIC
@@ -710,7 +682,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=["eval", "scan", "verify", "evolve"])
     parser.add_argument("--config", required=True, help="path to the JSON job config")
     parser.add_argument("--out", default=None, help="output file path")
-    parser.add_argument("--threads", type=int, default=1, help="parallelism cap")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="evolve's parallelism cap, at most the CPU count; scan ignores it")
     parser.add_argument("--tol", type=float, default=None,
                         help="override every verification tolerance")
     return parser
@@ -721,14 +694,15 @@ def main(argv=None) -> int:
     if args.threads < 1:
         sys.stderr.write("error: --threads must be at least 1\n")
         return EXIT_INVALID
+    threads = min(args.threads, os.cpu_count() or 1)
     try:
         cfg = load_config(args.config)
         if args.command == "eval":
             return cmd_eval(cfg, args.out)
         if args.command == "scan":
-            return cmd_scan(cfg, args.out, args.threads)
+            return cmd_scan(cfg, args.out)
         if args.command == "evolve":
-            return cmd_evolve(cfg, args.out, args.threads)
+            return cmd_evolve(cfg, args.out, threads)
         return cmd_verify(cfg, args.out, args.tol)
     except (ValueError, ExprError) as exc:
         sys.stderr.write(f"error: {exc}\n")

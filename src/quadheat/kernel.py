@@ -33,21 +33,6 @@ from .quadric import QuadricForm
 from .quadrature import QuadratureSpec, integrate_with_estimate
 from .spectral import SpectralData
 
-__all__ = [
-    "FormIndex",
-    "epsilon",
-    "KernelQuery",
-    "log_mu_sinh_factor",
-    "mu_coth",
-    "rho_hat",
-    "rho_hat_adapted",
-    "rho_hat_eta",
-    "weighted_heat_kernel",
-    "weighted_heat_kernel_batch",
-    "rho_via_inversion",
-    "inversion_quadspec",
-]
-
 # Below this value of s|mu| the exact expressions cancel; switch to series.
 SMALL_X_SWITCH = 1e-8
 

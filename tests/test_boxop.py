@@ -19,6 +19,7 @@ from quadheat import (
     weighted_heat_kernel,
     weighted_heat_kernel_batch,
 )
+from quadheat.boxop import write_atomic
 
 L_IN = FormIndex([1])
 L_OUT = FormIndex([])
@@ -60,6 +61,21 @@ class TestGridBasics:
         np.testing.assert_array_equal(back.values, vals)
         header = open(path).readline().strip()
         assert header == "x1,y1,re,im"
+
+    def test_write_atomic_leaves_no_partial_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("previous\n")
+
+        def chunks():
+            yield "first block\n"
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            write_atomic(str(path), chunks())
+        assert path.read_text() == "previous\n"
+        assert not (tmp_path / "out.csv.tmp").exists()
+        write_atomic(str(path), iter(["a\n", "b\n"]))
+        assert path.read_text() == "a\nb\n" and not (tmp_path / "out.csv.tmp").exists()
 
 
 class TestApplyBox:

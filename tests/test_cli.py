@@ -1,11 +1,31 @@
 import json
+import math
+import os
+import warnings
 
 import numpy as np
 import pytest
 
-from quadheat.cli import ExprError, main, parse_initial_expression
+from quadheat import GridFunction, GridSpec, rho_hat_adapted
+from quadheat import cli
+from quadheat.cli import ExprError, load_config, main, parse_initial_expression
 
 HEIS = {"n": 1, "m": 1, "A": [[[1.0, 0.0]]]}
+# Non-commuting n = 2, m = 2 form; lambda = [1, 1] gives mu = (1, -0.5), full rank.
+FULL_RANK_N2 = {"n": 2, "m": 2, "A": [
+    [[0.7, 0.0], [-0.4, 0.2], [-0.4, -0.2], [-0.4, 0.0]],
+    [[0.3, 0.0], [0.4, -0.2], [0.4, 0.2], [-0.1, 0.0]],
+]}
+
+
+def data_rows(path):
+    """CSV lines after the comment lines and the column header."""
+    return [l for l in path.read_text().splitlines() if not l.startswith("#")][1:]
+
+
+def per_row_cells(coords, *values):
+    """One CSV row built cell by cell with repr(float(.)), the reference format."""
+    return ",".join([repr(float(x)) for x in coords] + [repr(float(v)) for v in values])
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -158,6 +178,43 @@ class TestScan:
             x, y, re, _, _ = (float(v) for v in line.split(","))
             want = 2 * (2 * np.pi) ** -1.5 / s * np.exp(-(x * x + y * y) / s)
             assert abs(re - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("quadric,lam,half_widths,points", [
+        (FULL_RANK_N2, [1.0, 1.0], [1.0, 2.0, 0.5, 3.0], 9),
+        (HEIS, [1.0], [1.0, 1.0], 11),
+    ])
+    def test_bytes_match_per_row_repr(self, tmp_path, quadric, lam, half_widths, points):
+        path, _ = write_config(tmp_path, quadric=quadric, **{"lambda": lam}, s=0.5,
+                               grid={"half_widths": half_widths, "points": points})
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--config", path, "--out", str(out)]) == 0
+        cfg = load_config(path)
+        assert cfg.spectral.nu == cfg.quadric.n
+        pts = GridSpec(half_widths, points).flat_points()
+        vals = rho_hat_adapted(0.5, pts[:, 0::2] + 1j * pts[:, 1::2], cfg.spectral, cfg.L)
+        names = ["x1", "y1", "x2", "y2"][: len(half_widths)]
+        want = [",".join(names + ["re", "im", "log10_abs"])]
+        want += [per_row_cells(c, v, 0.0, np.log10(v)) for c, v in zip(pts, vals)]
+        lines = out.read_text().split("\n")
+        assert [l[:2] for l in lines[:6]] == ["# "] * 6
+        assert lines[6:] == want + [""]
+
+    def test_far_field_writes_minus_inf_without_warning(self, tmp_path):
+        path, _ = write_config(tmp_path, s=0.5, grid={"half_widths": [40.0, 40.0], "points": 41})
+        out = tmp_path / "far.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["scan", "--config", path, "--out", str(out)]) == 0
+        zeros = 0
+        for line in data_rows(out):
+            re, im, log10_abs = line.split(",")[2:]
+            assert im == "0.0"
+            if float(re) == 0.0:
+                zeros += 1
+                assert log10_abs == "-inf"
+            else:
+                assert abs(float(log10_abs) - math.log10(float(re))) <= 1e-12
+        assert 0 < zeros < 41 * 41
 
     def test_requires_out(self, tmp_path, capsys):
         path, _ = self.grid_config(tmp_path)
@@ -324,6 +381,67 @@ class TestEvolve:
         err = capsys.readouterr().err
         assert "config field 'initial_csv'" in err and "at 1 of 441" in err
 
+    def csv_config(self, tmp_path, data_csv, half_width):
+        path, cfg = self.evolve_config(
+            tmp_path, name="csv.json", initial_csv=str(data_csv), s=0.5, L=[1],
+            grid={"half_widths": [half_width] * 2, "points": 41},
+            out_points=[[[0.0, 0.0]]])
+        cfg.pop("initial")
+        (tmp_path / "csv.json").write_text(json.dumps(cfg))
+        return path
+
+    def test_initial_csv_on_another_grid_rejected(self, tmp_path, capsys):
+        # exp(-|z|^2) is stationary for L = [1]; read on [-4, 4]^2 it gave 0.7168.
+        spec = GridSpec([6.0, 6.0], 41)
+        nodes = spec.flat_points()
+        vals = np.exp(-(nodes[:, 0] ** 2 + nodes[:, 1] ** 2)).reshape(spec.shape())
+        data_csv = tmp_path / "initial.csv"
+        GridFunction(spec, vals).save_csv(str(data_csv))
+        out = tmp_path / "x.csv"
+        path = self.csv_config(tmp_path, data_csv, 6.0)
+        assert main(["evolve", "--config", path, "--out", str(out)]) == 0
+        assert float(data_rows(out)[0].split(",")[2]) == pytest.approx(1.0, abs=1e-12)
+        out.unlink()
+        path = self.csv_config(tmp_path, data_csv, 4.0)
+        assert main(["evolve", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config field 'initial_csv'" in err and "line 2:" in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_threads_capped_at_cpu_count(self, tmp_path, monkeypatch):
+        pools = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                assert max_workers <= os.cpu_count()
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        grid = {"half_widths": [3.0, 3.0], "points": 41}
+        path, _ = self.evolve_config(tmp_path, s=[0.1, 0.2, 0.3], grid=grid)
+        out1, outmax = tmp_path / "t1.csv", tmp_path / "tmax.csv"
+        assert main(["evolve", "--config", path, "--out", str(out1)]) == 0
+        assert pools == []
+        assert main(["evolve", "--config", path, "--out", str(outmax),
+                     "--threads", str(10**9)]) == 0
+        assert pools == [3]
+        assert out1.read_bytes() == outmax.read_bytes()
+        scan_path, _ = write_config(tmp_path, name="scan.json", s=0.5,
+                                    grid={"half_widths": [1.0, 1.0], "points": 11})
+        assert main(["scan", "--config", scan_path, "--out", str(tmp_path / "s.csv"),
+                     "--threads", str(10**9)]) == 0
+        assert pools == [3]  # scan ignores --threads
+
     def test_both_initial_sources_rejected(self, tmp_path, capsys):
         path, _ = self.evolve_config(tmp_path, initial_csv="whatever.csv")
         assert main(["evolve", "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
@@ -331,6 +449,31 @@ class TestEvolve:
     def test_missing_out_rejected(self, tmp_path):
         path, _ = self.evolve_config(tmp_path)
         assert main(["evolve", "--config", path]) == 2
+
+
+class TestGridCsv:
+    @pytest.mark.parametrize("half_widths,points", [([1.0, 2.0, 0.5, 3.0], 9), ([1.5], 8)])
+    def test_save_csv_bytes_match_per_row_repr(self, tmp_path, half_widths, points):
+        spec = GridSpec(half_widths, points)
+        rng = np.random.default_rng(7)
+        vals = rng.normal(size=spec.shape()) + 1j * rng.normal(size=spec.shape())
+        vals.flat[:4] = [-0.0, np.inf, complex(np.nan, -np.inf), 1e-300j]
+        path = tmp_path / "field.csv"
+        GridFunction(spec, vals).save_csv(str(path))
+        names = ["x1", "y1", "x2", "y2"][: spec.dim]
+        want = [",".join(names + ["re", "im"])]
+        want += [per_row_cells(c, v.real, v.imag)
+                 for c, v in zip(spec.flat_points(), vals.ravel())]
+        assert path.read_text() == "\n".join(want) + "\n"
+
+    def test_save_load_roundtrip_on_unequal_axes(self, tmp_path):
+        spec = GridSpec([1.0, 2.0, 0.5, 3.0], 9)
+        vals = np.random.default_rng(8).normal(size=spec.shape()) + 0.5j
+        path = str(tmp_path / "field.csv")
+        GridFunction(spec, vals).save_csv(path)
+        np.testing.assert_array_equal(GridFunction.load_csv(path, spec).values, vals)
+        with pytest.raises(ValueError, match="line 2:"):
+            GridFunction.load_csv(path, GridSpec([1.0, 2.0, 0.5, 3.5], 9))
 
 
 class TestConfigEdgeCases:

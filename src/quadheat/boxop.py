@@ -12,7 +12,11 @@ Grids live in adapted coordinates with axes interleaved as
 with the rotation term the real-coordinate expansion of 2i mu Im{z d/dz}
 under Im A = (A - conj A)/(2i).  All derivatives are second-order central
 differences; a boundary layer of width one is marked invalid (NaN).
-Eigenvalues below the rank tolerance are treated as exact zeros.
+Eigenvalues below the rank tolerance are treated as exact zeros.  The
+operator is a sum of parts B_j, each acting on the axes of direction j only,
+and rho_hat is a product of per-direction factors, so pde_residual applies
+B_j to each P x P factor alone; apply_box_ll_lambda, the full-grid stencil
+for arbitrary fields, sums the same B_j.
 
 Convolution-style integrals use tensor trapezoid weights; integrands are
 smooth with Gaussian decay, where the trapezoid rule converges spectrally.
@@ -28,16 +32,15 @@ import os
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product, repeat
+from operator import iadd
 
 import numpy as np
 
 from .errors import NumericsError
-from .forms import FormIndex, epsilon
+from .forms import FormIndex
 from .kernel import (
     _log_rho_factors,
     _phase_arg,
-    log_mu_sinh_factor,
-    mu_coth,
     rho_hat_adapted,
     weighted_heat_kernel,
     weighted_heat_kernel_batch,
@@ -58,8 +61,8 @@ class GridSpec:
 
     def __init__(self, half_widths, points: int):
         hw = tuple(float(h) for h in np.atleast_1d(half_widths))
-        if any(h <= 0.0 for h in hw):
-            raise ValueError(f"half-widths must be positive, got {hw}")
+        if not all(0.0 < h < np.inf for h in hw):
+            raise ValueError(f"half-widths must be positive and finite, got {hw}")
         if points < 8:
             raise ValueError(f"need at least 8 points per axis, got {points}")
         if points ** len(hw) > GRID_NODE_BUDGET:
@@ -189,80 +192,69 @@ def sample_on_grid(f, spec: GridSpec, S: SpectralData) -> GridFunction:
     return GridFunction(spec, np.asarray(f(c @ S.V.T)))
 
 
-def _effective_mu(S: SpectralData) -> np.ndarray:
-    mu = np.array(S.mu)
-    mu[S.nu :] = 0.0
-    return mu
+def _log_rho_terms(s: float, spec: GridSpec, S: SpectralData, L: FormIndex) -> list:
+    """log rho_hat over a grid as one term per direction j, shaped to broadcast
+    along its own axes 2j, 2j + 1; the constant is folded into the first."""
+    n, m, nu = S.n, S.m, S.nu
+    if spec.dim != 2 * n:
+        raise ValueError(f"grid has {spec.dim} axes, expected 2n = {2 * n}")
+    log_fac, rates = _log_rho_factors(s, S, L)
+    terms = [(n - nu) * (np.log(2.0) - np.log(s)) - (0.5 * m + n) * np.log(2.0 * np.pi)]
+    for j in range(n):
+        sq = spec.axis_coordinate(2 * j) ** 2 + spec.axis_coordinate(2 * j + 1) ** 2
+        terms.append(log_fac[j] - rates[j] * sq if j < nu else -sq / s)
+    return [terms[0] + terms[1]] + terms[2:]
 
 
 def sample_rho_hat(s: float, spec: GridSpec, S: SpectralData, L: FormIndex) -> np.ndarray:
     """rho_hat over a grid, assembled in log space with broadcasting."""
-    n, m, nu = S.n, S.m, S.nu
-    if spec.dim != 2 * n:
-        raise ValueError(f"grid has {spec.dim} axes, expected 2n = {2 * n}")
-    eps = epsilon(L, S)
-    log_rho = np.full(spec.shape(), (n - nu) * (np.log(2.0) - np.log(s))
-                      - (0.5 * m + n) * np.log(2.0 * np.pi))
-    for j in range(n):
-        sq = spec.axis_coordinate(2 * j) ** 2 + spec.axis_coordinate(2 * j + 1) ** 2
-        if j < nu:
-            log_rho += log_mu_sinh_factor(s, S.mu[j], eps[j]) - mu_coth(s, S.mu[j]) * sq
-        else:
-            log_rho -= sq / s
-    return np.exp(log_rho)
+    return np.exp(reduce(np.add, _log_rho_terms(s, spec, S, L)))
 
 
-def _slices(ndim: int, ax: int, sl: slice) -> tuple:
-    idx = [slice(None)] * ndim
-    idx[ax] = sl
-    return tuple(idx)
+def _interior(a: np.ndarray) -> np.ndarray:
+    """Drop the first and last node of every axis that is not broadcast (length 1)."""
+    return a[tuple(slice(1, -1) if d > 1 else slice(None) for d in a.shape)]
+
+
+def _box_direction(v: np.ndarray, spec: GridSpec, j: int, S: SpectralData, L: FormIndex):
+    """B_j v over the interior of axes 2j, 2j + 1; the other axes of ``v`` are kept.
+
+    B_j is the operator's part in direction j (0-based): -1/4 the Laplacian in
+    (x_j, y_j), the drift i mu_j (y_j d/dx_j - x_j d/dy_j) and mu_j^2 (x_j^2 + y_j^2)
+    -+ mu_j (- for j + 1 in L).  The operator is sum_j B_j.
+    """
+    P, (hx, hy) = spec.points, spec.spacing[2 * j : 2 * j + 2]
+    mu = S.mu[j] if j < S.nu else 0.0
+
+    def at(dx: int, dy: int) -> np.ndarray:  # v shifted by (dx, dy) nodes
+        return v[(slice(None),) * 2 * j + (slice(1 + dx, P - 1 + dx), slice(1 + dy, P - 1 + dy))]
+
+    x, y = (_interior(spec.axis_coordinate(ax)) for ax in (2 * j, 2 * j + 1))
+    c = at(0, 0)
+    out = (-0.25 / hx**2) * (at(1, 0) - 2.0 * c + at(-1, 0))
+    out += (-0.25 / hy**2) * (at(0, 1) - 2.0 * c + at(0, -1))
+    if mu != 0.0:
+        out = out + 1j * mu * y * ((at(1, 0) - at(-1, 0)) / (2.0 * hx))
+        out += 1j * mu * -x * ((at(0, 1) - at(0, -1)) / (2.0 * hy))
+    shift = mu if L.contains(j + 1) else -mu
+    out += (mu**2 * (x**2 + y**2) - shift) * c
+    return out
 
 
 def apply_box_ll_lambda(f: GridFunction, S: SpectralData, L: FormIndex) -> GridFunction:
-    """Apply the operator with central differences; NaN on the boundary ring."""
-    spec = f.spec
-    n = S.n
+    """Apply the operator with central differences; NaN on the boundary ring.
+
+    Sums the per-direction parts B_j, each applied to ``f`` over the interior.
+    """
+    spec, n = f.spec, S.n
     if spec.dim != 2 * n:
         raise ValueError(f"grid has {spec.dim} axes, expected 2n = {2 * n}")
-    if spec.points < 8:
-        raise ValueError("grid too small for the interior stencil")
     L.validate_against(n)
     v = np.asarray(f.values)
-    ndim = spec.dim
-    h = spec.spacing
-    mu = _effective_mu(S)
-
-    out = np.zeros(spec.shape(), dtype=np.result_type(v.dtype, complex))
-    # -1/4 Laplacian
-    for ax in range(ndim):
-        mid = _slices(ndim, ax, slice(1, -1))
-        up = _slices(ndim, ax, slice(2, None))
-        dn = _slices(ndim, ax, slice(0, -2))
-        out[mid] += (-0.25 / h[ax] ** 2) * (v[up] - 2.0 * v[mid] + v[dn])
-    # rotation drift i mu_k (y_k d_x - x_k d_y)
-    for k in range(n):
-        if mu[k] == 0.0:
-            continue
-        xk = spec.axis_coordinate(2 * k)
-        yk = spec.axis_coordinate(2 * k + 1)
-        for ax, coeff in ((2 * k, yk), (2 * k + 1, -xk)):
-            mid = _slices(ndim, ax, slice(1, -1))
-            up = _slices(ndim, ax, slice(2, None))
-            dn = _slices(ndim, ax, slice(0, -2))
-            grad = (v[up] - v[dn]) / (2.0 * h[ax])
-            out[mid] += 1j * mu[k] * np.broadcast_to(coeff, spec.shape())[mid] * grad
-    # quadratic potential and the constant shift
-    pot = np.zeros(spec.shape())
-    for k in range(n):
-        pot += mu[k] ** 2 * (
-            spec.axis_coordinate(2 * k) ** 2 + spec.axis_coordinate(2 * k + 1) ** 2
-        )
-    const = sum(mu[k] if L.contains(k + 1) else -mu[k] for k in range(n))
-    out += (pot - const) * v
-
-    for ax in range(ndim):
-        out[_slices(ndim, ax, slice(0, 1))] = np.nan
-        out[_slices(ndim, ax, slice(-1, None))] = np.nan
+    out = np.full(spec.shape(), np.nan, dtype=np.result_type(v.dtype, complex))
+    inner = (slice(1, -1),) * spec.dim  # B_j needs the whole extent of axes 2j, 2j + 1
+    out[inner] = sum(_box_direction(v[inner[: 2 * j] + (slice(None),) * 2 + inner[2 * j + 2:]],
+                                    spec, j, S, L) for j in range(n))
     return GridFunction(spec, out)
 
 
@@ -271,21 +263,26 @@ def pde_residual(
 ) -> float:
     """Max-norm residual of the closed-form kernel in the discrete heat equation.
 
-    Samples rho_hat at s - hs, s, s + hs, forms the central time difference
-    plus the stencil operator at s, and normalizes by the max interior time
-    derivative.  Second order in both the grid spacing and hs.
+    Forms the central time difference of rho_hat over s - hs, s + hs plus the
+    stencil operator at s, and normalizes by the max interior time derivative.
+    Second order in both the grid spacing and hs.  rho_hat is the product of
+    per-direction factors g_j(x_j, y_j), each exponentiated on its own P x P
+    axes, and the stencil on a product is exactly sum_j (B_j g_j) prod_{k!=j} g_k,
+    so B_j runs on g_j alone.  The only N-sized work left is the broadcast
+    products of factors, their sum and the two maxima.
     """
     if s - hs <= 0.0:
         raise ValueError(f"need s - hs > 0, got s={s}, hs={hs}")
-    rho_m = sample_rho_hat(s - hs, grid, S, L)
-    rho_p = sample_rho_hat(s + hs, grid, S, L)
-    rho_0 = sample_rho_hat(s, grid, S, L)
-    dt = (rho_p - rho_m) / (2.0 * hs)
-    box = apply_box_ll_lambda(GridFunction(grid, rho_0), S, L).values
-    interior = tuple(slice(1, -1) for _ in range(grid.dim))
-    num = float(np.max(np.abs(dt[interior] + box[interior])))
-    den = float(np.max(np.abs(dt[interior])))
-    return num / den
+
+    def rho(t: float) -> np.ndarray:
+        return reduce(np.multiply, [_interior(np.exp(x)) for x in _log_rho_terms(t, grid, S, L)])
+
+    dt = (rho(s + hs) - rho(s - hs)) / (2.0 * hs)
+    g = [np.exp(x) for x in _log_rho_terms(s, grid, S, L)]
+    terms = (reduce(np.multiply, [_interior(g[k]) for k in range(S.n) if k != j],
+                    _box_direction(g[j], grid, j, S, L)) for j in range(S.n))
+    res = reduce(iadd, terms, dt + next(terms))  # summed in place, one term at a time
+    return float(np.max(np.abs(res))) / float(np.max(np.abs(dt)))
 
 
 def heat_apply(
@@ -318,11 +315,11 @@ def heat_apply(
     rates = np.concatenate([rates, np.full(n - nu, 1.0 / s)])
     pref = float(np.exp((n - nu) * (np.log(2.0) - np.log(s))
                         - n * np.log(2.0 * np.pi) + np.sum(log_fac)))
-    mu = _effective_mu(S)
+    mu = np.where(np.arange(n) < nu, S.mu, 0.0)  # below-tolerance eigenvalues as exact zeros
     nodes = _directions(spec)
     axw = [axis_nodes(QuadratureSpec(h, spec.points))[1] for h in spec.half_widths]
     weights = [np.outer(axw[2 * j], axw[2 * j + 1]) for j in range(n)]
-    faces = [_slices(dim, ax, end) for ax in range(dim)
+    faces = [(slice(None),) * ax + (end,) for ax in range(dim)
              for end in (slice(0, 1), slice(-1, None))]
     sides = 2.0 * np.array(spec.half_widths)
     area = float(2.0 * np.prod(sides) * np.sum(1.0 / sides))  # of the faces

@@ -15,6 +15,7 @@ byte-identical and files reparse exactly.
 from __future__ import annotations
 
 import argparse
+import cmath
 import hashlib
 import json
 import os
@@ -251,12 +252,21 @@ class JobConfig:
         self.spectral = decompose_form(self.quadric, self.lam)
 
 
+def _finite_array(obj, name: str, shape: tuple) -> np.ndarray:
+    """``obj`` as a float array of ``shape`` with finite entries; else ValueError naming it."""
+    try:
+        arr = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"config field '{name}': {exc}") from exc
+    if arr.shape != shape:
+        raise ValueError(f"config field '{name}': expected shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"config field '{name}': entries must be finite, got {arr.tolist()}")
+    return arr
+
+
 def _parse_complex_vector(obj, n: int, name: str) -> np.ndarray:
-    arr = np.asarray(obj, dtype=float)
-    if arr.shape != (n, 2):
-        raise ValueError(
-            f"config field '{name}': expected {n} [re, im] pairs, got shape {arr.shape}"
-        )
+    arr = _finite_array(obj, name, (n, 2))  # n [re, im] pairs
     return arr[:, 0] + 1j * arr[:, 1]
 
 
@@ -290,12 +300,10 @@ def load_config(path: str) -> JobConfig:
     if "lambda" not in raw:
         errors.append("config field 'lambda': missing")
     elif quadric is not None:
-        lam = np.asarray(raw["lambda"], dtype=float).reshape(-1)
-        if lam.shape != (quadric.m,):
-            errors.append(
-                f"config field 'lambda': expected length m={quadric.m}, got {lam.shape[0]}"
-            )
-            lam = None
+        try:
+            lam = _finite_array(raw["lambda"], "lambda", (quadric.m,))
+        except ValueError as exc:
+            errors.append(str(exc))
 
     form = None
     try:
@@ -313,10 +321,9 @@ def load_config(path: str) -> JobConfig:
     try:
         s_list = [s_raw] if np.isscalar(s_raw) else list(s_raw)
         for s in s_list:
-            s = float(s)
-            if s <= 0.0:
-                raise ValueError(f"time values must be positive, got {s}")
-            s_values.append(s)
+            if isinstance(s, bool) or not 0.0 < float(s) < np.inf:
+                raise ValueError(f"time values must be positive finite numbers, got {s}")
+            s_values.append(float(s))
         if not s_values:
             raise ValueError("empty list")
     except (ValueError, TypeError) as exc:
@@ -350,26 +357,30 @@ def cmd_eval(cfg: JobConfig, out_path: str | None) -> int:
     S = cfg.spectral
     eps = epsilon(cfg.L, S)
     lines = []
-    for s in cfg.s_values:
-        for z in points:
-            if zt is None:
-                val = complex(rho_hat(KernelQuery(s, z, S, cfg.L)))
-            else:
-                val = weighted_heat_kernel(s, z, zt, cfg.quadric, S, cfg.L)
-            record = {
-                "s": s,
-                "point": [[float(c.real), float(c.imag)] for c in z],
-                "lambda": [float(x) for x in cfg.lam],
-                "L": list(cfg.L.L),
-                "mu": [float(x) for x in S.mu],
-                "nu": S.nu,
-                "eps": [int(e) for e in eps],
-                "value": [val.real, val.imag],
-                "log10_abs": float(np.log10(abs(val))) if val != 0 else None,
-            }
-            if zt is not None:
-                record["point_tilde"] = [[float(c.real), float(c.imag)] for c in zt]
-            lines.append(json.dumps(record))
+    with np.errstate(all="ignore"):  # a non-finite value is reported below
+        for s in cfg.s_values:
+            for i, z in enumerate(points):
+                if zt is None:
+                    val = complex(rho_hat(KernelQuery(s, z, S, cfg.L)))
+                else:
+                    val = weighted_heat_kernel(s, z, zt, cfg.quadric, S, cfg.L)
+                if not cmath.isfinite(val):
+                    raise NumericsError(f"kernel value {val} at s={s!r}, points[{i}] "
+                                        "is not finite")
+                record = {
+                    "s": s,
+                    "point": [[float(c.real), float(c.imag)] for c in z],
+                    "lambda": [float(x) for x in cfg.lam],
+                    "L": list(cfg.L.L),
+                    "mu": [float(x) for x in S.mu],
+                    "nu": S.nu,
+                    "eps": [int(e) for e in eps],
+                    "value": [val.real, val.imag],
+                    "log10_abs": float(np.log10(abs(val))) if val != 0 else None,
+                }
+                if zt is not None:
+                    record["point_tilde"] = [[float(c.real), float(c.imag)] for c in zt]
+                lines.append(json.dumps(record, allow_nan=False))
     text = "\n".join(lines) + "\n"
     if out_path:
         write_atomic(out_path, [text])
@@ -383,11 +394,9 @@ def _grid_from_config(cfg: JobConfig) -> GridSpec:
     if gspec is None:
         raise ValueError("config field 'grid': missing")
     try:
-        half_widths = gspec["half_widths"]
-        points = int(gspec["points"])
+        spec = GridSpec(gspec["half_widths"], int(gspec["points"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"config field 'grid': {exc}") from exc
-    spec = GridSpec(half_widths, points)
     if spec.dim != 2 * cfg.quadric.n:
         raise ValueError(
             f"config field 'grid.half_widths': expected 2n={2 * cfg.quadric.n} axes, "

@@ -28,6 +28,9 @@ class FormIndex:
     L: tuple
 
     def __init__(self, L=()):
+        L = tuple(L)
+        if any(isinstance(j, (bool, np.bool_)) or not float(j).is_integer() for j in L):
+            raise ValueError(f"form index entries must be integers, got {list(L)}")
         L = tuple(int(j) for j in L)
         if any(j < 1 for j in L):
             raise ValueError(f"form index entries must be >= 1, got {L}")

@@ -42,6 +42,9 @@ class TestGridBasics:
             GridSpec([1.0, 1.0], 4)
         with pytest.raises(ValueError):
             GridSpec([-1.0, 1.0], 16)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                GridSpec([1.0, bad], 16)
         with pytest.raises(ValueError):
             GridSpec([1.0] * 8, 101)  # node budget
 
@@ -59,8 +62,8 @@ class TestGridBasics:
         gf.save_csv(path)
         back = GridFunction.load_csv(path, spec)
         np.testing.assert_array_equal(back.values, vals)
-        header = open(path).readline().strip()
-        assert header == "x1,y1,re,im"
+        with open(path) as fh:
+            assert fh.readline().strip() == "x1,y1,re,im"
 
     def test_write_atomic_leaves_no_partial_file(self, tmp_path):
         path = tmp_path / "out.csv"
@@ -340,6 +343,98 @@ class TestInitialCondition:
         errs = initial_condition_check(f, [0.5], heis_q, heis_spectral, L_IN,
                                        base_points=401, box_half_width=4.0)
         assert errs[0] <= 1e-10
+
+
+def _full_rank_mu_geometry():
+    """Non-commuting n = 2, m = 2 form with B1 + B2 = diag(1, -0.5): mu = (1, -0.5)."""
+    B2 = np.array([[0.3, 0.4 - 0.2j], [0.4 + 0.2j, -0.1]])
+    Q = QuadricForm(2, 2, [np.diag([1.0, -0.5]) - B2, B2])
+    assert np.linalg.norm(Q.A[0] @ Q.A[1] - Q.A[1] @ Q.A[0]) > 0.1
+    S = decompose_form(Q, [1.0, 1.0])
+    np.testing.assert_allclose(sorted(S.mu), [-0.5, 1.0], atol=1e-12)
+    return S
+
+
+def _written_out_box(v, spec, S, L):
+    """The operator by central differences on the interior, term by term,
+    independently of the library's stencil."""
+    P, h, dim = spec.points, spec.spacing, spec.dim
+    inner = (slice(1, -1),) * dim
+
+    def shifted(ax, d):
+        return v[tuple(slice(1 + d, P - 1 + d) if k == ax else slice(1, -1) for k in range(dim))]
+
+    coords = [np.linspace(-hw, hw, P)[1:-1].reshape([-1 if k == ax else 1 for k in range(dim)])
+              for ax, hw in enumerate(spec.half_widths)]
+    out = np.zeros(v[inner].shape, dtype=complex)
+    for ax in range(dim):
+        out -= 0.25 * (shifted(ax, 1) - 2.0 * v[inner] + shifted(ax, -1)) / h[ax] ** 2
+    for k in range(S.n):
+        mu = S.mu[k] if k < S.nu else 0.0
+        x, y = coords[2 * k], coords[2 * k + 1]
+        dx = (shifted(2 * k, 1) - shifted(2 * k, -1)) / (2.0 * h[2 * k])
+        dy = (shifted(2 * k + 1, 1) - shifted(2 * k + 1, -1)) / (2.0 * h[2 * k + 1])
+        const = mu if L.contains(k + 1) else -mu
+        out += 1j * mu * (y * dx - x * dy) + (mu**2 * (x**2 + y**2) - const) * v[inner]
+    return out
+
+
+def _residual_on_full_grid(s, S, L, grid, hs, box):
+    """pde_residual the way it used to be formed: whole-grid samples, then ``box``."""
+    dt = interior(sample_rho_hat(s + hs, grid, S, L) - sample_rho_hat(s - hs, grid, S, L))
+    dt /= 2.0 * hs
+    res = dt + box(sample_rho_hat(s, grid, S, L))
+    return float(np.max(np.abs(res)) / np.max(np.abs(dt)))
+
+
+class TestPdeResidualFactorised:
+    """The per-direction residual against the full-grid samples and stencil."""
+
+    GRIDS = {"heisenberg": GridSpec.cube(2.0, 2, 101),
+             # unequal half-widths, so every axis has its own spacing
+             "rank1": GridSpec([1.0, 1.5, 0.8, 1.2], 15),
+             "full_rank": GridSpec([1.2, 0.9, 1.5, 1.1], 15)}
+
+    @staticmethod
+    def spectral(kind, heis_spectral):
+        if kind == "heisenberg":
+            return heis_spectral
+        return _n2_geometry("rank1")[1] if kind == "rank1" else _full_rank_mu_geometry()
+
+    @pytest.mark.parametrize("kind", ["heisenberg", "rank1", "full_rank"])
+    @pytest.mark.parametrize("L", [[], [1], [1, 2]])
+    def test_matches_full_grid_reference(self, heis_spectral, kind, L):
+        S, L, grid = self.spectral(kind, heis_spectral), FormIndex(L), self.GRIDS[kind]
+        if L.q > S.n:
+            with pytest.raises(ValueError, match="exceeds dimension"):
+                pde_residual(0.7, S, L, grid, 1e-4)
+            return
+        got = pde_residual(0.7, S, L, grid, 1e-4)
+
+        def library(rho):
+            return interior(apply_box_ll_lambda(GridFunction(grid, rho), S, L).values)
+
+        def written_out(rho):
+            return _written_out_box(rho, grid, S, L)
+
+        assert abs(got - _residual_on_full_grid(0.7, S, L, grid, 1e-4, library)) <= 1e-10
+        assert abs(got - _residual_on_full_grid(0.7, S, L, grid, 1e-4, written_out)) <= 1e-10
+        assert got > 1e-4  # the coarse grids keep the stencil's own error visible
+
+    @pytest.mark.parametrize("kind", ["heisenberg", "rank1", "full_rank"])
+    def test_apply_box_on_a_non_product_field(self, heis_spectral, kind):
+        S, grid = self.spectral(kind, heis_spectral), self.GRIDS[kind]
+        c = [grid.axis_coordinate(k) for k in range(grid.dim)]
+        r2 = sum(x**2 for x in c)
+        f = np.broadcast_to(np.exp(-0.5 * r2) * (1.0 + 0.3 * c[0] * c[-1] - 0.2j * c[1] + r2**2),
+                            grid.shape())
+        for L in (FormIndex([]), FormIndex([1])):
+            out = apply_box_ll_lambda(GridFunction(grid, f), S, L).values
+            want = _written_out_box(f, grid, S, L)
+            assert np.max(np.abs(interior(out) - want)) <= 1e-12 * np.max(np.abs(want))
+            ring = np.ones(grid.shape(), dtype=bool)
+            ring[(slice(1, -1),) * grid.dim] = False
+            assert np.isnan(out[ring]).all() and np.isfinite(interior(out)).all()
 
 
 class TestRankDeficient:

@@ -499,3 +499,91 @@ class TestConfigEdgeCases:
     def test_bad_threads(self, tmp_path):
         path, _ = write_config(tmp_path, points=[[[0.0, 0.0]]])
         assert main(["eval", "--config", path, "--threads", "0"]) == 2
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestConfigNumbers:
+    """Non-finite or ill-typed numbers exit 2 naming their field, before any output."""
+
+    def run_eval(self, tmp_path, capsys, **overrides):
+        path, _ = write_config(tmp_path, **{"points": [[[0.3, -0.1]]], **overrides})
+        out = tmp_path / "eval.jsonl"
+        code = main(["eval", "--config", path, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and out.exists() == (code == 0)
+        return code, err
+
+    @pytest.mark.parametrize("field,value", [
+        ("lambda", [NAN]),
+        ("lambda", [INF]),
+        ("lambda", [-INF]),
+        ("lambda", [None]),
+        ("s", NAN),
+        ("s", INF),
+        ("s", [0.5, NAN]),
+        ("s", True),
+        ("s", [0.5, False]),
+        ("L", [1.5]),
+        ("L", [True]),
+    ])
+    def test_bad_number_names_its_field(self, tmp_path, capsys, field, value):
+        code, err = self.run_eval(tmp_path, capsys, **{field: value})
+        assert code == 2 and f"config field '{field}'" in err
+        assert "exceeds dimension" not in err
+
+    @pytest.mark.parametrize("field,value,name", [
+        ("points", [[[0.3, NAN]]], "points[0]"),
+        ("points", [[[0.0, 0.0]], [[INF, 0.0]]], "points[1]"),
+        ("point_tilde", [[0.1, -INF]], "point_tilde"),
+    ])
+    def test_nonfinite_eval_point_rejected(self, tmp_path, capsys, field, value, name):
+        code, err = self.run_eval(tmp_path, capsys, **{field: value})
+        assert code == 2 and f"config field '{name}'" in err and "finite" in err
+
+    def test_nonfinite_out_point_rejected(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path, L=[], s=0.5, initial="exp(-(x1^2+y1^2))",
+                               grid={"half_widths": [3.0, 3.0], "points": 41},
+                               out_points=[[[0.0, 0.0]], [[0.2, NAN]]])
+        out = tmp_path / "evo.csv"
+        assert main(["evolve", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config field 'out_points[1]'" in err and not out.exists()
+
+    @pytest.mark.parametrize("half_widths", [[NAN, 2.0], [2.0, INF]])
+    def test_nonfinite_grid_rejected(self, tmp_path, capsys, half_widths):
+        path, _ = write_config(tmp_path, grid={"half_widths": half_widths, "points": 11})
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config field 'grid'" in err and "finite" in err and not out.exists()
+
+    def test_valid_config_unchanged(self, tmp_path, capsys):
+        code, err = self.run_eval(tmp_path, capsys, L=[1.0], s=[0.5, 1])
+        assert code == 0 and err == ""
+
+
+class TestEvalStrictJson:
+    def test_nonfinite_value_exits_1_naming_time_and_point(self, tmp_path, capsys):
+        # a finite, positive, subnormal time: the kernel value itself is not finite
+        path, _ = write_config(tmp_path, s=[0.5, 1e-320], points=[[[0.0, 0.0]], [[0.1, 0.0]]])
+        out = tmp_path / "eval.jsonl"
+        assert main(["eval", "--config", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "s=1e-320" in err and "points[0]" in err and "not finite" in err
+        assert not out.exists()
+
+    def test_records_are_strict_json(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path, s=[0.05, 2.0], points=[[[0.0, 0.0]], [[3.0, -1.0]]],
+                               point_tilde=[[0.2, 0.1]])
+        assert main(["eval", "--config", path]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4
+        for line in lines:
+            record = json.loads(line, parse_constant=reject)
+            assert all(math.isfinite(x) for x in record["value"])

@@ -67,6 +67,14 @@ class TestEpsilon:
         with pytest.raises(ValueError):
             FormIndex([1, 1])
 
+    @pytest.mark.parametrize("bad", [1.5, True, np.bool_(True), float("nan"), float("inf")])
+    def test_form_index_entries_are_integers(self, bad):
+        with pytest.raises(ValueError, match="integers"):
+            FormIndex([bad])
+
+    def test_integral_entries_are_kept(self):
+        assert FormIndex([1.0, np.int64(3)]).L == (1, 3)
+
 
 class TestStableFactors:
     def test_reference_value(self):

@@ -40,7 +40,7 @@ from .boxop import (
 )
 from .errors import NumericsError
 from .forms import FormIndex, epsilon
-from .hermite import UTildeParams, u_tilde_closed, u_tilde_series
+from .hermite import UTildeParams, default_series_terms, u_tilde_closed, u_tilde_series
 from .kernel import (
     KernelQuery,
     rho_hat,
@@ -393,8 +393,11 @@ def _grid_from_config(cfg: JobConfig) -> GridSpec:
     gspec = cfg.raw.get("grid")
     if gspec is None:
         raise ValueError("config field 'grid': missing")
+    points = gspec.get("points") if isinstance(gspec, dict) else None
+    if isinstance(points, bool) or not isinstance(points, (int, float)) or points % 1:
+        raise ValueError(f"config field 'grid.points': expected an integer, got {points!r}")
     try:
-        spec = GridSpec(gspec["half_widths"], int(gspec["points"]))
+        spec = GridSpec(gspec["half_widths"], int(points))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"config field 'grid': {exc}") from exc
     if spec.dim != 2 * cfg.quadric.n:
@@ -486,43 +489,44 @@ def cmd_evolve(cfg: JobConfig, out_path: str | None, threads: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verification checks
+# verification checks: each returns (error, message), the message naming its error budget
 
 
-def _check_mehler(cfg: JobConfig, tol: float) -> float:
+def _check_mehler(cfg: JobConfig, tol: float) -> tuple:
     S = cfg.spectral
     if S.nu < 1:
         raise NumericsError("mehler check needs at least one nonzero eigenvalue")
     worst = 0.0
     grid = np.linspace(-4.0, 4.0, 5)
+    a = np.repeat(grid[:, None, None], S.nu, axis=-1)  # a_j = grid[k] on axis 0
+    b = a.reshape(1, 5, S.nu)  # b_j = grid[l] on axis 1
     complement = FormIndex([j for j in range(1, S.n + 1) if not cfg.L.contains(j)])
     for L in (cfg.L, complement):
         for s in (0.1, 1.0):
-            for a in grid:
-                for b in grid:
-                    p = UTildeParams(s, [a] * S.nu, [b] * S.nu, S, L)
-                    diff = abs(u_tilde_closed(p) - u_tilde_series(p, 300))
-                    worst = max(worst, diff)
-    return worst
+            p = UTildeParams(s, a, b, S, L)
+            worst = max(worst, float(np.max(np.abs(u_tilde_closed(p) - u_tilde_series(p, 300)))))
+    needed = ", ".join(f"{default_series_terms(s, S.mu[:S.nu])} at s={s}" for s in (0.1, 1.0))
+    return worst, f"series truncated at 300 terms; a 1e-12 tail needs {needed}"
 
 
-def _check_inversion(cfg: JobConfig, tol: float) -> float:
+def _check_inversion(cfg: JobConfig, tol: float) -> tuple:
     S = cfg.spectral
     if S.nu < 1:
         raise NumericsError("inversion check needs nu >= 1")
-    worst = 0.0
-    samples = [(0.3, -0.2), (0.0, 0.0), (-0.7, 0.5)]
+    worst, notes = 0.0, []
+    samples = np.array([(0.3, -0.2), (0.0, 0.0), (-0.7, 0.5)])
+    xp = np.repeat(samples[:, :1], S.nu, axis=1)
+    yp = np.repeat(samples[:, 1:], S.nu, axis=1)
     for s in (0.3, 0.7):
-        for x, y in samples:
-            xp = np.full(S.nu, x)
-            yp = np.full(S.nu, y)
-            want = rho_hat_eta(s, xp, yp, None, S, cfg.L)
-            got = rho_via_inversion(s, xp, yp, None, S, cfg.L, tol=tol)
-            worst = max(worst, abs(got - want), abs(got.imag))
-    return worst
+        want = np.array([rho_hat_eta(s, x, y, None, S, cfg.L) for x, y in zip(xp, yp)])
+        got, tails, budget = rho_via_inversion(s, xp, yp, None, S, cfg.L, tol=tol,
+                                               return_budget=True)
+        worst = max(worst, float(np.max(np.abs(got - want))), float(np.max(np.abs(got.imag))))
+        notes.append(f"s={s}: tails {', '.join(f'{t:.1e}' for t in tails)}, budget {budget:.1e}")
+    return worst, "per-direction quadrature tails and product budget: " + "; ".join(notes)
 
 
-def _check_pde_residual(cfg: JobConfig, tol: float) -> float:
+def _check_pde_residual(cfg: JobConfig, tol: float) -> tuple:
     n = cfg.quadric.n
     if n == 1:
         grid = GridSpec.cube(2.0, 2, 2001)
@@ -530,7 +534,7 @@ def _check_pde_residual(cfg: JobConfig, tol: float) -> float:
         grid = GridSpec.cube(0.06, 4, 49)
     else:
         raise NumericsError("pde_residual check supports n <= 2 grids only")
-    return pde_residual(0.7, cfg.spectral, cfg.L, grid, 1e-4)
+    return pde_residual(0.7, cfg.spectral, cfg.L, grid, 1e-4), ""
 
 
 def _semigroup_points(n: int):
@@ -541,7 +545,7 @@ def _semigroup_points(n: int):
     return z, zt
 
 
-def _check_semigroup(cfg: JobConfig, tol: float) -> float:
+def _check_semigroup(cfg: JobConfig, tol: float) -> tuple:
     n = cfg.quadric.n
     if n > 1:
         raise NumericsError("semigroup check runs on n = 1 geometries")
@@ -550,10 +554,10 @@ def _check_semigroup(cfg: JobConfig, tol: float) -> float:
     z, zt = _semigroup_points(n)
     quad = QuadratureSpec(half_width=6.0, points=400, tail_rate=1.0)
     return semigroup_check(0.4, 0.4, z, zt, cfg.quadric, cfg.spectral, cfg.L, quad,
-                           phase_sign=phase_sign)
+                           phase_sign=phase_sign), ""
 
 
-def _check_initial_condition(cfg: JobConfig, tol: float) -> float:
+def _check_initial_condition(cfg: JobConfig, tol: float) -> tuple:
     if cfg.quadric.n > 1:
         raise NumericsError("initial_condition check runs on n = 1 geometries")
 
@@ -565,10 +569,10 @@ def _check_initial_condition(cfg: JobConfig, tol: float) -> float:
     )
     if not all(a > b for a, b in zip(errs, errs[1:])):
         raise NumericsError(f"initial-condition errors not decreasing: {errs}")
-    return errs[-1]
+    return errs[-1], ""
 
 
-def _check_euclidean(cfg: JobConfig, tol: float) -> float:
+def _check_euclidean(cfg: JobConfig, tol: float) -> tuple:
     rng = np.random.default_rng(20240811)
     n, m = cfg.quadric.n, cfg.quadric.m
     S0 = decompose_form(cfg.quadric, np.zeros(m))
@@ -584,10 +588,10 @@ def _check_euclidean(cfg: JobConfig, tol: float) -> float:
             * np.exp(-float(np.sum(np.abs(z) ** 2)) / s)
         )
         worst = max(worst, abs(got - want) / want)
-    return worst
+    return worst, ""
 
 
-def _check_evenness(cfg: JobConfig, tol: float) -> float:
+def _check_evenness(cfg: JobConfig, tol: float) -> tuple:
     rng = np.random.default_rng(20240812)
     S = cfg.spectral
     worst = 0.0
@@ -606,7 +610,7 @@ def _check_evenness(cfg: JobConfig, tol: float) -> float:
                 worst = max(worst, abs(other - base) / base)
         neg = rho_hat(KernelQuery(s, -z, S, cfg.L))
         worst = max(worst, abs(neg - base) / base)
-    return worst
+    return worst, ""
 
 
 CHECK_FUNCTIONS = {
@@ -620,59 +624,42 @@ CHECK_FUNCTIONS = {
 }
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    error: float | None
-    tolerance: float
-    runtime_s: float
-    message: str = ""
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "pass": self.passed,
-            "error": self.error,
-            "tolerance": self.tolerance,
-            "runtime_s": round(self.runtime_s, 3),
-            "message": self.message,
-        }
-
-
 def run_verification(cfg: JobConfig, tol_override: float | None = None) -> dict:
-    """Run the configured checks and assemble the report dict."""
+    """Run the configured checks and assemble the report dict; a check that
+    cannot run (NumericsError or ValueError) is a failed entry with error null."""
     names = cfg.raw.get("checks", list(ALL_CHECKS))
     unknown = [c for c in names if c not in CHECK_FUNCTIONS]
     if unknown:
         raise ValueError(f"config field 'checks': unknown check names {unknown}")
     tolerances = dict(DEFAULT_TOLERANCES)
     tolerances.update(cfg.raw.get("tolerances", {}))
-    results = []
-    for name in names:
-        tol = float(tol_override if tol_override is not None else tolerances[name])
+    tols = [float(tol_override if tol_override is not None else tolerances[name]) for name in names]
+    if not all(0.0 < tol < np.inf for tol in tols):
+        raise ValueError("config field 'tolerances': must be positive and finite, got "
+                         f"{dict(zip(names, tols))}")
+    entries = []
+    for name, tol in zip(names, tols):
+        entry = {"name": name, "pass": False, "error": None, "tolerance": tol, "runtime_s": 0.0}
         t0 = time.perf_counter()
         try:
-            err = CHECK_FUNCTIONS[name](cfg, tol)
-            results.append(
-                CheckResult(name, bool(err <= tol), float(err), tol,
-                            time.perf_counter() - t0)
-            )
-        except NumericsError as exc:
-            results.append(
-                CheckResult(name, False, None, tol, time.perf_counter() - t0,
-                            message=str(exc))
-            )
+            err, message = CHECK_FUNCTIONS[name](cfg, tol)
+            if not np.isfinite(err):
+                raise NumericsError(f"{name} check error is not finite ({err})")
+            entry.update({"pass": bool(err <= tol), "error": float(err)})
+        except (NumericsError, ValueError) as exc:
+            message = str(exc)
+        entry.update({"runtime_s": round(time.perf_counter() - t0, 3), "message": message})
+        entries.append(entry)
     return {
         "config_sha256": config_digest(cfg.raw),
-        "checks": [r.to_json() for r in results],
-        "all_pass": all(r.passed for r in results),
+        "checks": entries,
+        "all_pass": all(e["pass"] for e in entries),
     }
 
 
 def cmd_verify(cfg: JobConfig, out_path: str | None, tol_override: float | None) -> int:
     report = run_verification(cfg, tol_override)
-    text = json.dumps(report, indent=2) + "\n"
+    text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     if out_path:
         write_atomic(out_path, [text])
     else:
@@ -702,6 +689,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.threads < 1:
         sys.stderr.write("error: --threads must be at least 1\n")
+        return EXIT_INVALID
+    if args.tol is not None and not 0.0 < args.tol < float("inf"):
+        sys.stderr.write(f"error: --tol must be a positive finite number, got {args.tol}\n")
         return EXIT_INVALID
     threads = min(args.threads, os.cpu_count() or 1)
     try:

@@ -130,9 +130,10 @@ class MehlerFactors:
 class UTildeParams:
     """Arguments of the transform-side solution at fixed spectral data.
 
-    a, b are the Fourier duals of the rank-block coordinates (length nu);
-    eta is the dual of the kernel-block coordinates (complex, length n - nu,
-    may be empty).
+    a, b are the Fourier duals of the rank-block coordinates, of shape
+    (..., nu); leading axes broadcast against each other and the solutions
+    are evaluated over them.  eta is the dual of the kernel-block
+    coordinates (complex, length n - nu, may be empty).
     """
 
     s: float
@@ -148,10 +149,10 @@ class UTildeParams:
         if self.spectral.lam is None:
             raise ValueError("spectral data must carry its lambda vector")
         nu = self.spectral.nu
-        a = np.asarray(self.a, dtype=float).reshape(-1)
-        b = np.asarray(self.b, dtype=float).reshape(-1)
-        if a.shape != (nu,) or b.shape != (nu,):
-            raise ValueError(f"a and b must have length nu={nu}")
+        a = np.atleast_1d(np.asarray(self.a, dtype=float))
+        b = np.atleast_1d(np.asarray(self.b, dtype=float))
+        if a.shape[-1] != nu or b.shape[-1] != nu:
+            raise ValueError(f"a and b must have shape (..., nu) with nu={nu}")
         eta = self.eta
         eta = np.zeros(self.spectral.n - nu, dtype=complex) if eta is None else np.asarray(eta, dtype=complex).reshape(-1)
         if eta.shape != (self.spectral.n - nu,):
@@ -173,16 +174,22 @@ class UTildeParams:
         return (2.0 * np.pi) ** (-0.5 * (2 * n + m - nu)) * np.exp(-0.25 * self.s * eta_sq)
 
 
-def u_tilde_closed(p: UTildeParams) -> complex:
-    """Closed (Mehler) form of the transform-side solution."""
+def _product(p: UTildeParams, factor):
+    """prefactor * prod_j S_j^((1-eps_j)/2) factor(-i S_j, alpha_j, beta_j) over
+    the leading axes of a, b; a complex for one (a, b) pair."""
     f = p.factors()
-    val = complex(p.prefactor())
-    for S_j, al, be, ep in zip(f.S, f.alpha, f.beta, f.eps):
-        val *= S_j ** ((1 - ep) // 2) * mehler_closed(-1j * S_j, al, be)
-    return val
+    val = p.prefactor()
+    for j, (S_j, ep) in enumerate(zip(f.S, f.eps)):
+        val = val * (S_j ** ((1 - ep) // 2) * factor(-1j * S_j, f.alpha[..., j], f.beta[..., j]))
+    return complex(val) if np.ndim(val) == 0 else val
 
 
-def u_tilde_series(p: UTildeParams, N: int | None = None) -> complex:
+def u_tilde_closed(p: UTildeParams):
+    """Closed (Mehler) form of the transform-side solution."""
+    return _product(p, mehler_closed)
+
+
+def u_tilde_series(p: UTildeParams, N: int | None = None):
     """Transform-side solution with each direction's sum truncated at l = N.
 
     N defaults to max(50, ceil(-ln(1e-12) / (2 s min_j |mu_j|))), the point
@@ -192,11 +199,7 @@ def u_tilde_series(p: UTildeParams, N: int | None = None) -> complex:
         N = default_series_terms(p.s, p.spectral.mu[: p.spectral.nu])
     if N < 0:
         raise ValueError(f"truncation order must be nonnegative, got {N}")
-    f = p.factors()
-    val = complex(p.prefactor())
-    for S_j, al, be, ep in zip(f.S, f.alpha, f.beta, f.eps):
-        val *= S_j ** ((1 - ep) // 2) * complex(_mehler_series(-1j * S_j, al, be, N))
-    return val
+    return _product(p, lambda w, x, y: _mehler_series(w, x, y, N))
 
 
 def default_series_terms(s: float, mu_nonzero, tol: float = SERIES_TOL) -> int:

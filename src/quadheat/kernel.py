@@ -17,8 +17,11 @@ the oscillatory phase exp(-2i lambda . Im phi(z, zt)), which the point kernels
 here evaluate with the original form (boxop.heat_apply uses the eigenbasis sum).
 
 rho_via_inversion reproduces the closed form from the transform-side
-solution by brute-force inverse Fourier integration and is the package's
-strongest independent oracle.
+solution by inverse Fourier integration and is the package's strongest
+independent oracle.  The integral factorises into one 2-D integral per rank
+direction, each on its own box, so it runs at every rank (full-rank n = 2
+included) and reports each direction's quadrature tail estimate and the
+budget they give the product.
 """
 
 from __future__ import annotations
@@ -29,8 +32,10 @@ import numpy as np
 
 from .errors import NumericsError
 from .forms import FormIndex, epsilon
+from .hermite import MehlerFactors, mehler_closed
 from .quadric import QuadricForm
-from .quadrature import QuadratureSpec, integrate_with_estimate
+# integrate_with_estimate stays in this namespace for callers that instrument it.
+from .quadrature import QuadratureSpec, axis_nodes, integrate_with_estimate, tail_bound  # noqa: F401
 from .spectral import SpectralData
 
 # Below this value of s|mu| the exact expressions cancel; switch to series.
@@ -202,32 +207,18 @@ def weighted_heat_kernel(
     return complex(weighted_heat_kernel_batch(s, z, zt[None, :], Q, S, L)[0])
 
 
-def _u_tilde_grid(s, a, b, mu_nz, eps, pref):
-    """Transform-side closed form over (N, nu) arrays of duals a, b."""
-    am = np.abs(mu_nz)
-    Sj = np.exp(-2.0 * am * s)
-    alpha = a / (2.0 * np.sqrt(am))
-    beta = -b * np.sqrt(am) / (2.0 * mu_nz)
-    one_plus = 1.0 + Sj**2
-    gauss = np.exp(
-        -0.5 * ((1.0 - Sj**2) / one_plus) * (alpha**2 + beta**2)
-        - 2j * Sj * alpha * beta / one_plus
-    )
-    fac = Sj ** ((1 - eps) // 2) / np.sqrt(np.pi * one_plus)
-    return pref * np.prod(fac * gauss, axis=-1)
-
-
 def inversion_quadspec(
     s: float, S: SpectralData, tol: float = 1e-6, points: int = 512,
-    rule: str = "trapezoid",
+    rule: str = "trapezoid", direction: int = 0,
 ) -> QuadratureSpec:
-    """Box sized so the integrand's Gaussian factor at the boundary is below
-    1e-3 times the requested tolerance."""
-    if S.nu < 1:
-        raise ValueError("inversion needs at least one nonzero eigenvalue")
-    am = np.abs(S.mu[: S.nu])
+    """Box over the duals (a_j, b_j) of rank direction j = ``direction``, sized
+    so the integrand's Gaussian factor at the boundary is below 1e-3 times the
+    requested tolerance."""
+    if not 0 <= direction < S.nu:
+        raise ValueError(f"direction {direction} is not a rank direction (nu={S.nu})")
+    am = abs(float(S.mu[direction]))
     Sj = np.exp(-2.0 * am * s)
-    rate = float(np.min(0.5 * ((1.0 - Sj**2) / (1.0 + Sj**2)) / (4.0 * am)))
+    rate = 0.5 * ((1.0 - Sj**2) / (1.0 + Sj**2)) / (4.0 * am)
     R = float(np.sqrt(np.log(1.0 / (1e-3 * tol)) / rate))
     return QuadratureSpec(half_width=R, points=points, rule=rule, tail_rate=rate)
 
@@ -235,14 +226,22 @@ def inversion_quadspec(
 def rho_via_inversion(
     s: float, xp, yp, eta, S: SpectralData, L: FormIndex,
     quad: QuadratureSpec | None = None, tol: float = 1e-6,
-) -> complex:
+    return_budget: bool = False, phase_signs: tuple = (-1.0, -1.0),
+):
     """Numerical inverse Fourier transform of the transform-side solution.
 
-    Integrates exp(i(a.x' + b.y')) exp(-i/4 sum a_j b_j / mu_j) u~(s, a, b)
-    over the 2 nu dual variables and multiplies the result by
-    exp(-2i sum mu_j x_j y_j) and the transform normalization.  Serves as an
-    independent oracle for rho_hat_eta; raises NumericsError when the
-    quadrature tail estimate exceeds ``tol``.
+    The integrand exp(i(a.x' + b.y')) exp(-i/4 sum a_j b_j / mu_j) u~(s, a, b)
+    is a product over rank directions j, so its integral is a product of one
+    trapezoid integral I_j = e(x)^T G_j e(y), e(x) = exp(i a x), per direction
+    on its own box (``quad`` overrides every box), with G_j = w w^T o
+    exp(-i a b / (4 mu_j)) o S_j^((1-eps_j)/2) mehler_closed(-i S_j, alpha, beta).
+    Times exp(-2i sum mu_j x_j y_j) and the normalization, it is an independent
+    oracle for rho_hat_eta at one point (``xp``, ``yp`` of shape (nu,)) or at K
+    (shape (K, nu)).  Raises NumericsError when the budget, the normalization
+    times sum_j tail_j prod_{k != j} (sum |G_k| + tail_k) with tail_j from
+    tail_bound on max |integrand j|, exceeds ``tol``; ``return_budget`` also
+    returns the tails and budget.
+    ``phase_signs`` (twist, a.b phase; physically -1) exist for ablation tests.
     """
     if s <= 0.0:
         raise ValueError(f"time s must be positive, got {s}")
@@ -251,29 +250,36 @@ def rho_via_inversion(
     nu = S.nu
     if nu < 1:
         raise ValueError("inversion needs nu >= 1")
-    xp = np.asarray(xp, dtype=float).reshape(-1)
-    yp = np.asarray(yp, dtype=float).reshape(-1)
-    if xp.shape != (nu,) or yp.shape != (nu,):
-        raise ValueError(f"xp and yp must have length nu={nu}")
+    single = np.ndim(xp) <= 1
+    xp, yp = np.atleast_2d(np.asarray(xp, dtype=float), np.asarray(yp, dtype=float))
+    if xp.ndim != 2 or xp.shape[1] != nu or yp.shape != xp.shape:
+        raise ValueError(f"xp and yp must have shape (nu,) or (K, nu) with nu={nu}")
     eta_sq = 0.0 if eta is None else float(np.sum(np.abs(np.asarray(eta)) ** 2))
-    if quad is None:
-        quad = inversion_quadspec(s, S, tol=tol)
-    mu_nz = S.mu[:nu]
+    twist_sign, ab_sign = phase_signs
+    pref = (2.0 * np.pi) ** (-0.5 * (2 * S.n + S.m + nu)) * np.exp(-0.25 * s * eta_sq)
     eps = epsilon(L, S)
-    n, m = S.n, S.m
-    pref = (2.0 * np.pi) ** (-0.5 * (2 * n + m - nu)) * np.exp(-0.25 * s * eta_sq)
-
-    def integrand(pts):
-        a = pts[:, :nu]
-        b = pts[:, nu:]
-        osc = np.exp(1j * (a @ xp + b @ yp) - 0.25j * np.sum(a * b / mu_nz, axis=-1))
-        return osc * _u_tilde_grid(s, a, b, mu_nz, eps, pref)
-
-    value, tail = integrate_with_estimate(integrand, quad, 2 * nu)
-    if tail > tol:
+    values = pref * np.exp(2j * twist_sign * np.sum(S.mu[:nu] * xp * yp, axis=1))
+    tails, mass = [], []
+    for j in range(nu):
+        spec = quad if quad is not None else inversion_quadspec(s, S, tol=tol, direction=j)
+        a, w = axis_nodes(spec)
+        f = MehlerFactors.build(s, a[:, None], a[None, :], S.mu[j], eps[j])
+        F = f.S ** ((1 - f.eps) // 2) * mehler_closed(-1j * f.S, f.alpha, f.beta)
+        absF = np.abs(F)  # the a.b phase has modulus 1
+        tails.append(float(tail_bound(spec, float(absF.max()), d=2)))
+        mass.append(float(w @ absF @ w))
+        F *= np.exp((0.25j * ab_sign / S.mu[j]) * np.outer(a, a))
+        ex = w * np.exp(1j * np.outer(xp[:, j], a))  # weights ride on e(x), e(y)
+        ey = w * np.exp(1j * np.outer(yp[:, j], a))
+        # einsum, not a BLAS product: OpenBLAS threads would spin on after it
+        values = values * np.einsum("kp,pq,kq->k", ex, F, ey)
+    budget = pref * sum(
+        t * np.prod([mass[k] + tails[k] for k in range(nu) if k != j])
+        for j, t in enumerate(tails)
+    )
+    if not budget <= tol:
         raise NumericsError(
-            f"inversion tail estimate {tail:.3e} exceeds tolerance {tol:.3e}; "
-            f"box half-width {quad.half_width}, rate {quad.tail_rate:.3e}"
-        )
-    twist = np.exp(-2j * float(np.sum(mu_nz * xp * yp)))
-    return complex(twist * (2.0 * np.pi) ** (-nu) * value)
+            f"inversion tail budget {budget:.3e} exceeds tolerance {tol:.3e}; "
+            f"per-direction tail estimates {[float(f'{t:.3e}') for t in tails]}")
+    values = complex(values[0]) if single else values
+    return (values, tails, float(budget)) if return_budget else values

@@ -587,3 +587,102 @@ class TestEvalStrictJson:
         for line in lines:
             record = json.loads(line, parse_constant=reject)
             assert all(math.isfinite(x) for x in record["value"])
+
+
+def strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def rotated_form_json(mu, seed):
+    """n = len(mu), m = 1 form U diag(mu) U^H with a seeded unitary U."""
+    rng = np.random.default_rng(seed)
+    n = len(mu)
+    U, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    A = U @ np.diag(mu).astype(complex) @ U.conj().T
+    return {"n": n, "m": 1, "A": [[[float(x.real), float(x.imag)] for x in A.ravel()]]}
+
+
+N2_CHECKS = ["mehler", "inversion", "pde_residual", "euclidean", "evenness"]
+
+
+class TestVerifyEveryGeometry:
+    @pytest.mark.parametrize("quadric,lam,L,checks", [
+        (HEIS, [1.0], [1], list(cli.ALL_CHECKS)),
+        (rotated_form_json([1.0, 0.0], 3), [1.0], [1], N2_CHECKS),
+        (FULL_RANK_N2, [1.0, 1.0], [1, 2], N2_CHECKS),
+        (rotated_form_json([1.0, -0.5, 0.75], 5), [1.0], [2],
+         ["mehler", "inversion", "euclidean", "evenness"]),
+    ], ids=["heisenberg_n1", "rank1_n2", "full_rank_n2", "n3"])
+    def test_all_applicable_checks_pass(self, tmp_path, capsys, quadric, lam, L, checks):
+        path, _ = write_config(tmp_path, quadric=quadric, L=L, checks=checks, **{"lambda": lam})
+        assert main(["verify", "--config", path]) == 0
+        report = strict_json(capsys.readouterr().out)
+        assert [c["name"] for c in report["checks"]] == checks
+        assert report["all_pass"] and all(c["error"] <= c["tolerance"] for c in report["checks"])
+
+    def test_messages_report_error_budgets(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path, quadric=FULL_RANK_N2, L=[1, 2], checks=["mehler", "inversion"],
+                               **{"lambda": [1.0, 1.0]})
+        assert main(["verify", "--config", path]) == 0
+        mehler, inversion = strict_json(capsys.readouterr().out)["checks"]
+        # mu = (1, -0.5): the 1e-12 tail needs ceil(27.63 / (2 s 0.5)) terms
+        assert "300 terms" in mehler["message"] and "277 at s=0.1" in mehler["message"]
+        for s in ("s=0.3", "s=0.7"):
+            part = inversion["message"].split(s + ": ")[1].split(";")[0]
+            tails = part.split("tails ")[1].split(", budget")[0].split(", ")
+            assert len(tails) == 2 and all(0.0 < float(t) < 1e-6 for t in tails)
+            assert 0.0 < float(part.split("budget ")[1]) <= inversion["tolerance"]
+
+
+class TestVerifyFailures:
+    def test_check_that_cannot_run_is_a_failed_entry(self, tmp_path, capsys, monkeypatch):
+        def over_budget(cfg, tol):
+            raise ValueError("512^4 nodes exceeds the budget")
+
+        monkeypatch.setitem(cli.CHECK_FUNCTIONS, "inversion", over_budget)
+        path, _ = write_config(tmp_path, checks=["euclidean", "inversion", "evenness"])
+        assert main(["verify", "--config", path]) == 1
+        report = strict_json(capsys.readouterr().out)
+        euclidean, inversion, evenness = report["checks"]
+        assert inversion["pass"] is False and inversion["error"] is None
+        assert "exceeds the budget" in inversion["message"]
+        assert euclidean["pass"] and evenness["pass"] and report["all_pass"] is False
+
+    def test_non_finite_error_is_a_failed_entry(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(cli.CHECK_FUNCTIONS, "euclidean", lambda cfg, tol: (NAN, ""))
+        path, _ = write_config(tmp_path, checks=["euclidean"])
+        assert main(["verify", "--config", path]) == 1
+        entry = strict_json(capsys.readouterr().out)["checks"][0]
+        assert entry["pass"] is False and entry["error"] is None and "not finite" in entry["message"]
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_tol_must_be_positive_finite(self, tmp_path, capsys, tol):
+        path, _ = write_config(tmp_path, checks=["euclidean"])
+        out = tmp_path / "report.json"
+        assert main(["verify", "--config", path, "--out", str(out), f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert "--tol" in captured.err and captured.out == "" and not out.exists()
+
+    def test_config_tolerance_must_be_positive_finite(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path, checks=["euclidean"], tolerances={"euclidean": -1.0})
+        assert main(["verify", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert "tolerances" in captured.err and captured.out == ""
+
+
+class TestGridPoints:
+    @pytest.mark.parametrize("points", [9.7, True, "9", None])
+    def test_non_integer_points_rejected(self, tmp_path, capsys, points):
+        path, _ = write_config(tmp_path, s=0.5, grid={"half_widths": [1.0, 1.0], "points": points})
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--config", path, "--out", str(out)]) == 2
+        assert "config field 'grid.points'" in capsys.readouterr().err and not out.exists()
+
+    def test_integral_float_reads_as_integer(self, tmp_path):
+        path, _ = write_config(tmp_path, s=0.5, grid={"half_widths": [1.0, 1.0], "points": 9.0})
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--config", path, "--out", str(out)]) == 0
+        assert len(data_rows(out)) == 81

@@ -202,3 +202,27 @@ class TestUTilde:
         # beta = -b |mu|^{1/2} / (2 mu) is positive for negative mu
         assert f.beta[0] > 0
         assert f.S[0] == pytest.approx(np.exp(-2.0))
+
+    @pytest.mark.parametrize("mu,L", [([1.0, -0.5], FormIndex([1, 2])), ([1.0, -0.5], FormIndex([])),
+                                      ([2.0, 0.75], FormIndex([2]))])
+    def test_vectorised_matches_scalar_loop(self, mu, L):
+        # a, b of shape (..., nu) evaluate the same products as one call per (a, b) pair
+        S = SpectralData(mu=np.array(mu), V=np.eye(2, dtype=complex), nu=2, tol=1e-10,
+                         lam=np.array([1.0]))
+        grid = np.linspace(-4.0, 4.0, 5)
+        a = np.stack([grid, 0.5 * grid], axis=-1)[:, None, :]
+        b = np.stack([-grid, grid + 0.3], axis=-1)[None, :, :]
+        for s in (0.1, 1.0):
+            p = UTildeParams(s, a, b, S, L)
+            closed, series = u_tilde_closed(p), u_tilde_series(p, 60)
+            assert closed.shape == series.shape == (5, 5)
+            for k in range(5):
+                for l in range(5):
+                    q = UTildeParams(s, a[k, 0], b[0, l], S, L)
+                    assert abs(closed[k, l] - u_tilde_closed(q)) <= 1e-15
+                    assert abs(series[k, l] - u_tilde_series(q, 60)) <= 1e-15
+
+    def test_dual_shape_checked(self, heis_q):
+        S = decompose_form(heis_q, [1.0])
+        with pytest.raises(ValueError, match="nu"):
+            UTildeParams(0.5, np.zeros((3, 2)), np.zeros((3, 1)), S, L_IN)

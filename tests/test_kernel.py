@@ -307,3 +307,93 @@ class TestInversionOracle:
         S0 = decompose_form(heis_q, [0.0])
         with pytest.raises(ValueError):
             rho_via_inversion(0.5, [], [], None, S0, L_IN)
+
+
+# Non-commuting n = 2, m = 2 form: B1 + B2 = diag(1, -0.5), so lambda = (1, 1)
+# gives mu = (1, -0.5) with an eigenbasis that is not the standard one.
+_B2 = np.array([[0.3, 0.4 - 0.2j], [0.4 + 0.2j, -0.1]])
+_B1 = np.diag([1.0, -0.5]).astype(complex) - _B2
+INVERSION_SAMPLES = np.array([(0.3, -0.2), (0.0, 0.0), (-0.7, 0.5), (1.1, 0.4)])
+
+
+def _rotated_form(mu, seed):
+    rng = np.random.default_rng(seed)
+    n = len(mu)
+    U, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return QuadricForm(n, 1, [U @ np.diag(mu).astype(complex) @ U.conj().T])
+
+
+def _inversion_geometries():
+    """(name, spectral data, kernel-block dual eta) over nu = 1, 2, 3."""
+    return [
+        ("heisenberg", decompose_form(heisenberg(1), [1.0]), None),
+        ("rank1_n2", decompose_form(_rotated_form([1.0, 0.0], 7), [1.0]), [0.4 - 0.3j]),
+        ("full_rank_n2", decompose_form(QuadricForm(2, 2, [_B1, _B2]), [1.0, 1.0]), None),
+        ("n3", decompose_form(_rotated_form([1.0, -0.5, 0.25], 11), [1.0]), None),
+    ]
+
+
+def _sample_duals(nu):
+    """Sample points with x'_j = x and y'_j = y spread over the directions."""
+    scale = np.linspace(1.0, 0.6, nu)
+    return INVERSION_SAMPLES[:, :1] * scale, INVERSION_SAMPLES[:, 1:] * scale[::-1]
+
+
+class TestFactorisedInversion:
+    @pytest.mark.parametrize("name,S,eta", _inversion_geometries())
+    def test_matches_closed_form_every_rank(self, name, S, eta):
+        xp, yp = _sample_duals(S.nu)
+        for L in (FormIndex([1]), FormIndex([2]) if S.n > 1 else L_OUT):
+            for s in (0.3, 0.7):
+                want = np.array([rho_hat_eta(s, x, y, eta, S, L) for x, y in zip(xp, yp)])
+                got = rho_via_inversion(s, xp, yp, eta, S, L)
+                assert got.shape == (len(xp),)
+                assert np.max(np.abs(got - want)) <= 1e-6, (name, L, s)
+                assert np.max(np.abs(got.imag)) <= 1e-8, (name, L, s)
+
+    @pytest.mark.parametrize("name,S,eta", _inversion_geometries()[2:])
+    def test_batch_equals_single_calls(self, name, S, eta):
+        xp, yp = _sample_duals(S.nu)
+        L = FormIndex([1])
+        batch = rho_via_inversion(0.3, xp, yp, eta, S, L)
+        for k, (x, y) in enumerate(zip(xp, yp)):
+            single = rho_via_inversion(0.3, x, y, eta, S, L)
+            assert isinstance(single, complex)
+            assert abs(batch[k] - single) <= 1e-14
+
+    @pytest.mark.parametrize("signs", [(1.0, -1.0), (-1.0, 1.0)])
+    @pytest.mark.parametrize("name,S,eta", _inversion_geometries()[1:3])
+    def test_flipped_phase_sign_fails(self, name, S, eta, signs):
+        # negative control: a flipped twist or a.b phase sign must not pass
+        xp, yp = _sample_duals(S.nu)
+        L = FormIndex([1])
+        worst = 0.0
+        for s in (0.3, 0.7):
+            want = np.array([rho_hat_eta(s, x, y, eta, S, L) for x, y in zip(xp, yp)])
+            got = rho_via_inversion(s, xp, yp, eta, S, L, phase_signs=signs)
+            worst = max(worst, float(np.max(np.abs(got - want))))
+        assert worst > 1e-3
+
+    def test_budget_reported_per_direction(self):
+        S = _inversion_geometries()[2][1]
+        xp, yp = _sample_duals(2)
+        values, tails, budget = rho_via_inversion(0.3, xp, yp, None, S, FormIndex([1]),
+                                                  return_budget=True)
+        assert values.shape == (4,) and len(tails) == 2
+        assert 0.0 < budget <= 1e-6 and all(0.0 < t for t in tails)
+        # each direction gets its own box from its own |mu_j|
+        boxes = [inversion_quadspec(0.3, S, direction=j) for j in range(2)]
+        assert boxes[1].half_width < boxes[0].half_width
+
+    def test_quad_override_applies_to_every_direction(self):
+        S = _inversion_geometries()[2][1]
+        tiny = QuadratureSpec(half_width=3.0, points=64, tail_rate=0.036)
+        with pytest.raises(NumericsError, match="tail"):
+            rho_via_inversion(0.3, [0.0, 0.0], [0.0, 0.0], None, S, FormIndex([1]), quad=tiny)
+
+    def test_sample_shape_checked(self):
+        S = _inversion_geometries()[2][1]
+        with pytest.raises(ValueError, match="shape"):
+            rho_via_inversion(0.3, np.zeros((3, 2)), np.zeros((2, 2)), None, S, L_IN)
+        with pytest.raises(ValueError, match="shape"):
+            rho_via_inversion(0.3, [0.0], [0.0], None, S, L_IN)

@@ -50,14 +50,6 @@ from .quadric import (
     phi_eval,
     phi_lambda_matrix,
 )
-from .spectral import (
-    AdaptedPoint,
-    SpectralData,
-    decompose_form,
-    eigendecompose,
-    from_adapted,
-    rank_nu,
-    to_adapted,
-)
+from .spectral import SpectralData, decompose_form, eigendecompose, rank_nu
 
 __version__ = "0.1.0"

@@ -15,7 +15,6 @@ byte-identical and files reparse exactly.
 from __future__ import annotations
 
 import argparse
-import cmath
 import hashlib
 import json
 import os
@@ -41,17 +40,19 @@ from .boxop import (
 from .errors import NumericsError
 from .forms import FormIndex, epsilon
 from .hermite import UTildeParams, default_series_terms, u_tilde_closed, u_tilde_series
-from .kernel import (
+# weighted_heat_kernel stays in this namespace for callers that instrument it.
+from .kernel import (  # noqa: F401
     KernelQuery,
     rho_hat,
     rho_hat_adapted,
     rho_via_inversion,
     rho_hat_eta,
     weighted_heat_kernel,
+    weighted_heat_kernel_batch,
 )
 from .quadrature import QuadratureSpec
 from .quadric import QuadricForm
-from .spectral import SpectralData, decompose_form, to_adapted
+from .spectral import SpectralData, decompose_form
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -343,6 +344,14 @@ def config_digest(raw: dict) -> str:
 # commands
 
 
+def _json_field(key: str, value) -> str:
+    return f'"{key}": {json.dumps(value, allow_nan=False)}'
+
+
+def _pairs(z) -> list:
+    return [[float(c.real), float(c.imag)] for c in z]
+
+
 def cmd_eval(cfg: JobConfig, out_path: str | None) -> int:
     n = cfg.quadric.n
     pts_raw = cfg.raw.get("points")
@@ -356,31 +365,32 @@ def cmd_eval(cfg: JobConfig, out_path: str | None) -> int:
         zt = _parse_complex_vector(cfg.raw["point_tilde"], n, "point_tilde")
     S = cfg.spectral
     eps = epsilon(cfg.L, S)
+    P = np.array(points, dtype=complex).reshape(len(points), n)
+    # Each line is json.dumps(record, allow_nan=False) of the record dict {s, point,
+    # lambda, L, mu, nu, eps, value, log10_abs[, point_tilde]}; fields that do not
+    # change within the job, or within a point, are encoded once.
+    job = ", ".join(_json_field(k, v) for k, v in (
+        ("lambda", [float(x) for x in cfg.lam]), ("L", list(cfg.L.L)),
+        ("mu", [float(x) for x in S.mu]), ("nu", S.nu), ("eps", [int(e) for e in eps])))
+    heads = [f'{_json_field("point", _pairs(z))}, {job}, "value": [' for z in points]
+    tail = "}" if zt is None else f', {_json_field("point_tilde", _pairs(zt))}}}'
     lines = []
     with np.errstate(all="ignore"):  # a non-finite value is reported below
         for s in cfg.s_values:
-            for i, z in enumerate(points):
-                if zt is None:
-                    val = complex(rho_hat(KernelQuery(s, z, S, cfg.L)))
-                else:
-                    val = weighted_heat_kernel(s, z, zt, cfg.quadric, S, cfg.L)
-                if not cmath.isfinite(val):
-                    raise NumericsError(f"kernel value {val} at s={s!r}, points[{i}] "
-                                        "is not finite")
-                record = {
-                    "s": s,
-                    "point": [[float(c.real), float(c.imag)] for c in z],
-                    "lambda": [float(x) for x in cfg.lam],
-                    "L": list(cfg.L.L),
-                    "mu": [float(x) for x in S.mu],
-                    "nu": S.nu,
-                    "eps": [int(e) for e in eps],
-                    "value": [val.real, val.imag],
-                    "log10_abs": float(np.log10(abs(val))) if val != 0 else None,
-                }
-                if zt is not None:
-                    record["point_tilde"] = [[float(c.real), float(c.imag)] for c in zt]
-                lines.append(json.dumps(record, allow_nan=False))
+            if zt is None:
+                vals = rho_hat_adapted(s, P @ np.conj(S.V), S, cfg.L).astype(complex)
+            else:
+                vals = weighted_heat_kernel_batch(s, P, zt, cfg.quadric, S, cfg.L)
+            bad = np.flatnonzero(~np.isfinite(vals))
+            if bad.size:
+                i = int(bad[0])
+                raise NumericsError(f"kernel value {complex(vals[i])} at s={s!r}, "
+                                    f"points[{i}] is not finite")
+            logs = np.log10(np.abs(vals)).tolist()
+            for head, v, lg in zip(heads, vals.tolist(), logs):
+                log = "null" if v == 0 else repr(lg)
+                lines.append(f'{{"s": {s!r}, {head}{v.real!r}, {v.imag!r}], '
+                             f'"log10_abs": {log}{tail}')
     text = "\n".join(lines) + "\n"
     if out_path:
         write_atomic(out_path, [text])
@@ -599,8 +609,7 @@ def _check_evenness(cfg: JobConfig, tol: float) -> tuple:
         s = float(rng.uniform(0.2, 2.0))
         z = rng.normal(size=S.n) + 1j * rng.normal(size=S.n)
         base = rho_hat(KernelQuery(s, z, S, cfg.L))
-        p = to_adapted(S, z)
-        c = np.concatenate([p.zp, p.zpp])
+        c = S.V.conj().T @ z
         for j in range(S.n):
             # x_j -> -x_j and y_j -> -y_j sign flips in adapted coordinates
             for flip in (-np.conj(c[j]), np.conj(c[j])):
@@ -628,11 +637,18 @@ def run_verification(cfg: JobConfig, tol_override: float | None = None) -> dict:
     """Run the configured checks and assemble the report dict; a check that
     cannot run (NumericsError or ValueError) is a failed entry with error null."""
     names = cfg.raw.get("checks", list(ALL_CHECKS))
+    if not isinstance(names, list) or not all(isinstance(c, str) for c in names):
+        raise ValueError(f"config field 'checks': expected a list of check names, got {names!r}")
     unknown = [c for c in names if c not in CHECK_FUNCTIONS]
     if unknown:
         raise ValueError(f"config field 'checks': unknown check names {unknown}")
+    overrides = cfg.raw.get("tolerances", {})
+    if not isinstance(overrides, dict) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in overrides.values()):
+        raise ValueError("config field 'tolerances': expected an object mapping check names "
+                         f"to numbers, got {overrides!r}")
     tolerances = dict(DEFAULT_TOLERANCES)
-    tolerances.update(cfg.raw.get("tolerances", {}))
+    tolerances.update(overrides)
     tols = [float(tol_override if tol_override is not None else tolerances[name]) for name in names]
     if not all(0.0 < tol < np.inf for tol in tols):
         raise ValueError("config field 'tolerances': must be positive and finite, got "

@@ -163,13 +163,13 @@ def rho_hat_eta(s: float, xp, yp, eta, S: SpectralData, L: FormIndex) -> float:
 
 
 def _phase_arg(Q: QuadricForm, lam, z, Zt) -> np.ndarray:
-    """lambda . Im phi(z, zt) for a batch of zt (shape (..., n))."""
-    Zt = np.asarray(Zt, dtype=complex)
-    out = np.zeros(Zt.shape[:-1])
+    """lambda . Im phi(z, zt) for z and zt batches (shapes (..., n)) that broadcast."""
+    z, Zt = np.asarray(z, dtype=complex), np.asarray(Zt, dtype=complex)
+    out = np.zeros(np.broadcast_shapes(z.shape, Zt.shape)[:-1])
     for lk, a in zip(lam, Q.A):
         if lk == 0.0:
             continue
-        out = out + lk * np.sum(np.conj(Zt) * (a @ z), axis=-1).imag
+        out = out + lk * np.sum(np.conj(Zt) * (z @ a.T), axis=-1).imag
     return out
 
 
@@ -177,9 +177,10 @@ def weighted_heat_kernel_batch(
     s: float, z, Zt, Q: QuadricForm, S: SpectralData, L: FormIndex,
     phase_sign: float = -1.0,
 ) -> np.ndarray:
-    """Two-point weighted kernel against a batch of second points.
+    """Two-point weighted kernel over batches of first and second points.
 
-    ``Zt`` has shape (..., n).  ``phase_sign`` exists for ablation tests;
+    ``z`` and ``Zt`` have shapes (..., n) that broadcast against each other,
+    so either may be a single point.  ``phase_sign`` exists for ablation tests;
     the physical kernel uses the default -1 in exp(2i phase_sign lambda .
     Im phi(z, zt)).
     """
@@ -187,7 +188,7 @@ def weighted_heat_kernel_batch(
         raise ValueError(f"time s must be positive, got {s}")
     if S.lam is None:
         raise ValueError("spectral data must carry its lambda vector")
-    z = np.asarray(z, dtype=complex).reshape(-1)
+    z = np.asarray(z, dtype=complex)
     Zt = np.asarray(Zt, dtype=complex)
     diff = z - Zt
     c = diff @ np.conj(S.V)

@@ -1,11 +1,12 @@
 """Deterministic eigenstructure of the scalarized form matrix.
 
 For each frequency vector ``lam`` the Hermitian matrix ``A = sum_k lam_k A_k``
-is diagonalized by cyclic complex Jacobi rotations.  The output is fully
-deterministic: eigenvalues are ordered nonzero-first by descending magnitude
-(ties positive-before-negative, then by original position), eigenvector
-phases are fixed by making the largest-magnitude entry real positive, and
-numerically degenerate clusters are re-orthonormalized in index order.
+is diagonalized by LAPACK's Hermitian eigensolver (``np.linalg.eigh``).  The
+output is fully deterministic: eigenvalues are ordered nonzero-first by
+descending magnitude (ties positive-before-negative, then by eigh's ascending
+order), eigenvector phases are fixed by making the largest-magnitude entry
+real positive, and numerically degenerate clusters are re-orthonormalized in
+index order.
 
 Coordinates in the eigenbasis split into the rank block z' (nonzero
 eigenvalues, ``nu`` of them) and the kernel block z'' where the evolution is
@@ -19,20 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError
-from .quadric import QuadricForm, phi_lambda_matrix
+from .quadric import HERMITIAN_DEFECT_TOL, QuadricForm, phi_lambda_matrix
 
 DEFAULT_RANK_TOL_REL = 1e-10
-OFFDIAG_TARGET_REL = 1e-14
 DEGENERACY_GAP_REL = 1e-8
-MAX_SWEEPS = 60
-
-
-def _offdiag_norm(B: np.ndarray) -> float:
-    # Direct sum over off-diagonal entries; the difference-of-squares form
-    # |B|^2 - |diag|^2 cancels catastrophically near convergence.
-    D = B.copy()
-    np.fill_diagonal(D, 0.0)
-    return float(np.linalg.norm(D))
 
 
 @dataclass(frozen=True)
@@ -76,89 +67,6 @@ class SpectralData:
         if self.lam is not None:
             out["lambda"] = [float(x) for x in self.lam]
         return out
-
-
-@dataclass(frozen=True)
-class AdaptedPoint:
-    """Coordinates of z in the eigenbasis: zp spans the rank block, zpp the kernel block."""
-
-    zp: np.ndarray
-    zpp: np.ndarray
-
-    @property
-    def xp(self) -> np.ndarray:
-        return self.zp.real
-
-    @property
-    def yp(self) -> np.ndarray:
-        return self.zp.imag
-
-    @property
-    def xpp(self) -> np.ndarray:
-        return self.zpp.real
-
-    @property
-    def ypp(self) -> np.ndarray:
-        return self.zpp.imag
-
-
-def _jacobi_hermitian(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic complex Jacobi diagonalization of a Hermitian matrix.
-
-    Returns (eigenvalues in residual order, unitary V with A V = V diag).
-    Sweeps annihilate every off-diagonal pair in a fixed order until the
-    off-diagonal Frobenius norm drops below 1e-14 |A|_F.
-    """
-    n = A.shape[0]
-    B = np.array(A, dtype=complex)
-    V = np.eye(n, dtype=complex)
-    norm_a = np.linalg.norm(B)
-    if n == 1 or norm_a == 0.0:
-        return B.diagonal().real.copy(), V
-    target = OFFDIAG_TARGET_REL * norm_a
-    # Entries this small cannot lift the off-diagonal norm above the target.
-    skip = target / (10.0 * n)
-    for _ in range(MAX_SWEEPS):
-        off = _offdiag_norm(B)
-        if off <= target:
-            mu = B.diagonal().real.copy()
-            return mu, V
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = B[p, q]
-                r = abs(apq)
-                if r <= skip:
-                    continue
-                phase = apq / r
-                tau = (B[q, q].real - B[p, p].real) / (2.0 * r)
-                # Small-magnitude root of t^2 - 2 tau t - 1 = 0.
-                if tau >= 0.0:
-                    t = -1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # Unitary rotation in the (p, q) plane: columns
-                # (c, s e^{-i theta}) and (-s e^{i theta}, c).
-                col_p = B[:, p].copy()
-                col_q = B[:, q].copy()
-                B[:, p] = c * col_p + s * np.conj(phase) * col_q
-                B[:, q] = -s * phase * col_p + c * col_q
-                row_p = B[p, :].copy()
-                row_q = B[q, :].copy()
-                B[p, :] = c * row_p + s * phase * row_q
-                B[q, :] = -s * np.conj(phase) * row_p + c * row_q
-                B[p, q] = 0.0
-                B[q, p] = 0.0
-                col_p = V[:, p].copy()
-                col_q = V[:, q].copy()
-                V[:, p] = c * col_p + s * np.conj(phase) * col_q
-                V[:, q] = -s * phase * col_p + c * col_q
-    off = _offdiag_norm(B)
-    raise NumericsError(
-        f"Jacobi eigensolver did not converge in {MAX_SWEEPS} sweeps "
-        f"(off-diagonal residual {off:.3e}, target {target:.3e})"
-    )
 
 
 def rank_nu(mu, tol: float) -> int:
@@ -211,19 +119,26 @@ def eigendecompose(A, tol_rel: float = DEFAULT_RANK_TOL_REL, lam=None) -> Spectr
     """Diagonalize a Hermitian matrix into canonical SpectralData.
 
     ``tol_rel`` scales the rank cut: eigenvalues with magnitude at most
-    ``tol_rel * max(1, |A|_F)`` count as the kernel block.  Raises
-    NumericsError if the Jacobi sweeps fail to converge.
+    ``tol_rel * max(1, |A|_F)`` count as the kernel block.  eigh reads one
+    triangle only, so a matrix whose Hermitian defect ``|A - A^H|_F`` exceeds
+    ``HERMITIAN_DEFECT_TOL * max(1, |A|_F)`` raises ValueError.  Raises
+    NumericsError if LAPACK fails to converge.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    mu_raw, V_raw = _jacobi_hermitian(A)
-    tol = tol_rel * max(1.0, np.linalg.norm(A))
+    scale = max(1.0, np.linalg.norm(A))
+    defect = np.linalg.norm(A - A.conj().T)
+    if not defect <= HERMITIAN_DEFECT_TOL * scale:
+        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
+    try:
+        mu_raw, V_raw = np.linalg.eigh(A)
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(f"Hermitian eigensolver failed: {exc}") from exc
+    tol = tol_rel * scale
     order = _canonical_order(mu_raw, tol)
     mu = mu_raw[order]
-    V = V_raw[:, order]
-    gap = DEGENERACY_GAP_REL * max(1.0, np.linalg.norm(A))
-    V = _gram_schmidt_clusters(mu, V, gap)
+    V = _gram_schmidt_clusters(mu, V_raw[:, order], DEGENERACY_GAP_REL * scale)
     V = _fix_phases(V)
     nu = rank_nu(mu, tol)
     lam_arr = None if lam is None else np.asarray(lam, dtype=float).reshape(-1).copy()
@@ -234,17 +149,3 @@ def decompose_form(Q: QuadricForm, lam, tol_rel: float = DEFAULT_RANK_TOL_REL) -
     """Eigendecompose the matrix of ``phi . lam``, remembering lambda."""
     return eigendecompose(phi_lambda_matrix(Q, lam), tol_rel=tol_rel, lam=lam)
 
-
-def to_adapted(S: SpectralData, z) -> AdaptedPoint:
-    """Coefficients c = V^H z split into the rank and kernel blocks."""
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    if z.shape != (S.n,):
-        raise ValueError(f"z must have length n={S.n}, got {z.shape[0]}")
-    c = S.V.conj().T @ z
-    return AdaptedPoint(zp=c[: S.nu], zpp=c[S.nu :])
-
-
-def from_adapted(S: SpectralData, p: AdaptedPoint) -> np.ndarray:
-    """Reassemble z = V c from adapted coordinates."""
-    c = np.concatenate([p.zp, p.zpp])
-    return S.V @ c

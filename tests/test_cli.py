@@ -6,7 +6,15 @@ import warnings
 import numpy as np
 import pytest
 
-from quadheat import GridFunction, GridSpec, rho_hat_adapted
+from quadheat import (
+    GridFunction,
+    GridSpec,
+    KernelQuery,
+    QuadricForm,
+    rho_hat,
+    rho_hat_adapted,
+    weighted_heat_kernel,
+)
 from quadheat import cli
 from quadheat.cli import ExprError, load_config, main, parse_initial_expression
 
@@ -605,6 +613,74 @@ def rotated_form_json(mu, seed):
     return {"n": n, "m": 1, "A": [[[float(x.real), float(x.imag)] for x in A.ravel()]]}
 
 
+def n12_form_json():
+    rng = np.random.default_rng(9001)
+    mats = []
+    for _ in range(3):
+        X = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+        mats.append((X + X.conj().T) / (2.0 * np.sqrt(24.0)))
+    return QuadricForm(12, 3, mats).to_json()
+
+
+def seeded_points(n, count, seed):
+    rng = np.random.default_rng(seed)
+    return [[[float(x), float(y)] for x, y in 0.4 * rng.normal(size=(n, 2))]
+            for _ in range(count)]
+
+
+class TestEvalBatched:
+    """eval makes one batched kernel call per time; records match the per-point scalar path."""
+
+    GEOMETRIES = {
+        "heisenberg_n1": (HEIS, [1.0], [1]),
+        "rank1_n2": (rotated_form_json([1.0, 0.0], 3), [1.0], [1]),
+        "n12_m3": (n12_form_json(), [0.3, -0.7, 0.5], [1, 3]),
+    }
+
+    @pytest.mark.parametrize("two_point", [False, True], ids=["one_point", "two_point"])
+    @pytest.mark.parametrize("geometry", list(GEOMETRIES))
+    def test_records_match_scalar_path(self, tmp_path, geometry, two_point):
+        quadric, lam, L = self.GEOMETRIES[geometry]
+        n = quadric["n"]
+        points = [[[0.0, 0.0]] * n] + seeded_points(n, 6, 11)
+        extra = {"point_tilde": points[3]} if two_point else {}
+        path, _ = write_config(tmp_path, quadric=quadric, L=L, s=[0.3, 1.2], points=points,
+                               **{"lambda": lam}, **extra)
+        out = tmp_path / "eval.jsonl"
+        assert main(["eval", "--config", path, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 2 * len(points)
+        cfg = load_config(path)
+        zs = [np.array([complex(*c) for c in p]) for p in points]
+        for k, line in enumerate(lines):
+            assert line == json.dumps(json.loads(line), allow_nan=False)
+            record = strict_json(line)
+            s, z = [0.3, 1.2][k // len(points)], zs[k % len(points)]
+            assert record["s"] == s and record["point"] == points[k % len(points)]
+            if two_point:
+                zt = zs[3]
+                want = weighted_heat_kernel(s, z, zt, cfg.quadric, cfg.spectral, cfg.L)
+                assert record["point_tilde"] == points[3]
+            else:
+                want = complex(rho_hat(KernelQuery(s, z, cfg.spectral, cfg.L)))
+                assert "point_tilde" not in record
+            got = complex(*record["value"])
+            assert abs(got - want) <= 1e-13 * abs(want)
+            if want.imag == 0.0:
+                assert math.copysign(1.0, got.imag) == math.copysign(1.0, want.imag)
+            assert record["log10_abs"] == pytest.approx(math.log10(abs(want)), rel=1e-13)
+
+    def test_eigensolver_failure_exits_1(self, tmp_path, capsys, monkeypatch):
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        path, _ = write_config(tmp_path, points=[[[0.0, 0.0]]])
+        assert main(["eval", "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert "did not converge" in captured.err and captured.out == ""
+
+
 N2_CHECKS = ["mehler", "inversion", "pde_residual", "euclidean", "evenness"]
 
 
@@ -671,6 +747,19 @@ class TestVerifyFailures:
         assert main(["verify", "--config", path]) == 2
         captured = capsys.readouterr()
         assert "tolerances" in captured.err and captured.out == ""
+
+
+    @pytest.mark.parametrize("field,value", [
+        ("checks", 5),
+        ("checks", [["euclidean"]]),
+        ("tolerances", 5),
+        ("tolerances", {"euclidean": [1]}),
+    ], ids=["checks_number", "checks_nested_list", "tolerances_number", "tolerance_list"])
+    def test_ill_typed_check_config_names_its_field(self, tmp_path, capsys, field, value):
+        path, _ = write_config(tmp_path, **{"checks": ["euclidean"], field: value})
+        assert main(["verify", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert f"config field '{field}'" in captured.err and captured.out == ""
 
 
 class TestGridPoints:

@@ -4,15 +4,15 @@ import pytest
 from quadheat import (
     FormIndex,
     KernelQuery,
+    NumericsError,
     SpectralData,
     decompose_form,
     eigendecompose,
-    from_adapted,
     heisenberg,
     rank_nu,
     rho_hat,
-    to_adapted,
 )
+from quadheat.quadric import HERMITIAN_DEFECT_TOL
 from conftest import random_hermitian_quadric
 
 
@@ -83,6 +83,33 @@ class TestEigendecompose:
         with pytest.raises(ValueError):
             eigendecompose(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("n", [1, 2, 12, 16])
+    def test_residual_and_unitarity(self, rng, n):
+        A = random_hermitian(rng, n)
+        S = eigendecompose(A)
+        norm = np.linalg.norm(A)
+        assert np.linalg.norm(A @ S.V - S.V * S.mu) <= 1e-12 * norm
+        assert np.linalg.norm(S.V.conj().T @ S.V - np.eye(n)) <= 1e-12 * n
+
+    def test_non_hermitian_rejected(self, rng):
+        A = random_hermitian(rng, 3)
+        A[0, 1] += 10.0 * HERMITIAN_DEFECT_TOL * np.linalg.norm(A)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            eigendecompose(A)
+
+    def test_round_off_defect_accepted(self, rng):
+        A = random_hermitian(rng, 3)
+        A[0, 1] += 0.1 * HERMITIAN_DEFECT_TOL * np.linalg.norm(A)
+        assert eigendecompose(A).n == 3
+
+    def test_lapack_failure_is_numerics_error(self, rng, monkeypatch):
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        with pytest.raises(NumericsError, match="did not converge"):
+            eigendecompose(random_hermitian(rng, 3))
+
     def test_json_dump_fields(self, rng):
         S = eigendecompose(random_hermitian(rng, 2), lam=[0.5])
         blob = S.to_json()
@@ -103,19 +130,20 @@ class TestRank:
 
 
 class TestAdaptedCoordinates:
+    """Adapted coordinates are c = V^H z, rank block c[:nu], kernel block c[nu:]."""
+
     def test_identity_basis_split(self):
         S = eigendecompose(np.diag([2.0, 1.0, 0.0]).astype(complex))
         z = np.array([1 + 1j, 2.0, 3 - 1j])
-        p = to_adapted(S, z)
-        assert p.zp.shape == (2,) and p.zpp.shape == (1,)
-        np.testing.assert_allclose(np.concatenate([p.zp, p.zpp]), z)
+        c = S.V.conj().T @ z
+        assert c[: S.nu].shape == (2,) and c[S.nu :].shape == (1,)
+        np.testing.assert_allclose(c, z)
 
     def test_norm_preserved(self, rng):
         A = random_hermitian(rng, 4)
         S = eigendecompose(A)
         z = rng.normal(size=4) + 1j * rng.normal(size=4)
-        p = to_adapted(S, z)
-        c = np.concatenate([p.zp, p.zpp])
+        c = S.V.conj().T @ z
         np.testing.assert_allclose(np.sum(np.abs(c) ** 2), np.sum(np.abs(z) ** 2),
                                    rtol=1e-12)
 
@@ -123,21 +151,19 @@ class TestAdaptedCoordinates:
         V = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
         S = SpectralData(mu=np.array([1.0, -1.0]), V=V, nu=2, tol=1e-10)
         z = np.array([1.0, 0.0], dtype=complex)
-        p = to_adapted(S, z)
-        np.testing.assert_allclose(
-            np.concatenate([p.zp, p.zpp]), V.conj().T @ z, atol=1e-15
-        )
+        np.testing.assert_allclose(S.V.conj().T @ z, np.array([1.0, 1.0]) / np.sqrt(2.0),
+                                   atol=1e-15)
 
     def test_roundtrip(self, rng):
         A = random_hermitian(rng, 5)
         S = eigendecompose(A)
         z = rng.normal(size=5) + 1j * rng.normal(size=5)
-        np.testing.assert_allclose(from_adapted(S, to_adapted(S, z)), z, atol=1e-12)
+        np.testing.assert_allclose(S.V @ (S.V.conj().T @ z), z, atol=1e-12)
 
     def test_dimension_mismatch(self):
         S = eigendecompose(np.eye(2, dtype=complex))
         with pytest.raises(ValueError):
-            to_adapted(S, [1.0, 2.0, 3.0])
+            S.V.conj().T @ np.array([1.0, 2.0, 3.0])
 
 
 class TestLambdaNegation:

@@ -32,6 +32,7 @@ from .kernel import (
     KernelQuery,
     inversion_quadspec,
     log_mu_sinh_factor,
+    log_rho_hat,
     mu_coth,
     rho_hat,
     rho_hat_adapted,

@@ -20,10 +20,13 @@ for arbitrary fields, sums the same B_j.
 
 Convolution-style integrals use tensor trapezoid weights; integrands are
 smooth with Gaussian decay, where the trapezoid rule converges spectrally.
-heat_apply evaluates the weighted kernel on the grid's own adapted
-coordinates, where kernel and phase are one factor per direction, and
-contracts those factors with the field.  The semigroup check composes point
-kernels over a QuadratureSpec box in original coordinates.
+The grid factors of rho_hat (_log_rho_terms) and heat_apply's per-direction
+rates and peak come from kernel._log_rho_parts, the one assembly of the
+closed form.  heat_apply evaluates the weighted kernel on the grid's own
+adapted coordinates, where kernel and phase are one factor per direction, and
+contracts those factors with the field.  The semigroup check composes
+weighted_heat_kernel_batch with itself over a QuadratureSpec box in original
+coordinates.
 """
 
 from __future__ import annotations
@@ -38,18 +41,16 @@ import numpy as np
 
 from .errors import NumericsError
 from .forms import FormIndex
-from .kernel import (
-    _log_rho_factors,
-    _phase_arg,
+# rho_hat_adapted stays in this namespace for callers that instrument it.
+from .kernel import (  # noqa: F401
+    _log_rho_parts,
     rho_hat_adapted,
     weighted_heat_kernel,
     weighted_heat_kernel_batch,
 )
 from .quadric import QuadricForm
-from .quadrature import QuadratureSpec, axis_nodes, tensor_nodes
+from .quadrature import NODE_BUDGET, QuadratureSpec, axis_nodes, tensor_nodes
 from .spectral import SpectralData
-
-GRID_NODE_BUDGET = 10**8
 
 
 @dataclass(frozen=True)
@@ -65,10 +66,8 @@ class GridSpec:
             raise ValueError(f"half-widths must be positive and finite, got {hw}")
         if points < 8:
             raise ValueError(f"need at least 8 points per axis, got {points}")
-        if points ** len(hw) > GRID_NODE_BUDGET:
-            raise ValueError(
-                f"{points}^{len(hw)} nodes exceeds the budget {GRID_NODE_BUDGET}"
-            )
+        if points ** len(hw) > NODE_BUDGET:
+            raise ValueError(f"{points}^{len(hw)} nodes exceeds the budget {NODE_BUDGET}")
         object.__setattr__(self, "half_widths", hw)
         object.__setattr__(self, "points", int(points))
 
@@ -195,15 +194,12 @@ def sample_on_grid(f, spec: GridSpec, S: SpectralData) -> GridFunction:
 def _log_rho_terms(s: float, spec: GridSpec, S: SpectralData, L: FormIndex) -> list:
     """log rho_hat over a grid as one term per direction j, shaped to broadcast
     along its own axes 2j, 2j + 1; the constant is folded into the first."""
-    n, m, nu = S.n, S.m, S.nu
-    if spec.dim != 2 * n:
-        raise ValueError(f"grid has {spec.dim} axes, expected 2n = {2 * n}")
-    log_fac, rates = _log_rho_factors(s, S, L)
-    terms = [(n - nu) * (np.log(2.0) - np.log(s)) - (0.5 * m + n) * np.log(2.0 * np.pi)]
-    for j in range(n):
-        sq = spec.axis_coordinate(2 * j) ** 2 + spec.axis_coordinate(2 * j + 1) ** 2
-        terms.append(log_fac[j] - rates[j] * sq if j < nu else -sq / s)
-    return [terms[0] + terms[1]] + terms[2:]
+    if spec.dim != 2 * S.n:
+        raise ValueError(f"grid has {spec.dim} axes, expected 2n = {2 * S.n}")
+    const, log_fac, rates = _log_rho_parts(s, S, L)
+    sq = [spec.axis_coordinate(2 * j) ** 2 + spec.axis_coordinate(2 * j + 1) ** 2 for j in range(S.n)]
+    terms = [f - a * q for f, a, q in zip(log_fac, rates, sq)]
+    return [const + terms[0]] + terms[1:]
 
 
 def sample_rho_hat(s: float, spec: GridSpec, S: SpectralData, L: FormIndex) -> np.ndarray:
@@ -286,8 +282,7 @@ def pde_residual(
 
 
 def heat_apply(
-    f: GridFunction, s: float, Q: QuadricForm, S: SpectralData, L: FormIndex,
-    out_points, tail_tol: float = 1e-6,
+    f: GridFunction, s: float, S: SpectralData, L: FormIndex, out_points, tail_tol: float = 1e-6,
 ) -> list:
     """Evolve sampled initial data by integrating the two-point kernel.
 
@@ -296,14 +291,14 @@ def heat_apply(
 
         pref * prod_j exp(-a_j |c_j - w_j|^2 - 2i mu_j Im(conj(w_j) c_j)),
 
-    a_j = |mu_j| coth(|mu_j| s) in the rank block and 1/s in the kernel block;
-    the phase is lambda . Im phi(z, V w) in the eigenbasis.  ``pref``, the
-    kernel's peak, comes from log space, so no factor exceeds 1 in modulus.
+    with the rates a_j and, in log space, the peak ``pref`` both taken from
+    kernel._log_rho_parts, so no factor exceeds 1 in modulus; the phase is
+    lambda . Im phi(z, V w) in the eigenbasis, so ``S`` carries the form.
     Per output point, one P x P factor per direction (times its axes'
     trapezoid weights) is contracted with ``f``: O(N) time and no N-sized
-    temporary beyond one complex copy of ``f``.  ``Q`` is unused; ``S``
-    carries the form.  Raises NumericsError when the boundary values of
-    kernel x data suggest mass outside the grid above ``tail_tol``.
+    temporary beyond one complex copy of ``f``.  Raises NumericsError when
+    the boundary values of kernel x data suggest mass outside the grid above
+    ``tail_tol``.
     """
     if s <= 0.0:
         raise ValueError(f"time s must be positive, got {s}")
@@ -311,10 +306,8 @@ def heat_apply(
     n, nu, dim = S.n, S.nu, spec.dim
     if dim != 2 * n:
         raise ValueError(f"grid has {dim} axes, expected 2n = {2 * n}")
-    log_fac, rates = _log_rho_factors(s, S, L)
-    rates = np.concatenate([rates, np.full(n - nu, 1.0 / s)])
-    pref = float(np.exp((n - nu) * (np.log(2.0) - np.log(s))
-                        - n * np.log(2.0 * np.pi) + np.sum(log_fac)))
+    const, log_fac, rates = _log_rho_parts(s, S, L)
+    pref = float((2.0 * np.pi) ** (0.5 * S.m) * np.exp(const + np.sum(log_fac)))
     mu = np.where(np.arange(n) < nu, S.mu, 0.0)  # below-tolerance eigenvalues as exact zeros
     nodes = _directions(spec)
     axw = [axis_nodes(QuadratureSpec(h, spec.points))[1] for h in spec.half_widths]
@@ -362,18 +355,14 @@ def semigroup_check(
     pts, wts = tensor_nodes(quad, 2 * n)
     w = pts[:, 0::2] + 1j * pts[:, 1::2]
     k1 = weighted_heat_kernel_batch(s1, z, w, Q, S, L, phase_sign=phase_sign)
-    # H(s2, w, zt) batched over its first argument, via evenness of rho_hat
-    # and antisymmetry of Im phi in its two slots.
-    cdiff = (zt - w) @ np.conj(S.V)
-    mag = (2.0 * np.pi) ** (0.5 * S.m) * rho_hat_adapted(s2, cdiff, S, L)
-    k2 = mag * np.exp(-2j * phase_sign * _phase_arg(Q, S.lam, zt, w))
+    k2 = weighted_heat_kernel_batch(s2, w, zt, Q, S, L, phase_sign=phase_sign)
     value = np.sum(wts * k1 * k2)
     ref = weighted_heat_kernel(s1 + s2, z, zt, Q, S, L)
     return float(abs(value - ref) / abs(ref))
 
 
 def initial_condition_check(
-    f, s_list, Q: QuadricForm, S: SpectralData, L: FormIndex,
+    f, s_list, S: SpectralData, L: FormIndex,
     box_half_width: float = 3.0, base_points: int = 19, growth: float = 0.6,
 ) -> list:
     """Errors |H{f}(s, 0) - f(0)| along a decreasing list of times.
@@ -394,6 +383,6 @@ def initial_condition_check(
         if pts_per_axis % 2 == 0:
             pts_per_axis += 1
         gf = sample_on_grid(f, GridSpec.cube(box_half_width, 2 * n, pts_per_axis), S)
-        val = heat_apply(gf, float(s), Q, S, L, [origin])[0]
+        val = heat_apply(gf, float(s), S, L, out_points=[origin])[0]
         errors.append(abs(val - f0))
     return errors

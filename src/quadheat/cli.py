@@ -43,6 +43,7 @@ from .hermite import UTildeParams, default_series_terms, u_tilde_closed, u_tilde
 # weighted_heat_kernel stays in this namespace for callers that instrument it.
 from .kernel import (  # noqa: F401
     KernelQuery,
+    log_rho_hat,
     rho_hat,
     rho_hat_adapted,
     rho_via_inversion,
@@ -51,7 +52,7 @@ from .kernel import (  # noqa: F401
     weighted_heat_kernel_batch,
 )
 from .quadrature import QuadratureSpec
-from .quadric import QuadricForm
+from .quadric import QuadricForm, json_numbers
 from .spectral import SpectralData, decompose_form
 
 EXIT_OK = 0
@@ -254,16 +255,11 @@ class JobConfig:
 
 
 def _finite_array(obj, name: str, shape: tuple) -> np.ndarray:
-    """``obj`` as a float array of ``shape`` with finite entries; else ValueError naming it."""
+    """quadric.json_numbers(obj, shape), its ValueError naming the config field."""
     try:
-        arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
+        return json_numbers(obj, shape)
+    except ValueError as exc:
         raise ValueError(f"config field '{name}': {exc}") from exc
-    if arr.shape != shape:
-        raise ValueError(f"config field '{name}': expected shape {shape}, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"config field '{name}': entries must be finite, got {arr.tolist()}")
-    return arr
 
 
 def _parse_complex_vector(obj, n: int, name: str) -> np.ndarray:
@@ -309,25 +305,22 @@ def load_config(path: str) -> JobConfig:
     form = None
     try:
         entries = raw.get("L", [])
+        json_numbers(entries, (-1,))
         if len(set(entries)) != len(entries):
             raise ValueError(f"repeated index in {entries}")
         form = FormIndex(entries)
         if quadric is not None:
             form.validate_against(quadric.n)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         errors.append(f"config field 'L': {exc}")
 
     s_raw = raw.get("s", 1.0)
     s_values = []
     try:
-        s_list = [s_raw] if np.isscalar(s_raw) else list(s_raw)
-        for s in s_list:
-            if isinstance(s, bool) or not 0.0 < float(s) < np.inf:
-                raise ValueError(f"time values must be positive finite numbers, got {s}")
-            s_values.append(float(s))
-        if not s_values:
-            raise ValueError("empty list")
-    except (ValueError, TypeError) as exc:
+        s_values = json_numbers(s_raw if isinstance(s_raw, list) else [s_raw], (-1,)).tolist()
+        if not s_values or min(s_values) <= 0.0:
+            raise ValueError(f"expected one or more positive times, got {s_raw!r}")
+    except ValueError as exc:
         errors.append(f"config field 's': {exc}")
 
     if errors:
@@ -410,11 +403,8 @@ def _grid_from_config(cfg: JobConfig) -> GridSpec:
         spec = GridSpec(gspec["half_widths"], int(points))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"config field 'grid': {exc}") from exc
-    if spec.dim != 2 * cfg.quadric.n:
-        raise ValueError(
-            f"config field 'grid.half_widths': expected 2n={2 * cfg.quadric.n} axes, "
-            f"got {spec.dim}"
-        )
+    # GridSpec has refused non-finite widths; this refuses strings and booleans.
+    _finite_array(gspec["half_widths"], "grid.half_widths", (2 * cfg.quadric.n,))
     return spec
 
 
@@ -428,9 +418,10 @@ def cmd_scan(cfg: JobConfig, out_path: str | None) -> int:
     S = cfg.spectral
     eps = epsilon(cfg.L, S)
     pts = spec.flat_points()
-    values = rho_hat_adapted(s, pts[:, 0::2] + 1j * pts[:, 1::2], S, cfg.L)
-    with np.errstate(divide="ignore"):  # log10(0.0) = -inf where the value underflows
-        logs = np.log10(values)
+    log_rho = log_rho_hat(s, pts[:, 0::2] ** 2 + pts[:, 1::2] ** 2, S, cfg.L)
+    values = np.exp(log_rho)
+    # Where the value underflows to 0.0, log10_abs is the finite log-space value.
+    logs = np.log10(values, out=log_rho / np.log(10.0), where=values > 0.0)
     comments = [
         f"# config_sha256={config_digest(cfg.raw)}",
         f"# lambda={[float(x) for x in cfg.lam]}",
@@ -480,7 +471,7 @@ def cmd_evolve(cfg: JobConfig, out_path: str | None, threads: int) -> int:
                          f"{bad} of {gf.values.size} grid nodes")
 
     def one_s(s):
-        return heat_apply(gf, s, cfg.quadric, S, cfg.L, out_points)
+        return heat_apply(gf, s, S, cfg.L, out_points=out_points)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -574,9 +565,7 @@ def _check_initial_condition(cfg: JobConfig, tol: float) -> tuple:
     def f(Z):
         return np.exp(-np.sum(np.abs(Z) ** 2, axis=-1))
 
-    errs = initial_condition_check(
-        f, [0.1, 0.01, 0.001], cfg.quadric, cfg.spectral, cfg.L
-    )
+    errs = initial_condition_check(f, [0.1, 0.01, 0.001], cfg.spectral, cfg.L)
     if not all(a > b for a, b in zip(errs, errs[1:])):
         raise NumericsError(f"initial-condition errors not decreasing: {errs}")
     return errs[-1], ""

@@ -1,7 +1,8 @@
 """Hermite functions, Mehler summation, and the transform-side solution.
 
-The normalized Hermite functions psi_l are generated by the stable three-term
-recurrence.  Their generating function in closed form (Mehler) collapses the
+The normalized Hermite functions psi_l come from one generator of the stable
+three-term recurrence, which psi and the truncated Mehler series share.
+Their generating function in closed form (Mehler) collapses the
 transform-side series for the heat evolution into a product of Gaussians,
 giving both a truncated-series evaluator and a closed-form evaluator whose
 agreement is one of the independent oracles for the kernel formulas.
@@ -13,6 +14,7 @@ distributionally).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count, islice
 
 import numpy as np
 
@@ -23,24 +25,25 @@ PSI_MAX_ORDER = 10_000
 SERIES_TOL = 1e-12
 
 
-def psi(l: int, x):
-    """Value of the l-th normalized Hermite function.
+def _hermite_functions(x):
+    """psi_0(x), psi_1(x), ... without end, by the three-term recurrence
 
-    Recurrence: psi_0 = pi^{-1/4} exp(-x^2/2), psi_1 = sqrt(2) x psi_0,
-    psi_{l+1} = sqrt(2/(l+1)) x psi_l - sqrt(l/(l+1)) psi_{l-1}.
-    Accepts scalar or array x.
+    psi_0 = pi^{-1/4} exp(-x^2/2), psi_{-1} = 0,
+    psi_{k+1} = sqrt(2/(k+1)) x psi_k - sqrt(k/(k+1)) psi_{k-1}.
     """
+    p_prev, p = 0.0, np.pi ** (-0.25) * np.exp(-0.5 * x * x)
+    for k in count():
+        yield p
+        p, p_prev = np.sqrt(2.0 / (k + 1)) * x * p - np.sqrt(k / (k + 1)) * p_prev, p
+
+
+def psi(l: int, x):
+    """Value of the l-th normalized Hermite function; scalar or array x."""
     if l < 0:
         raise ValueError(f"order must be nonnegative, got {l}")
     if l > PSI_MAX_ORDER:
         raise ValueError(f"order {l} exceeds guard {PSI_MAX_ORDER}")
-    x = np.asarray(x, dtype=float)
-    p_prev = np.pi ** (-0.25) * np.exp(-0.5 * x * x)
-    if l == 0:
-        return p_prev if p_prev.shape else float(p_prev)
-    p = np.sqrt(2.0) * x * p_prev
-    for k in range(1, l):
-        p, p_prev = np.sqrt(2.0 / (k + 1)) * x * p - np.sqrt(k / (k + 1)) * p_prev, p
+    p = next(islice(_hermite_functions(np.asarray(x, dtype=float)), l, None))
     return p if p.shape else float(p)
 
 
@@ -77,19 +80,11 @@ def mehler_closed(w, x, y):
 
 def _mehler_series(w: complex, x, y, N: int):
     """Truncation of the Mehler sum at l = N inclusive, by joint recurrence."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    px_prev, py_prev = psi(0, x), psi(0, y)
-    total = np.asarray(px_prev * py_prev, dtype=complex)
-    if N == 0:
-        return total
-    px, py = np.sqrt(2.0) * x * px_prev, np.sqrt(2.0) * y * py_prev
-    wl = w
-    total = total + wl * px * py
-    for k in range(1, N):
-        cx, cy = np.sqrt(2.0 / (k + 1)), np.sqrt(k / (k + 1))
-        px, px_prev = cx * x * px - cy * px_prev, px
-        py, py_prev = cx * y * py - cy * py_prev, py
+    terms = zip(_hermite_functions(np.asarray(x, dtype=float)),
+                _hermite_functions(np.asarray(y, dtype=float)))
+    px, py = next(terms)
+    total, wl = np.asarray(px * py, dtype=complex), 1.0
+    for px, py in islice(terms, N):
         wl = wl * w
         total = total + wl * px * py
     return total

@@ -8,13 +8,16 @@ and, for each nonzero eigenvalue mu_j, the factor
       * exp(-|mu_j| coth(|mu_j| s) (x_j^2 + y_j^2)).
 
 mu / sinh(s mu) and mu coth(mu s) are even in mu, so all factor arithmetic
-runs on |mu|.  Exponent bookkeeping happens in log space and each evaluation
-exponentiates once, so products of up to 16 exp(+-s|mu|)/sinh factors cannot
-overflow.
+runs on |mu|.  The product is assembled in log space in one place,
+_log_rho_parts (constant, per-direction log-prefactors and rates), which
+rho_hat_eta and boxop's grid factors also use; log_rho_hat sums it over
+squared adapted magnitudes and rho_hat_adapted exponentiates that once, so
+products of up to 16 exp(+-s|mu|)/sinh factors cannot overflow.
 
 The two-point weighted kernel multiplies the one-point kernel at z - zt by
-the oscillatory phase exp(-2i lambda . Im phi(z, zt)), which the point kernels
-here evaluate with the original form (boxop.heat_apply uses the eigenbasis sum).
+the oscillatory phase exp(-2i lambda . Im phi(z, zt)), which
+weighted_heat_kernel_batch evaluates with the original form
+(boxop.heat_apply uses the eigenbasis sum).
 
 rho_via_inversion reproduces the closed form from the transform-side
 solution by inverse Fourier integration and is the package's strongest
@@ -94,12 +97,37 @@ def mu_coth(s: float, mu: float) -> float:
     return am / np.tanh(x)
 
 
-def _log_rho_factors(s: float, S: SpectralData, L: FormIndex):
-    """Shared log-prefactor and per-direction rates for the rank block."""
+def _log_rho_parts(s: float, S: SpectralData, L: FormIndex):
+    """The pieces of log rho_hat, assembled here and nowhere else.
+
+    log rho_hat(c) = const + sum_j (log_fac_j - rates_j |c_j|^2) over all n
+    directions, const = -(m/2 + n) log(2 pi).  Rank directions j < nu take
+    log_mu_sinh_factor and mu_coth; kernel directions the Euclidean pair
+    log(2/s) and 1/s, the mu -> 0 limit of the same factor.
+    """
+    n, nu = S.n, S.nu
     eps = epsilon(L, S)
-    logs = [log_mu_sinh_factor(s, S.mu[j], eps[j]) for j in range(S.nu)]
-    rates = [mu_coth(s, S.mu[j]) for j in range(S.nu)]
-    return np.array(logs), np.array(rates)
+    rates = [mu_coth(s, S.mu[j] if j < nu else 0.0) for j in range(n)]  # raises for s <= 0
+    log_fac = [log_mu_sinh_factor(s, S.mu[j], eps[j]) for j in range(nu)]
+    log_fac += [np.log(2.0) - np.log(s)] * (n - nu)
+    return -(0.5 * S.m + n) * np.log(2.0 * np.pi), np.array(log_fac), np.array(rates)
+
+
+def log_rho_hat(s: float, sq, S: SpectralData, L: FormIndex):
+    """log rho_hat at squared adapted magnitudes ``sq`` = |c|^2 of shape (..., n).
+
+    Adds the constant, minus the kernel-block sum times 1/s (as one division,
+    the order scan's recorded bytes come from), then plus the rank-block sum.
+    """
+    sq = np.asarray(sq, dtype=float)
+    if sq.shape[-1:] != (S.n,):
+        raise ValueError(f"adapted coordinates must have length n={S.n}")
+    const, log_fac, rates = _log_rho_parts(s, S, L)
+    nu = S.nu
+    out = (np.sum(log_fac[nu:]) + const) - np.sum(sq[..., nu:], axis=-1) / s
+    if nu:
+        out = out + np.sum(log_fac[:nu] - rates[:nu] * sq[..., :nu], axis=-1)
+    return out
 
 
 def rho_hat_adapted(s: float, c, S: SpectralData, L: FormIndex):
@@ -108,22 +136,8 @@ def rho_hat_adapted(s: float, c, S: SpectralData, L: FormIndex):
     ``c`` has shape (..., n) with c_j the coefficient along eigenvector j.
     Returns a real array of shape (...).
     """
-    if s <= 0.0:
-        raise ValueError(f"time s must be positive, got {s}")
     c = np.asarray(c, dtype=complex)
-    n, m, nu = S.n, S.m, S.nu
-    if c.shape[-1] != n:
-        raise ValueError(f"adapted coordinates must have length n={n}")
-    sq = c.real**2 + c.imag**2
-    log_fac, rates = _log_rho_factors(s, S, L)
-    log_rho = (
-        (n - nu) * (np.log(2.0) - np.log(s))
-        - (0.5 * m + n) * np.log(2.0 * np.pi)
-        - np.sum(sq[..., nu:], axis=-1) / s
-    )
-    if nu:
-        log_rho = log_rho + np.sum(log_fac - rates * sq[..., :nu], axis=-1)
-    return np.exp(log_rho)
+    return np.exp(log_rho_hat(s, c.real**2 + c.imag**2, S, L))
 
 
 def rho_hat(q: KernelQuery) -> float:
@@ -143,34 +157,16 @@ def rho_hat_eta(s: float, xp, yp, eta, S: SpectralData, L: FormIndex) -> float:
     (2 pi)^{-(m/2+n)} exp(-s |eta|^2 / 4) times the rank-block factors at
     (xp, yp).  ``eta`` may be None when nu = n.
     """
-    if s <= 0.0:
-        raise ValueError(f"time s must be positive, got {s}")
-    n, m, nu = S.n, S.m, S.nu
-    xp = np.asarray(xp, dtype=float).reshape(-1)
-    yp = np.asarray(yp, dtype=float).reshape(-1)
+    n, nu = S.n, S.nu
+    xp, yp = (np.asarray(v, dtype=float).reshape(-1) for v in (xp, yp))
     if xp.shape != (nu,) or yp.shape != (nu,):
         raise ValueError(f"xp and yp must have length nu={nu}")
     eta = np.zeros(n - nu, dtype=complex) if eta is None else np.asarray(eta, dtype=complex).reshape(-1)
     if eta.shape != (n - nu,):
         raise ValueError(f"eta must have length n - nu = {n - nu}")
-    log_fac, rates = _log_rho_factors(s, S, L)
-    log_rho = -(0.5 * m + n) * np.log(2.0 * np.pi) - 0.25 * s * float(
-        np.sum(np.abs(eta) ** 2)
-    )
-    if nu:
-        log_rho += float(np.sum(log_fac - rates * (xp**2 + yp**2)))
-    return float(np.exp(log_rho))
-
-
-def _phase_arg(Q: QuadricForm, lam, z, Zt) -> np.ndarray:
-    """lambda . Im phi(z, zt) for z and zt batches (shapes (..., n)) that broadcast."""
-    z, Zt = np.asarray(z, dtype=complex), np.asarray(Zt, dtype=complex)
-    out = np.zeros(np.broadcast_shapes(z.shape, Zt.shape)[:-1])
-    for lk, a in zip(lam, Q.A):
-        if lk == 0.0:
-            continue
-        out = out + lk * np.sum(np.conj(Zt) * (z @ a.T), axis=-1).imag
-    return out
+    const, log_fac, rates = _log_rho_parts(s, S, L)
+    log_rho = const - 0.25 * s * float(np.sum(np.abs(eta) ** 2))
+    return float(np.exp(log_rho + np.sum(log_fac[:nu] - rates[:nu] * (xp**2 + yp**2))))
 
 
 def weighted_heat_kernel_batch(
@@ -184,17 +180,15 @@ def weighted_heat_kernel_batch(
     the physical kernel uses the default -1 in exp(2i phase_sign lambda .
     Im phi(z, zt)).
     """
-    if s <= 0.0:
-        raise ValueError(f"time s must be positive, got {s}")
     if S.lam is None:
         raise ValueError("spectral data must carry its lambda vector")
-    z = np.asarray(z, dtype=complex)
-    Zt = np.asarray(Zt, dtype=complex)
-    diff = z - Zt
-    c = diff @ np.conj(S.V)
-    mag = (2.0 * np.pi) ** (0.5 * S.m) * rho_hat_adapted(s, c, S, L)
-    phase = np.exp(2j * phase_sign * _phase_arg(Q, S.lam, z, Zt))
-    return mag * phase
+    z, Zt = np.asarray(z, dtype=complex), np.asarray(Zt, dtype=complex)
+    mag = (2.0 * np.pi) ** (0.5 * S.m) * rho_hat_adapted(s, (z - Zt) @ np.conj(S.V), S, L)
+    arg = np.zeros(np.broadcast_shapes(z.shape, Zt.shape)[:-1])  # lambda . Im phi(z, zt)
+    for lk, a in zip(S.lam, Q.A):
+        if lk != 0.0:
+            arg = arg + lk * np.sum(np.conj(Zt) * (z @ a.T), axis=-1).imag
+    return mag * np.exp(2j * phase_sign * arg)
 
 
 def weighted_heat_kernel(

@@ -20,11 +20,26 @@ import numpy as np
 HERMITIAN_DEFECT_TOL = 1e-10
 
 
-def _as_complex_matrix(a, n: int, k: int) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.shape != (n, n):
-        raise ValueError(f"matrix A[{k}] has shape {a.shape}, expected ({n}, {n})")
-    return a
+def json_numbers(obj, shape: tuple) -> np.ndarray:
+    """Parsed JSON ``obj`` as a float array of ``shape`` (-1: any length).
+
+    ValueError unless every entry is a finite JSON number: strings, booleans
+    and null are refused, not converted.
+    """
+    leaves = np.asarray(obj, dtype=object)  # ragged lists leave lists as entries
+    values = leaves.ravel().tolist()
+    if not set(map(type, values)) <= {int, float}:
+        raise ValueError(f"entries must be JSON numbers, got {obj!r}")
+    if leaves.shape != shape and (leaves.ndim != len(shape) or any(
+            w not in (-1, g) for w, g in zip(shape, leaves.shape))):
+        raise ValueError(f"expected shape {str(shape).replace('-1', 'k')}, got {leaves.shape}")
+    try:
+        arr = leaves.astype(float)
+    except OverflowError:  # an integer past the float range
+        arr = np.full(leaves.shape, np.inf)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"entries must be finite, got {obj!r}")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -49,12 +64,12 @@ class QuadricForm:
             raise ValueError(f"got {len(A)} matrices, expected m={m}")
         mats = []
         for k, a in enumerate(A):
-            a = _as_complex_matrix(a, n, k)
+            a = np.asarray(a, dtype=complex)
+            if a.shape != (n, n):
+                raise ValueError(f"matrix A[{k}] has shape {a.shape}, expected ({n}, {n})")
             defect = np.linalg.norm(a - a.conj().T)
-            if defect > HERMITIAN_DEFECT_TOL * max(1.0, np.linalg.norm(a)):
-                raise ValueError(
-                    f"matrix A[{k}] is not Hermitian (defect {defect:.3e})"
-                )
+            if not defect <= HERMITIAN_DEFECT_TOL * max(1.0, np.linalg.norm(a)):  # NaN too
+                raise ValueError(f"matrix A[{k}] is not Hermitian (defect {defect:.3e})")
             h = 0.5 * (a + a.conj().T)
             h.setflags(write=False)
             mats.append(h)
@@ -74,19 +89,18 @@ class QuadricForm:
 
     @classmethod
     def from_json(cls, obj: dict) -> "QuadricForm":
+        """Inverse of to_json; ValueError naming the field for anything else."""
         for key in ("n", "m", "A"):
-            if key not in obj:
+            if not isinstance(obj, dict) or key not in obj:
                 raise ValueError(f"quadric JSON is missing field '{key}'")
-        n, m = int(obj["n"]), int(obj["m"])
-        mats = []
-        for k, flat in enumerate(obj["A"]):
-            if len(flat) != n * n:
-                raise ValueError(
-                    f"matrix A[{k}] has {len(flat)} entries, expected {n * n}"
-                )
-            vals = np.array([complex(re, im) for re, im in flat], dtype=complex)
-            mats.append(vals.reshape(n, n))
-        return cls(n, m, mats)
+        n, m = obj["n"], obj["m"]
+        if type(n) is not int or type(m) is not int:
+            raise ValueError(f"quadric fields 'n' and 'm' must be integers, got {n!r}, {m!r}")
+        try:
+            A = json_numbers(obj["A"], (m, n * n, 2))  # m matrices of n^2 [re, im] pairs
+        except ValueError as exc:
+            raise ValueError(f"quadric field 'A': {exc}") from exc
+        return cls(n, m, A.view(complex).reshape(m, n, n))
 
 
 @dataclass(frozen=True)

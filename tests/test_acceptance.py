@@ -259,7 +259,7 @@ def test_criterion_6_initial_condition():
     def f(Z):
         return np.exp(-np.sum(np.abs(Z) ** 2, axis=-1))
 
-    errs = initial_condition_check(f, [0.1, 0.01, 0.001], Q, S, L_IN)
+    errs = initial_condition_check(f, [0.1, 0.01, 0.001], S, L_IN)
     decreasing = all(a > b for a, b in zip(errs, errs[1:]))
     passed = decreasing and errs[-1] <= tol
     runtime = report(6, passed, errs[-1], tol, t0,

@@ -1,0 +1,57 @@
+"""The benchmark's scan digests and heat_apply counter hold on the current program.
+
+The perfbench sources are executed rather than imported, so no bytecode cache
+is written into perfbench/.
+"""
+
+import json
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+from quadheat.cli import main
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name: str) -> dict:
+    """Namespace of perfbench/<name>.py, registered as a module for its dataclasses."""
+    path = PERFBENCH / f"{name}.py"
+    module = sys.modules.setdefault(f"perfbench_{name}", types.ModuleType(f"perfbench_{name}"))
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module.__dict__
+
+
+@pytest.mark.parametrize("kind,s", [("n1", 0.3), ("n2", 1.0), ("far", 1.8)])
+def test_scan_bytes_match_recorded_digest(tmp_path, kind, s):
+    workloads = load_perfbench("workloads")
+    cfg = tmp_path / "scan.json"
+    cfg.write_text(json.dumps(workloads["scan_config"](kind, s)))
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
+    digest = workloads["scan_stripped_digest"](out.read_bytes())
+    assert digest == workloads["load_reference"]()[f"{kind}:{s!r}"]
+
+
+def test_traced_heat_apply_counts_every_output_point(tmp_path):
+    tracer = load_perfbench("tracing")["Tracer"]()
+    heis = {"n": 1, "m": 1, "A": [[[1.0, 0.0]]]}
+    evolve = tmp_path / "evolve.json"
+    evolve.write_text(json.dumps({
+        "quadric": heis, "lambda": [1.0], "L": [1], "s": [0.3, 0.5],
+        "grid": {"half_widths": [4.0, 4.0], "points": 41}, "initial": "exp(-(x1^2+y1^2))",
+        "out_points": [[[0.0, 0.0]], [[0.2, -0.1]]]}))
+    verify = tmp_path / "verify.json"
+    verify.write_text(json.dumps({"quadric": heis, "lambda": [1.0], "L": [1],
+                                  "checks": ["initial_condition"]}))
+    traced_main = tracer.install(0)
+    try:
+        assert traced_main(["evolve", "--config", str(evolve), "--out", str(tmp_path / "e.csv")]) == 0
+        assert traced_main(["verify", "--config", str(verify), "--out", str(tmp_path / "v.json")]) == 0
+    finally:
+        tracer.uninstall()
+    # evolve: 2 times x 2 points; the initial_condition check: 3 times x 1 point
+    assert tracer.counts["boxop.heat_apply.out_points"] == 2 * 2 + 3

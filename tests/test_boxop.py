@@ -162,7 +162,7 @@ class TestHeatApply:
     def test_zero_data(self, heis_q, heis_spectral):
         spec = GridSpec.cube(2.0, 2, 21)
         gf = GridFunction(spec, np.zeros(spec.shape()))
-        out = heat_apply(gf, 0.3, heis_q, heis_spectral, L_IN, [np.array([0.0 + 0j])])
+        out = heat_apply(gf, 0.3, heis_spectral, L_IN, [np.array([0.0 + 0j])])
         assert out == [0.0 + 0.0j]
 
     def test_linearity(self, heis_q, heis_spectral, rng):
@@ -174,9 +174,9 @@ class TestHeatApply:
         g = np.exp(-2.0 * r2) * (1.0 + np.broadcast_to(x, spec.shape()))
         pts = [np.array([0.2 + 0.1j])]
         a, b = 1.7, -0.4
-        out_f = heat_apply(GridFunction(spec, f), 0.3, heis_q, heis_spectral, L_IN, pts)
-        out_g = heat_apply(GridFunction(spec, g), 0.3, heis_q, heis_spectral, L_IN, pts)
-        out_c = heat_apply(GridFunction(spec, a * f + b * g), 0.3, heis_q,
+        out_f = heat_apply(GridFunction(spec, f), 0.3, heis_spectral, L_IN, pts)
+        out_g = heat_apply(GridFunction(spec, g), 0.3, heis_spectral, L_IN, pts)
+        out_c = heat_apply(GridFunction(spec, a * f + b * g), 0.3,
                            heis_spectral, L_IN, pts)
         assert abs(out_c[0] - (a * out_f[0] + b * out_g[0])) <= 1e-12
 
@@ -189,7 +189,7 @@ class TestHeatApply:
         r2 = np.broadcast_to(x**2 + y**2, spec.shape())
         f = np.exp(-r2 / (2 * sigma**2)) / (2 * np.pi * sigma**2)
         z_out = np.array([0.4 - 0.1j])
-        got = heat_apply(GridFunction(spec, f), 0.5, heis_q, heis_spectral, L_IN,
+        got = heat_apply(GridFunction(spec, f), 0.5, heis_spectral, L_IN,
                          [z_out])[0]
         want = weighted_heat_kernel(0.5, z_out, np.zeros(1, complex), heis_q,
                                     heis_spectral, L_IN)
@@ -203,12 +203,12 @@ class TestHeatApply:
         f = np.exp(-np.abs(c) ** 2).reshape(spec.shape())
         s1, s2 = 0.3, 0.5
         # evolve onto the same grid nodes, then evolve again
-        mid_vals = heat_apply(GridFunction(spec, f), s1, heis_q, heis_spectral, L_IN,
+        mid_vals = heat_apply(GridFunction(spec, f), s1, heis_spectral, L_IN,
                               list(c[:, None]))
         mid = GridFunction(spec, np.array(mid_vals).reshape(spec.shape()))
         out_pt = [np.array([0.3 + 0.2j])]
-        two_step = heat_apply(mid, s2, heis_q, heis_spectral, L_IN, out_pt)[0]
-        one_step = heat_apply(GridFunction(spec, f), s1 + s2, heis_q, heis_spectral,
+        two_step = heat_apply(mid, s2, heis_spectral, L_IN, out_pt)[0]
+        one_step = heat_apply(GridFunction(spec, f), s1 + s2, heis_spectral,
                               L_IN, out_pt)[0]
         assert abs(two_step - one_step) <= 1e-6 * abs(one_step)
 
@@ -216,7 +216,7 @@ class TestHeatApply:
         spec = GridSpec.cube(0.5, 2, 16)
         gf = GridFunction(spec, np.ones(spec.shape()))
         with pytest.raises(NumericsError, match="tail"):
-            heat_apply(gf, 1.0, heis_q, heis_spectral, L_IN, [np.zeros(1, complex)])
+            heat_apply(gf, 1.0, heis_spectral, L_IN, [np.zeros(1, complex)])
 
 
 def _n2_geometry(kind):
@@ -267,7 +267,7 @@ class TestHeatApplyFactorised:
             * (1.0 + 0.3 * x1 - 0.2j * y2 + 0.1 * x2 * y1),
             spec.shape(),
         )
-        got = heat_apply(GridFunction(spec, f), self.S_TIME, Q, S, L, self.OUT)
+        got = heat_apply(GridFunction(spec, f), self.S_TIME, S, L, self.OUT)
         for z, value in zip(self.OUT, got):
             want = self.reference(spec, f, Q, S, L, z)
             assert abs(value - want) <= 1e-12 * abs(want)
@@ -292,9 +292,9 @@ class TestHeatApplyFactorised:
             gf = GridFunction(spec, f)
             if raises:
                 with pytest.raises(NumericsError, match="tail"):
-                    heat_apply(gf, 1.0, Q, S, L_IN, origin)
+                    heat_apply(gf, 1.0, S, L_IN, origin)
             else:
-                assert np.isfinite(heat_apply(gf, 1.0, Q, S, L_IN, origin)[0])
+                assert np.isfinite(heat_apply(gf, 1.0, S, L_IN, origin)[0])
 
 
 class TestSemigroupCheck:
@@ -322,7 +322,7 @@ class TestInitialCondition:
         def f(Z):
             return np.exp(-np.sum(np.abs(Z) ** 2, axis=-1))
 
-        errs = initial_condition_check(f, [0.1, 0.01, 0.001], heis_q, heis_spectral,
+        errs = initial_condition_check(f, [0.1, 0.01, 0.001], heis_spectral,
                                        L_IN)
         assert errs[0] > errs[1] > errs[2]
         assert errs[-1] <= 5e-3
@@ -331,7 +331,7 @@ class TestInitialCondition:
         def f(Z):
             return np.zeros(Z.shape[:-1])
 
-        errs = initial_condition_check(f, [0.1, 0.01], heis_q, heis_spectral, L_IN)
+        errs = initial_condition_check(f, [0.1, 0.01], heis_spectral, L_IN)
         assert errs == [0.0, 0.0]
 
     def test_gaussian_weight_is_stationary(self, heis_q, heis_spectral):
@@ -340,7 +340,7 @@ class TestInitialCondition:
         def f(Z):
             return np.exp(-np.sum(np.abs(Z) ** 2, axis=-1))
 
-        errs = initial_condition_check(f, [0.5], heis_q, heis_spectral, L_IN,
+        errs = initial_condition_check(f, [0.5], heis_spectral, L_IN,
                                        base_points=401, box_half_width=4.0)
         assert errs[0] <= 1e-10
 

@@ -207,19 +207,24 @@ class TestScan:
         assert [l[:2] for l in lines[:6]] == ["# "] * 6
         assert lines[6:] == want + [""]
 
-    def test_far_field_writes_minus_inf_without_warning(self, tmp_path):
-        path, _ = write_config(tmp_path, s=0.5, grid={"half_widths": [40.0, 40.0], "points": 41})
+    def test_far_field_writes_finite_log_without_warning(self, tmp_path):
+        s = 0.5
+        path, _ = write_config(tmp_path, s=s, grid={"half_widths": [40.0, 40.0], "points": 41})
         out = tmp_path / "far.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["scan", "--config", path, "--out", str(out)]) == 0
         zeros = 0
         for line in data_rows(out):
-            re, im, log10_abs = line.split(",")[2:]
+            x, y, re, im, log10_abs = line.split(",")
             assert im == "0.0"
             if float(re) == 0.0:
                 zeros += 1
-                assert log10_abs == "-inf"
+                # Heisenberg, mu = 1, eps = +1: (2 pi)^{-3/2} 2 e^s / sinh(s) e^{-coth(s)|z|^2}
+                log_rho = (-1.5 * math.log(2.0 * math.pi) + math.log(2.0) + s
+                           - math.log(math.sinh(s)) - (float(x) ** 2 + float(y) ** 2) / math.tanh(s))
+                want = log_rho / math.log(10.0)
+                assert abs(float(log10_abs) - want) <= 1e-12 * abs(want)
             else:
                 assert abs(float(log10_abs) - math.log10(float(re))) <= 1e-12
         assert 0 < zeros < 41 * 41
@@ -570,6 +575,47 @@ class TestConfigNumbers:
     def test_valid_config_unchanged(self, tmp_path, capsys):
         code, err = self.run_eval(tmp_path, capsys, L=[1.0], s=[0.5, 1])
         assert code == 0 and err == ""
+
+
+class TestJsonTypes:
+    """Strings, booleans and malformed quadric JSON exit 2 naming their field, not coerced."""
+
+    @pytest.mark.parametrize("field,value,name", [
+        ("s", "0.5", "s"),
+        ("lambda", ["1.0"], "lambda"),
+        ("lambda", [True], "lambda"),
+        ("L", "1", "L"),
+        ("L", ["1"], "L"),
+        ("points", [[["0.1", 0.0]]], "points[0]"),
+        ("points", [[[True, 0.0]]], "points[0]"),
+    ])
+    def test_string_or_bool_number_names_its_field(self, tmp_path, capsys, field, value, name):
+        path, _ = write_config(tmp_path, **{"points": [[[0.3, -0.1]]], field: value})
+        out = tmp_path / "eval.jsonl"
+        assert main(["eval", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config field '{name}'" in err and "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("half_widths", [["1.0", "1.0"], [True, 1.0]])
+    def test_string_or_bool_half_width_names_its_field(self, tmp_path, capsys, half_widths):
+        path, _ = write_config(tmp_path, s=0.5, grid={"half_widths": half_widths, "points": 11})
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--config", path, "--out", str(out)]) == 2
+        assert "config field 'grid.half_widths'" in capsys.readouterr().err and not out.exists()
+
+    @pytest.mark.parametrize("change", [
+        {"A": 5},
+        {"n": None},
+        {"A": [[["1.0", 0.0]]]},
+        {"n": 1.7},
+        {"A": [[[NAN, 0.0]]]},
+    ], ids=["A_number", "n_null", "A_string_entry", "n_fraction", "A_nan_entry"])
+    def test_bad_quadric_json_names_quadric(self, tmp_path, capsys, change):
+        path, _ = write_config(tmp_path, quadric={**HEIS, **change}, points=[[[0.3, -0.1]]])
+        assert main(["eval", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert "config field 'quadric'" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 class TestEvalStrictJson:

@@ -9,7 +9,6 @@ initial-condition recovery.
 
 from .boxop import (
     GridFunction,
-    GridSpec,
     apply_box_ll_lambda,
     heat_apply,
     initial_condition_check,
@@ -31,6 +30,7 @@ from .hermite import (
 from .kernel import (
     KernelQuery,
     inversion_quadspec,
+    inversion_rate,
     log_mu_sinh_factor,
     log_rho_hat,
     mu_coth,
@@ -41,7 +41,7 @@ from .kernel import (
     weighted_heat_kernel,
     weighted_heat_kernel_batch,
 )
-from .quadrature import QuadratureSpec, integrate, integrate_with_estimate, tail_bound
+from .quadrature import GridSpec, integrate_with_estimate, tail_bound
 from .quadric import (
     GroupElement,
     QuadricForm,

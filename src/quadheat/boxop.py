@@ -18,14 +18,13 @@ and rho_hat is a product of per-direction factors, so pde_residual applies
 B_j to each P x P factor alone; apply_box_ll_lambda, the full-grid stencil
 for arbitrary fields, sums the same B_j.
 
-Convolution-style integrals use tensor trapezoid weights; integrands are
-smooth with Gaussian decay, where the trapezoid rule converges spectrally.
-The grid factors of rho_hat (_log_rho_terms) and heat_apply's per-direction
+Every grid is a quadrature.GridSpec, and convolution-style integrals use its
+trapezoid weights and face area.  The grid factors of rho_hat (_log_rho_terms) and heat_apply's per-direction
 rates and peak come from kernel._log_rho_parts, the one assembly of the
 closed form.  heat_apply evaluates the weighted kernel on the grid's own
 adapted coordinates, where kernel and phase are one factor per direction, and
 contracts those factors with the field.  The semigroup check composes
-weighted_heat_kernel_batch with itself over a QuadratureSpec box in original
+weighted_heat_kernel_batch with itself over a GridSpec box in original
 coordinates.
 """
 
@@ -49,56 +48,8 @@ from .kernel import (  # noqa: F401
     weighted_heat_kernel_batch,
 )
 from .quadric import QuadricForm
-from .quadrature import NODE_BUDGET, QuadratureSpec, axis_nodes, tensor_nodes
+from .quadrature import GridSpec, tensor_nodes
 from .spectral import SpectralData
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Tensor grid on a box: per-axis half-widths and a common point count."""
-
-    half_widths: tuple
-    points: int
-
-    def __init__(self, half_widths, points: int):
-        hw = tuple(float(h) for h in np.atleast_1d(half_widths))
-        if not all(0.0 < h < np.inf for h in hw):
-            raise ValueError(f"half-widths must be positive and finite, got {hw}")
-        if points < 8:
-            raise ValueError(f"need at least 8 points per axis, got {points}")
-        if points ** len(hw) > NODE_BUDGET:
-            raise ValueError(f"{points}^{len(hw)} nodes exceeds the budget {NODE_BUDGET}")
-        object.__setattr__(self, "half_widths", hw)
-        object.__setattr__(self, "points", int(points))
-
-    @classmethod
-    def cube(cls, half_width: float, dim: int, points: int) -> "GridSpec":
-        return cls((half_width,) * dim, points)
-
-    @property
-    def dim(self) -> int:
-        return len(self.half_widths)
-
-    @property
-    def spacing(self) -> tuple:
-        return tuple(2.0 * h / (self.points - 1) for h in self.half_widths)
-
-    def axes(self) -> list:
-        return [np.linspace(-h, h, self.points) for h in self.half_widths]
-
-    def shape(self) -> tuple:
-        return (self.points,) * self.dim
-
-    def axis_coordinate(self, ax: int) -> np.ndarray:
-        """Axis coordinates shaped to broadcast along their own axis."""
-        shape = [1] * self.dim
-        shape[ax] = self.points
-        return self.axes()[ax].reshape(shape)
-
-    def flat_points(self) -> np.ndarray:
-        """All nodes in lexicographic order as an (N, dim) array."""
-        grids = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -310,12 +261,10 @@ def heat_apply(
     pref = float((2.0 * np.pi) ** (0.5 * S.m) * np.exp(const + np.sum(log_fac)))
     mu = np.where(np.arange(n) < nu, S.mu, 0.0)  # below-tolerance eigenvalues as exact zeros
     nodes = _directions(spec)
-    axw = [axis_nodes(QuadratureSpec(h, spec.points))[1] for h in spec.half_widths]
+    axw = spec.weights()
     weights = [np.outer(axw[2 * j], axw[2 * j + 1]) for j in range(n)]
     faces = [(slice(None),) * ax + (end,) for ax in range(dim)
              for end in (slice(0, 1), slice(-1, None))]
-    sides = 2.0 * np.array(spec.half_widths)
-    area = float(2.0 * np.prod(sides) * np.sum(1.0 / sides))  # of the faces
     v = np.asarray(f.values, dtype=complex)
     out = []
     for z in out_points:
@@ -323,7 +272,7 @@ def heat_apply(
         mods = [np.exp(-rates[j] * np.abs(c[j] - nodes[j]) ** 2) for j in range(n)]
         edge = max(float(reduce(np.multiply, [m[i] for m in mods], np.abs(v[i])).max())
                    for i in faces)
-        tail = pref * edge * area
+        tail = pref * edge * spec.face_area()
         if tail > tail_tol:
             raise NumericsError(f"boundary tail estimate {tail:.3e} exceeds "
                                 f"{tail_tol:.3e}; enlarge the grid box")
@@ -337,7 +286,7 @@ def heat_apply(
 
 def semigroup_check(
     s1: float, s2: float, z, zt, Q: QuadricForm, S: SpectralData, L: FormIndex,
-    quad: QuadratureSpec, phase_sign: float = -1.0,
+    quad: GridSpec, phase_sign: float = -1.0,
 ) -> float:
     """Relative defect of kernel composition against the kernel at s1 + s2.
 

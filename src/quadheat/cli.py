@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import operator
 import os
 import re
 import sys
@@ -51,7 +52,6 @@ from .kernel import (  # noqa: F401
     weighted_heat_kernel,
     weighted_heat_kernel_batch,
 )
-from .quadrature import QuadratureSpec
 from .quadric import QuadricForm, json_numbers
 from .spectral import SpectralData, decompose_form
 
@@ -120,6 +120,9 @@ def _tokenize(text: str) -> list:
     return tokens
 
 
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
 class _Parser:
     """Recursive descent for the tiny initial-data grammar."""
 
@@ -149,35 +152,19 @@ class _Parser:
             raise ExprError(f"unexpected trailing token {val!r}", pos)
         return node
 
+    def chain(self, ops: str, operand):
+        """Left-associative chain of ``operand``s joined by binary operators in ``ops``."""
+        node = operand()
+        while self.peek()[0] == "op" and self.peek()[1] in ops:
+            op = _BINARY[self.advance()[1]]
+            node = (lambda a, b, op: lambda env: op(a(env), b(env)))(node, operand(), op)
+        return node
+
     def expr(self):
-        node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                rhs = self.term()
-                node = (
-                    (lambda a, b: lambda env: a(env) + b(env))
-                    if val == "+"
-                    else (lambda a, b: lambda env: a(env) - b(env))
-                )(node, rhs)
-            else:
-                return node
+        return self.chain("+-", self.term)
 
     def term(self):
-        node = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                rhs = self.factor()
-                node = (
-                    (lambda a, b: lambda env: a(env) * b(env))
-                    if val == "*"
-                    else (lambda a, b: lambda env: a(env) / b(env))
-                )(node, rhs)
-            else:
-                return node
+        return self.chain("*/", self.factor)
 
     def factor(self):
         kind, val, _ = self.peek()
@@ -224,7 +211,11 @@ def parse_initial_expression(text: str, n: int):
     Returns a callable mapping an (N, n) complex array of points to N values.
     """
     variables = {f"x{j + 1}" for j in range(n)} | {f"y{j + 1}" for j in range(n)}
-    fn = _Parser(text, variables).parse()
+    parser = _Parser(text, variables)
+    try:
+        fn = parser.parse()
+    except RecursionError:
+        raise ExprError("expression nests too deeply", parser.peek()[2]) from None
 
     def evaluate(Z):
         Z = np.asarray(Z, dtype=complex)
@@ -232,7 +223,10 @@ def parse_initial_expression(text: str, n: int):
         for j in range(n):
             env[f"x{j + 1}"] = Z[..., j].real
             env[f"y{j + 1}"] = Z[..., j].imag
-        return fn(env) * np.ones(Z.shape[:-1])
+        try:
+            return fn(env) * np.ones(Z.shape[:-1])
+        except RecursionError:
+            raise ExprError("expression nests too deeply to evaluate", 0) from None
 
     return evaluate
 
@@ -267,6 +261,23 @@ def _parse_complex_vector(obj, n: int, name: str) -> np.ndarray:
     return arr[:, 0] + 1j * arr[:, 1]
 
 
+def _parse_points(obj, n: int, name: str) -> np.ndarray:
+    """A JSON list of points, each n [re, im] pairs, as a (k, n) complex array.
+
+    One json_numbers call checks the whole list; only when it fails are the
+    points checked one at a time, to name the first bad ``name[i]``.
+    """
+    if obj is None:
+        raise ValueError(f"config field '{name}': missing")
+    try:
+        arr = json_numbers(obj, (-1, n, 2)) if obj != [] else np.zeros((0, n, 2))
+    except ValueError as exc:
+        for i, p in enumerate(obj if isinstance(obj, list) else []):
+            _parse_complex_vector(p, n, f"{name}[{i}]")
+        raise ValueError(f"config field '{name}': {exc}") from None
+    return arr[..., 0] + 1j * arr[..., 1]
+
+
 def load_config(path: str) -> JobConfig:
     """Parse and validate the job config, raising ValueError with field names."""
     try:
@@ -276,6 +287,8 @@ def load_config(path: str) -> JobConfig:
         raise ValueError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
 
     errors = []
     quadric = None
@@ -347,25 +360,19 @@ def _pairs(z) -> list:
 
 def cmd_eval(cfg: JobConfig, out_path: str | None) -> int:
     n = cfg.quadric.n
-    pts_raw = cfg.raw.get("points")
-    if pts_raw is None:
-        raise ValueError("config field 'points': missing (required by eval)")
-    points = [
-        _parse_complex_vector(p, n, f"points[{i}]") for i, p in enumerate(pts_raw)
-    ]
+    P = _parse_points(cfg.raw.get("points"), n, "points")
     zt = None
     if "point_tilde" in cfg.raw:
         zt = _parse_complex_vector(cfg.raw["point_tilde"], n, "point_tilde")
     S = cfg.spectral
     eps = epsilon(cfg.L, S)
-    P = np.array(points, dtype=complex).reshape(len(points), n)
     # Each line is json.dumps(record, allow_nan=False) of the record dict {s, point,
     # lambda, L, mu, nu, eps, value, log10_abs[, point_tilde]}; fields that do not
     # change within the job, or within a point, are encoded once.
     job = ", ".join(_json_field(k, v) for k, v in (
         ("lambda", [float(x) for x in cfg.lam]), ("L", list(cfg.L.L)),
         ("mu", [float(x) for x in S.mu]), ("nu", S.nu), ("eps", [int(e) for e in eps])))
-    heads = [f'{_json_field("point", _pairs(z))}, {job}, "value": [' for z in points]
+    heads = [f'{_json_field("point", _pairs(z))}, {job}, "value": [' for z in P]
     tail = "}" if zt is None else f', {_json_field("point_tilde", _pairs(zt))}}}'
     lines = []
     with np.errstate(all="ignore"):  # a non-finite value is reported below
@@ -447,18 +454,19 @@ def cmd_evolve(cfg: JobConfig, out_path: str | None, threads: int) -> int:
             "config field 'initial': evolve needs exactly one of "
             "'initial' (expression) or 'initial_csv' (grid CSV)"
         )
-    out_raw = cfg.raw.get("out_points")
-    if out_raw is None:
-        raise ValueError("config field 'out_points': missing (required by evolve)")
-    out_points = [
-        _parse_complex_vector(p, n, f"out_points[{i}]") for i, p in enumerate(out_raw)
-    ]
+    out_points = _parse_points(cfg.raw.get("out_points"), n, "out_points")
+    source = "initial" if expr is not None else "initial_csv"
+    value = expr if expr is not None else csv_path
+    if not isinstance(value, str):
+        raise ValueError(f"config field '{source}': expected a string, got {value!r}")
     S = cfg.spectral
     if expr is not None:
-        f = parse_initial_expression(expr, n)
         # Overflow and division by zero show up as non-finite nodes, reported below.
-        with np.errstate(all="ignore"):
-            gf = sample_on_grid(f, spec, S)
+        try:
+            with np.errstate(all="ignore"):
+                gf = sample_on_grid(parse_initial_expression(expr, n), spec, S)
+        except ExprError as exc:
+            raise ValueError(f"config field 'initial': {exc}") from exc
     else:
         try:
             gf = GridFunction.load_csv(csv_path, spec)
@@ -466,7 +474,6 @@ def cmd_evolve(cfg: JobConfig, out_path: str | None, threads: int) -> int:
             raise ValueError(f"config field 'initial_csv': {exc}") from exc
     bad = int(np.count_nonzero(~np.isfinite(gf.values)))
     if bad:
-        source = "initial" if expr is not None else "initial_csv"
         raise ValueError(f"config field '{source}': initial data is not finite at "
                          f"{bad} of {gf.values.size} grid nodes")
 
@@ -538,24 +545,15 @@ def _check_pde_residual(cfg: JobConfig, tol: float) -> tuple:
     return pde_residual(0.7, cfg.spectral, cfg.L, grid, 1e-4), ""
 
 
-def _semigroup_points(n: int):
-    z = np.zeros(n, dtype=complex)
-    zt = np.zeros(n, dtype=complex)
-    z[0] = 0.3 + 0.1j
-    zt[0] = -0.2 + 0.5j
-    return z, zt
-
-
 def _check_semigroup(cfg: JobConfig, tol: float) -> tuple:
     n = cfg.quadric.n
     if n > 1:
         raise NumericsError("semigroup check runs on n = 1 geometries")
-    debug = cfg.raw.get("debug", {})
-    phase_sign = float(debug.get("phase_sign", -1.0))
-    z, zt = _semigroup_points(n)
-    quad = QuadratureSpec(half_width=6.0, points=400, tail_rate=1.0)
-    return semigroup_check(0.4, 0.4, z, zt, cfg.quadric, cfg.spectral, cfg.L, quad,
-                           phase_sign=phase_sign), ""
+    phase_sign = float(cfg.raw.get("debug", {}).get("phase_sign", -1.0))  # checked up front
+    z, zt = np.zeros((2, n), dtype=complex)
+    z[0], zt[0] = 0.3 + 0.1j, -0.2 + 0.5j
+    return semigroup_check(0.4, 0.4, z, zt, cfg.quadric, cfg.spectral, cfg.L,
+                           GridSpec.cube(6.0, 2, 400), phase_sign=phase_sign), ""
 
 
 def _check_initial_condition(cfg: JobConfig, tol: float) -> tuple:
@@ -636,6 +634,10 @@ def run_verification(cfg: JobConfig, tol_override: float | None = None) -> dict:
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in overrides.values()):
         raise ValueError("config field 'tolerances': expected an object mapping check names "
                          f"to numbers, got {overrides!r}")
+    debug = cfg.raw.get("debug", {})
+    if not isinstance(debug, dict):
+        raise ValueError(f"config field 'debug': expected an object, got {debug!r}")
+    _finite_array(debug.get("phase_sign", -1.0), "debug.phase_sign", ())
     tolerances = dict(DEFAULT_TOLERANCES)
     tolerances.update(overrides)
     tols = [float(tol_override if tol_override is not None else tolerances[name]) for name in names]

@@ -22,9 +22,10 @@ weighted_heat_kernel_batch evaluates with the original form
 rho_via_inversion reproduces the closed form from the transform-side
 solution by inverse Fourier integration and is the package's strongest
 independent oracle.  The integral factorises into one 2-D integral per rank
-direction, each on its own box, so it runs at every rank (full-rank n = 2
-included) and reports each direction's quadrature tail estimate and the
-budget they give the product.
+direction, each on its own GridSpec box sized from that direction's decay
+rate (inversion_rate), so it runs at every rank (full-rank n = 2 included)
+and reports each direction's quadrature tail estimate and the budget they
+give the product.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .forms import FormIndex, epsilon
 from .hermite import MehlerFactors, mehler_closed
 from .quadric import QuadricForm
 # integrate_with_estimate stays in this namespace for callers that instrument it.
-from .quadrature import QuadratureSpec, axis_nodes, integrate_with_estimate, tail_bound  # noqa: F401
+from .quadrature import GridSpec, integrate_with_estimate, tail_bound  # noqa: F401
 from .spectral import SpectralData
 
 # Below this value of s|mu| the exact expressions cancel; switch to series.
@@ -202,25 +203,29 @@ def weighted_heat_kernel(
     return complex(weighted_heat_kernel_batch(s, z, zt[None, :], Q, S, L)[0])
 
 
-def inversion_quadspec(
-    s: float, S: SpectralData, tol: float = 1e-6, points: int = 512,
-    rule: str = "trapezoid", direction: int = 0,
-) -> QuadratureSpec:
-    """Box over the duals (a_j, b_j) of rank direction j = ``direction``, sized
-    so the integrand's Gaussian factor at the boundary is below 1e-3 times the
-    requested tolerance."""
+def inversion_rate(s: float, S: SpectralData, direction: int) -> float:
+    """Gaussian decay rate in (a_j, b_j) of the inversion integrand of rank
+    direction j = ``direction``; it sizes that direction's box and its tail."""
     if not 0 <= direction < S.nu:
         raise ValueError(f"direction {direction} is not a rank direction (nu={S.nu})")
     am = abs(float(S.mu[direction]))
     Sj = np.exp(-2.0 * am * s)
-    rate = 0.5 * ((1.0 - Sj**2) / (1.0 + Sj**2)) / (4.0 * am)
-    R = float(np.sqrt(np.log(1.0 / (1e-3 * tol)) / rate))
-    return QuadratureSpec(half_width=R, points=points, rule=rule, tail_rate=rate)
+    return 0.5 * ((1.0 - Sj**2) / (1.0 + Sj**2)) / (4.0 * am)
+
+
+def inversion_quadspec(
+    s: float, S: SpectralData, tol: float = 1e-6, points: int = 512, direction: int = 0,
+) -> GridSpec:
+    """Square box over the duals (a_j, b_j) of rank direction j = ``direction``,
+    sized so the integrand's Gaussian factor at the boundary is below 1e-3 times
+    the requested tolerance."""
+    rate = inversion_rate(s, S, direction)
+    return GridSpec.cube(float(np.sqrt(np.log(1.0 / (1e-3 * tol)) / rate)), 2, points)
 
 
 def rho_via_inversion(
     s: float, xp, yp, eta, S: SpectralData, L: FormIndex,
-    quad: QuadratureSpec | None = None, tol: float = 1e-6,
+    quad: GridSpec | None = None, tol: float = 1e-6,
     return_budget: bool = False, phase_signs: tuple = (-1.0, -1.0),
 ):
     """Numerical inverse Fourier transform of the transform-side solution.
@@ -228,14 +233,15 @@ def rho_via_inversion(
     The integrand exp(i(a.x' + b.y')) exp(-i/4 sum a_j b_j / mu_j) u~(s, a, b)
     is a product over rank directions j, so its integral is a product of one
     trapezoid integral I_j = e(x)^T G_j e(y), e(x) = exp(i a x), per direction
-    on its own box (``quad`` overrides every box), with G_j = w w^T o
-    exp(-i a b / (4 mu_j)) o S_j^((1-eps_j)/2) mehler_closed(-i S_j, alpha, beta).
+    on its own inversion_quadspec box (a 2-D GridSpec ``quad`` replaces every
+    box), with G_j = w_a w_b^T o exp(-i a b / (4 mu_j)) o S_j^((1-eps_j)/2)
+    mehler_closed(-i S_j, alpha, beta).
     Times exp(-2i sum mu_j x_j y_j) and the normalization, it is an independent
     oracle for rho_hat_eta at one point (``xp``, ``yp`` of shape (nu,)) or at K
     (shape (K, nu)).  Raises NumericsError when the budget, the normalization
     times sum_j tail_j prod_{k != j} (sum |G_k| + tail_k) with tail_j from
-    tail_bound on max |integrand j|, exceeds ``tol``; ``return_budget`` also
-    returns the tails and budget.
+    tail_bound on max |integrand j| at rate inversion_rate(s, S, j), exceeds
+    ``tol``; ``return_budget`` also returns the tails and budget.
     ``phase_signs`` (twist, a.b phase; physically -1) exist for ablation tests.
     """
     if s <= 0.0:
@@ -245,6 +251,8 @@ def rho_via_inversion(
     nu = S.nu
     if nu < 1:
         raise ValueError("inversion needs nu >= 1")
+    if quad is not None and quad.dim != 2:
+        raise ValueError(f"quad must be a 2-D grid over (a_j, b_j), got {quad.dim} axes")
     single = np.ndim(xp) <= 1
     xp, yp = np.atleast_2d(np.asarray(xp, dtype=float), np.asarray(yp, dtype=float))
     if xp.ndim != 2 or xp.shape[1] != nu or yp.shape != xp.shape:
@@ -257,15 +265,15 @@ def rho_via_inversion(
     tails, mass = [], []
     for j in range(nu):
         spec = quad if quad is not None else inversion_quadspec(s, S, tol=tol, direction=j)
-        a, w = axis_nodes(spec)
-        f = MehlerFactors.build(s, a[:, None], a[None, :], S.mu[j], eps[j])
+        (a, b), (wa, wb) = spec.axes(), spec.weights()
+        f = MehlerFactors.build(s, a[:, None], b[None, :], S.mu[j], eps[j])
         F = f.S ** ((1 - f.eps) // 2) * mehler_closed(-1j * f.S, f.alpha, f.beta)
         absF = np.abs(F)  # the a.b phase has modulus 1
-        tails.append(float(tail_bound(spec, float(absF.max()), d=2)))
-        mass.append(float(w @ absF @ w))
-        F *= np.exp((0.25j * ab_sign / S.mu[j]) * np.outer(a, a))
-        ex = w * np.exp(1j * np.outer(xp[:, j], a))  # weights ride on e(x), e(y)
-        ey = w * np.exp(1j * np.outer(yp[:, j], a))
+        tails.append(float(tail_bound(spec, inversion_rate(s, S, j), float(absF.max()))))
+        mass.append(float(wa @ absF @ wb))
+        F *= np.exp((0.25j * ab_sign / S.mu[j]) * np.outer(a, b))
+        ex = wa * np.exp(1j * np.outer(xp[:, j], a))  # weights ride on e(x), e(y)
+        ey = wb * np.exp(1j * np.outer(yp[:, j], b))
         # einsum, not a BLAS product: OpenBLAS threads would spin on after it
         values = values * np.einsum("kp,pq,kq->k", ex, F, ey)
     budget = pref * sum(

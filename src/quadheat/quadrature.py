@@ -1,9 +1,13 @@
-"""Tensor-product integration on truncated boxes.
+"""Tensor grids on boxes and the trapezoid rule over them.
 
-Trapezoid and Gauss-Legendre rules over [-R, R]^d for smooth integrands with
-known Gaussian decay.  The tail_rate field records the decay exponent of the
-integrand and feeds an a priori bound on the mass outside the box, which
-callers use to refuse under-resolved requests.
+GridSpec is the package's one grid type: per-axis half-widths, a common
+point count per axis and the node budget.  The stencil grids, heat_apply's
+convolution, the semigroup composition box and the Fourier-inversion boxes
+all use it.  Integrands here are smooth with Gaussian decay, where the
+trapezoid rule converges spectrally; their decay rate describes the
+integrand, not the grid, so it is an argument of tail_bound, the a priori
+bound on the mass outside the box that callers use to refuse under-resolved
+requests.
 
 Reductions sum node values with numpy's pairwise summation in a fixed order,
 so repeated runs are bit-stable.
@@ -12,103 +16,107 @@ so repeated runs are bit-stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 NODE_BUDGET = 10**8
-RULES = ("trapezoid", "gauss_legendre")
 
 
 @dataclass(frozen=True)
-class QuadratureSpec:
-    """Box half-width and node count per axis, rule, and integrand decay rate."""
+class GridSpec:
+    """Tensor grid on a box: per-axis half-widths and a common point count."""
 
-    half_width: float
+    half_widths: tuple
     points: int
-    rule: str = "trapezoid"
-    tail_rate: float = 1.0
 
-    def __post_init__(self):
-        if self.points < 8:
-            raise ValueError(f"need at least 8 points per axis, got {self.points}")
-        if self.half_width <= 0.0:
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
-        if self.rule not in RULES:
-            raise ValueError(f"unknown rule {self.rule!r}, expected one of {RULES}")
-        if self.tail_rate <= 0.0:
-            raise ValueError(f"tail_rate must be positive, got {self.tail_rate}")
+    def __init__(self, half_widths, points: int):
+        hw = tuple(float(h) for h in np.atleast_1d(half_widths))
+        if not all(0.0 < h < np.inf for h in hw):
+            raise ValueError(f"half-widths must be positive and finite, got {hw}")
+        if points < 8:
+            raise ValueError(f"need at least 8 points per axis, got {points}")
+        if points ** len(hw) > NODE_BUDGET:
+            raise ValueError(f"{points}^{len(hw)} nodes exceeds the budget {NODE_BUDGET}")
+        object.__setattr__(self, "half_widths", hw)
+        object.__setattr__(self, "points", int(points))
+
+    @classmethod
+    def cube(cls, half_width: float, dim: int, points: int) -> "GridSpec":
+        return cls((half_width,) * dim, points)
+
+    @property
+    def dim(self) -> int:
+        return len(self.half_widths)
+
+    @property
+    def spacing(self) -> tuple:
+        return tuple(2.0 * h / (self.points - 1) for h in self.half_widths)
+
+    def axes(self) -> list:
+        return [np.linspace(-h, h, self.points) for h in self.half_widths]
+
+    def weights(self) -> list:
+        """Trapezoid weights per axis: the step x[1] - x[0] of its nodes, halved at the ends."""
+        out = [np.full(self.points, x[1] - x[0]) for x in self.axes()]
+        for w in out:
+            w[[0, -1]] *= 0.5
+        return out
+
+    def face_area(self) -> float:
+        """Total area of the box's 2 dim faces, 2 prod_k (2 R_k) sum_k 1 / (2 R_k)."""
+        sides = 2.0 * np.array(self.half_widths)
+        return float(2.0 * np.prod(sides) * np.sum(1.0 / sides))
+
+    def shape(self) -> tuple:
+        return (self.points,) * self.dim
+
+    def axis_coordinate(self, ax: int) -> np.ndarray:
+        """Axis coordinates shaped to broadcast along their own axis."""
+        shape = [1] * self.dim
+        shape[ax] = self.points
+        return self.axes()[ax].reshape(shape)
+
+    def flat_points(self) -> np.ndarray:
+        """All nodes in lexicographic order as an (N, dim) array."""
+        grids = np.meshgrid(*self.axes(), indexing="ij")
+        return np.stack([g.ravel() for g in grids], axis=-1)
 
 
-@lru_cache(maxsize=64)
-def _leggauss(points: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(points)
-
-
-def axis_nodes(spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the one-dimensional rule on [-R, R]."""
-    R = spec.half_width
-    if spec.rule == "trapezoid":
-        x = np.linspace(-R, R, spec.points)
-        h = x[1] - x[0]
-        w = np.full(spec.points, h)
-        w[0] = w[-1] = 0.5 * h
-        return x, w
-    x, w = _leggauss(spec.points)
-    return R * x, R * w.copy()
-
-
-def _node_count(spec: QuadratureSpec, d: int) -> int:
-    count = spec.points**d
-    if count > NODE_BUDGET:
-        raise ValueError(
-            f"{spec.points}^{d} = {count} nodes exceeds the budget {NODE_BUDGET}"
-        )
-    return count
-
-
-def tensor_nodes(spec: QuadratureSpec, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """All nodes of the tensor rule as an (N, d) array with their weights."""
-    _node_count(spec, d)
-    x, w = axis_nodes(spec)
-    grids = np.meshgrid(*([x] * d), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrids = np.meshgrid(*([w] * d), indexing="ij")
-    wts = np.ones(pts.shape[0])
-    for g in wgrids:
+def tensor_nodes(spec: GridSpec, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """All nodes of the tensor trapezoid rule as an (N, d) array with their
+    weights; ``d`` must be ``spec.dim``."""
+    if d != spec.dim:
+        raise ValueError(f"grid has {spec.dim} axes, expected {d}")
+    wts = np.ones(spec.points**d)
+    for g in np.meshgrid(*spec.weights(), indexing="ij"):
         wts *= g.ravel()
-    return pts, wts
+    return spec.flat_points(), wts
 
 
-def integrate(f, spec: QuadratureSpec, d: int) -> complex:
-    """Tensor rule applied to a vectorized integrand over [-R, R]^d.
+def integrate_with_estimate(f, spec: GridSpec, d: int, rate: float) -> tuple[complex, float]:
+    """Trapezoid integral of ``f`` over the box plus its tail bound.
 
-    ``f`` maps an (N, d) array of points to N complex values.
+    ``f`` maps an (N, d) array of points to N complex values; ``rate`` is its
+    Gaussian decay rate, and the tail bound is scaled by max |f| on the nodes.
     """
-    value, _ = integrate_with_estimate(f, spec, d)
-    return value
-
-
-def integrate_with_estimate(f, spec: QuadratureSpec, d: int) -> tuple[complex, float]:
-    """Integral value plus the a priori tail bound scaled by max |f| on nodes."""
     pts, wts = tensor_nodes(spec, d)
     vals = np.asarray(f(pts))
     if vals.shape != (pts.shape[0],):
-        raise ValueError(
-            f"integrand returned shape {vals.shape}, expected ({pts.shape[0]},)"
-        )
+        raise ValueError(f"integrand returned shape {vals.shape}, expected ({pts.shape[0]},)")
     value = complex(np.sum(wts * vals))
     scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-    return value, tail_bound(spec, scale, d=d)
+    return value, tail_bound(spec, rate, scale)
 
 
-def tail_bound(spec: QuadratureSpec, boundary_max: float, d: int = 2) -> float:
-    """Conservative mass bound outside the box for a tail_rate-decaying integrand.
+def tail_bound(spec: GridSpec, rate: float, boundary_max: float) -> float:
+    """Conservative mass bound outside the box for an integrand decaying like
+    exp(-rate |x|^2).
 
     ``boundary_max`` is the magnitude scale of the integrand (its overall
-    max); the bound is boundary_max * Vol(boundary) * exp(-tail_rate R^2)
-    with Vol(boundary) = 2 d (2R)^{d-1}.
+    max); the bound is boundary_max * spec.face_area() * exp(-rate R^2) with
+    R the smallest half-width.
     """
-    R = spec.half_width
-    area = 2.0 * d * (2.0 * R) ** (d - 1)
-    return boundary_max * area * np.exp(-spec.tail_rate * R * R)
+    if not rate > 0.0:
+        raise ValueError(f"decay rate must be positive, got {rate}")
+    R = min(spec.half_widths)
+    return boundary_max * spec.face_area() * np.exp(-rate * R * R)

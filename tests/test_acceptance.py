@@ -27,7 +27,6 @@ from quadheat import (
     GridFunction,
     GridSpec,
     KernelQuery,
-    QuadratureSpec,
     QuadricForm,
     SpectralData,
     UTildeParams,
@@ -232,7 +231,7 @@ def test_criterion_5_semigroup_twisted_convolution():
     tol, control = 1e-5, 1e-2
     Q = heisenberg(1)
     S = decompose_form(Q, [1.0])
-    quad = QuadratureSpec(half_width=6.0, points=400, tail_rate=1.0)
+    quad = GridSpec.cube(6.0, 2, 400)
     pairs = [
         (np.array([0.3 + 0.1j]), np.array([-0.2 + 0.5j])),
         (np.array([-0.4 + 0.25j]), np.array([0.1 - 0.3j])),

@@ -46,7 +46,7 @@ def test_traced_heat_apply_counts_every_output_point(tmp_path):
         "out_points": [[[0.0, 0.0]], [[0.2, -0.1]]]}))
     verify = tmp_path / "verify.json"
     verify.write_text(json.dumps({"quadric": heis, "lambda": [1.0], "L": [1],
-                                  "checks": ["initial_condition"]}))
+                                  "checks": ["initial_condition", "semigroup"]}))
     traced_main = tracer.install(0)
     try:
         assert traced_main(["evolve", "--config", str(evolve), "--out", str(tmp_path / "e.csv")]) == 0
@@ -55,3 +55,5 @@ def test_traced_heat_apply_counts_every_output_point(tmp_path):
         tracer.uninstall()
     # evolve: 2 times x 2 points; the initial_condition check: 3 times x 1 point
     assert tracer.counts["boxop.heat_apply.out_points"] == 2 * 2 + 3
+    # the semigroup check's one tensor_nodes(spec, d) call on its 400 x 400 box
+    assert tracer.counts["quadrature.nodes"] == 400**2

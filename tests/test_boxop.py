@@ -7,7 +7,6 @@ from quadheat import (
     GridFunction,
     GridSpec,
     NumericsError,
-    QuadratureSpec,
     QuadricForm,
     apply_box_ll_lambda,
     decompose_form,
@@ -298,7 +297,7 @@ class TestHeatApplyFactorised:
 
 
 class TestSemigroupCheck:
-    QUAD = QuadratureSpec(half_width=6.0, points=400, tail_rate=1.0)
+    QUAD = GridSpec.cube(6.0, 2, 400)
 
     def test_heisenberg_composition(self, heis_q, heis_spectral):
         err = semigroup_check(0.4, 0.4, [0.3 + 0.1j], [-0.2 + 0.5j], heis_q,

@@ -588,6 +588,7 @@ class TestJsonTypes:
         ("L", ["1"], "L"),
         ("points", [[["0.1", 0.0]]], "points[0]"),
         ("points", [[[True, 0.0]]], "points[0]"),
+        ("points", [[[0.0, 0.0]], [[0.1]]], "points[1]"),
     ])
     def test_string_or_bool_number_names_its_field(self, tmp_path, capsys, field, value, name):
         path, _ = write_config(tmp_path, **{"points": [[[0.3, -0.1]]], field: value})
@@ -821,3 +822,46 @@ class TestGridPoints:
         out = tmp_path / "scan.csv"
         assert main(["scan", "--config", path, "--out", str(out)]) == 0
         assert len(data_rows(out)) == 81
+
+
+def _evolve_fields(**overrides):
+    cfg = {"initial": "exp(-(x1^2+y1^2))", "out_points": [[[0.0, 0.0]]],
+           "grid": {"half_widths": [3.0, 3.0], "points": 21}}
+    cfg.update(overrides)
+    return cfg
+
+
+class TestIllShapedFields:
+    """Config values of the wrong JSON shape exit 2 naming their field, not with a traceback."""
+
+    @pytest.mark.parametrize("command,fields,name", [
+        ("eval", {"points": 5}, "config field 'points'"),
+        ("evolve", _evolve_fields(out_points=5), "config field 'out_points'"),
+        ("verify", {"checks": ["euclidean"], "debug": 5}, "config field 'debug'"),
+        ("verify", {"checks": ["semigroup"], "debug": {"phase_sign": "x"}},
+         "config field 'debug.phase_sign'"),
+        ("evolve", _evolve_fields(initial=5), "config field 'initial'"),
+        ("eval", None, "config must be a JSON object"),
+    ], ids=["eval_points", "evolve_out_points", "debug", "debug_phase_sign", "initial",
+            "top_level_list"])
+    def test_names_its_field(self, tmp_path, capsys, command, fields, name):
+        path, cfg = write_config(tmp_path, **(fields or {}))
+        if fields is None:  # the whole config as a JSON list
+            (tmp_path / "cfg.json").write_text(json.dumps([cfg]))
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("expr", [
+        "(" * 200 + "x1" + ")" * 200,    # fails while parsing
+        "-" * 1000 + "x1",               # fails while parsing
+        "+".join(["x1"] * 1500),         # fails while evaluating
+    ], ids=["parentheses", "unary_minus", "long_sum"])
+    def test_deep_initial_expression_names_initial(self, tmp_path, capsys, expr):
+        # deeper than Python's recursion limit
+        path, _ = write_config(tmp_path, **_evolve_fields(initial=expr))
+        out = tmp_path / "evo.csv"
+        assert main(["evolve", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config field 'initial'" in err and "too deeply" in err and not out.exists()

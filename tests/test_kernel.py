@@ -7,15 +7,16 @@ from hypothesis import strategies as st
 
 from quadheat import (
     FormIndex,
+    GridSpec,
     KernelQuery,
     NumericsError,
-    QuadratureSpec,
     QuadricForm,
     SpectralData,
     decompose_form,
     epsilon,
     heisenberg,
     inversion_quadspec,
+    inversion_rate,
     log_mu_sinh_factor,
     mu_coth,
     rho_hat,
@@ -294,12 +295,13 @@ class TestInversionOracle:
         spec = inversion_quadspec(0.3, S, tol=1e-6)
         Sj = math.exp(-2 * 0.5 * 0.3)
         rate = 0.5 * ((1 - Sj**2) / (1 + Sj**2)) / (4 * 0.5)
-        assert spec.tail_rate == pytest.approx(rate)
-        assert math.exp(-rate * spec.half_width**2) <= 1e-3 * 1e-6 * 1.0001
+        assert inversion_rate(0.3, S, 0) == pytest.approx(rate)
+        assert spec.dim == 2 and spec.half_widths[0] == spec.half_widths[1]
+        assert math.exp(-rate * spec.half_widths[0] ** 2) <= 1e-3 * 1e-6 * 1.0001
 
     def test_under_resolved_request_refused(self, heis_q):
         S = decompose_form(heis_q, [0.5])
-        tiny = QuadratureSpec(half_width=3.0, points=64, tail_rate=0.036)
+        tiny = GridSpec.cube(3.0, 2, 64)
         with pytest.raises(NumericsError, match="tail"):
             rho_via_inversion(0.3, [0.0], [0.0], None, S, L_IN, quad=tiny)
 
@@ -383,11 +385,11 @@ class TestFactorisedInversion:
         assert 0.0 < budget <= 1e-6 and all(0.0 < t for t in tails)
         # each direction gets its own box from its own |mu_j|
         boxes = [inversion_quadspec(0.3, S, direction=j) for j in range(2)]
-        assert boxes[1].half_width < boxes[0].half_width
+        assert boxes[1].half_widths[0] < boxes[0].half_widths[0]
 
     def test_quad_override_applies_to_every_direction(self):
         S = _inversion_geometries()[2][1]
-        tiny = QuadratureSpec(half_width=3.0, points=64, tail_rate=0.036)
+        tiny = GridSpec.cube(3.0, 2, 64)
         with pytest.raises(NumericsError, match="tail"):
             rho_via_inversion(0.3, [0.0, 0.0], [0.0, 0.0], None, S, FormIndex([1]), quad=tiny)
 

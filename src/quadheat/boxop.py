@@ -85,8 +85,8 @@ class GridFunction:
             i = int(np.argmin(ok.all(axis=1)))
             raise ValueError(f"{path} line {i + 2}: coordinates {data[i, :dim].tolist()} "
                              f"are not the grid node {nodes[i].tolist()}")
-        vals = (data[:, -2] + 1j * data[:, -1]).reshape(spec.shape())
-        return cls(spec, vals)
+        re, im = data[:, -2], data[:, -1]  # an all-zero im column loads as a real field
+        return cls(spec, (re + 1j * im if im.any() else re.copy()).reshape(spec.shape()))
 
 
 def write_atomic(path: str, chunks) -> None:
@@ -136,10 +136,16 @@ def _directions(spec: GridSpec) -> list:
 def sample_on_grid(f, spec: GridSpec, S: SpectralData) -> GridFunction:
     """Data ``f`` at every node c of an adapted grid, taken at the point z = V c.
 
-    ``f`` maps a (..., n) complex array of points to values of shape (...).
+    ``f(x1, y1, ..., xn, yn)`` gets the real and imaginary parts of z, in the
+    grid's axis order, as 2n real arrays that broadcast to the grid shape; its
+    result is broadcast to the grid shape.  Each coordinate is a sum over j of
+    Re or Im of V[k, j] (x_j + i y_j), one P x P term per direction, so the
+    only N-sized arrays are the 2n coordinates and whatever ``f`` makes.
     """
-    c = np.stack(np.broadcast_arrays(*_directions(spec)), axis=-1)
-    return GridFunction(spec, np.asarray(f(c @ S.V.T)))
+    dirs = _directions(spec)
+    xy = [reduce(np.add, [part(v * c) for v, c in zip(row, dirs)])
+          for row in S.V for part in (np.real, np.imag)]
+    return GridFunction(spec, np.broadcast_to(f(*xy), spec.shape()))
 
 
 def _log_rho_terms(s: float, spec: GridSpec, S: SpectralData, L: FormIndex) -> list:
@@ -247,7 +253,8 @@ def heat_apply(
     lambda . Im phi(z, V w) in the eigenbasis, so ``S`` carries the form.
     Per output point, one P x P factor per direction (times its axes'
     trapezoid weights) is contracted with ``f``: O(N) time and no N-sized
-    temporary beyond one complex copy of ``f``.  Raises NumericsError when
+    temporary: a real ``f`` takes its first contraction as two real products,
+    so it is never copied to complex.  Raises NumericsError when
     the boundary values of kernel x data suggest mass outside the grid above
     ``tail_tol``.
     """
@@ -265,7 +272,7 @@ def heat_apply(
     weights = [np.outer(axw[2 * j], axw[2 * j + 1]) for j in range(n)]
     faces = [(slice(None),) * ax + (end,) for ax in range(dim)
              for end in (slice(0, 1), slice(-1, None))]
-    v = np.asarray(f.values, dtype=complex)
+    v = f.values
     out = []
     for z in out_points:
         c = S.V.conj().T @ np.asarray(z, dtype=complex).reshape(-1)
@@ -279,7 +286,9 @@ def heat_apply(
         acc = v  # contract direction j against the leading axes (2j, 2j + 1)
         for j in range(n):
             phase = np.exp(-2j * mu[j] * (np.conj(nodes[j]) * c[j]).imag)
-            acc = np.tensordot((mods[j] * phase).squeeze() * weights[j], acc, 2)
+            k = (mods[j] * phase).squeeze() * weights[j]
+            acc = (np.tensordot(k, acc, 2) if np.iscomplexobj(acc)
+                   else np.tensordot(k.real, acc, 2) + 1j * np.tensordot(k.imag, acc, 2))
         out.append(complex(pref * acc))
     return out
 
@@ -316,7 +325,7 @@ def initial_condition_check(
 ) -> list:
     """Errors |H{f}(s, 0) - f(0)| along a decreasing list of times.
 
-    ``f`` maps a (..., n) complex array of points to values of shape (...)
+    ``f(x1, y1, ..., xn, yn)`` takes real coordinates as in sample_on_grid
     and must have Gaussian decay.  Grids refine as s shrinks (points ~
     s^-growth) so the kernel stays resolved; with well-chosen parameters the
     errors decrease monotonically along the list.
@@ -325,7 +334,7 @@ def initial_condition_check(
     s_ref = float(s_list[0])
     errors = []
     origin = np.zeros(n, dtype=complex)
-    f0 = complex(np.asarray(f(origin[None, :])).ravel()[0])
+    f0 = complex(np.ravel(f(*np.zeros(2 * n)))[0])
     for s in s_list:
         pts_per_axis = int(np.ceil(base_points * (s_ref / float(s)) ** growth))
         pts_per_axis = max(base_points, pts_per_axis)

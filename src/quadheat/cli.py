@@ -206,25 +206,22 @@ class _Parser:
 
 
 def parse_initial_expression(text: str, n: int):
-    """Compile an initial-data expression over x1..xn, y1..yn.
+    """Compile an initial-data expression over x1, y1, ..., xn, yn.
 
-    Returns a callable mapping an (N, n) complex array of points to N values.
+    Returns a callable ``f(x1, y1, ..., xn, yn)`` of 2n real arrays, the
+    contract of boxop.sample_on_grid, whose result has their broadcast shape
+    (a constant stays a scalar).
     """
-    variables = {f"x{j + 1}" for j in range(n)} | {f"y{j + 1}" for j in range(n)}
-    parser = _Parser(text, variables)
+    names = [f"{a}{j + 1}" for j in range(n) for a in "xy"]
+    parser = _Parser(text, set(names))
     try:
         fn = parser.parse()
     except RecursionError:
         raise ExprError("expression nests too deeply", parser.peek()[2]) from None
 
-    def evaluate(Z):
-        Z = np.asarray(Z, dtype=complex)
-        env = {}
-        for j in range(n):
-            env[f"x{j + 1}"] = Z[..., j].real
-            env[f"y{j + 1}"] = Z[..., j].imag
+    def evaluate(*xy):
         try:
-            return fn(env) * np.ones(Z.shape[:-1])
+            return fn(dict(zip(names, xy, strict=True)))
         except RecursionError:
             raise ExprError("expression nests too deeply to evaluate", 0) from None
 
@@ -242,6 +239,7 @@ class JobConfig:
     L: FormIndex
     s_values: list
     raw: dict
+    path: str
     spectral: SpectralData = field(init=False)
 
     def __post_init__(self):
@@ -278,6 +276,11 @@ def _parse_points(obj, n: int, name: str) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+def _config_relative(config_path: str, path: str) -> str:
+    """``path`` named in a config, relative to the config file's directory (absolute: as is)."""
+    return os.path.join(os.path.dirname(os.path.abspath(config_path)), path)
+
+
 def load_config(path: str) -> JobConfig:
     """Parse and validate the job config, raising ValueError with field names."""
     try:
@@ -298,9 +301,7 @@ def load_config(path: str) -> JobConfig:
     else:
         try:
             if isinstance(qspec, str):
-                base = os.path.dirname(os.path.abspath(path))
-                qpath = qspec if os.path.isabs(qspec) else os.path.join(base, qspec)
-                with open(qpath, "r", encoding="utf-8") as fh:
+                with open(_config_relative(path, qspec), "r", encoding="utf-8") as fh:
                     qspec = json.load(fh)
             quadric = QuadricForm.from_json(qspec)
         except (ValueError, OSError, json.JSONDecodeError) as exc:
@@ -338,7 +339,7 @@ def load_config(path: str) -> JobConfig:
 
     if errors:
         raise ValueError("; ".join(errors))
-    return JobConfig(quadric=quadric, lam=lam, L=form, s_values=s_values, raw=raw)
+    return JobConfig(quadric=quadric, lam=lam, L=form, s_values=s_values, raw=raw, path=path)
 
 
 def config_digest(raw: dict) -> str:
@@ -469,7 +470,7 @@ def cmd_evolve(cfg: JobConfig, out_path: str | None, threads: int) -> int:
             raise ValueError(f"config field 'initial': {exc}") from exc
     else:
         try:
-            gf = GridFunction.load_csv(csv_path, spec)
+            gf = GridFunction.load_csv(_config_relative(cfg.path, csv_path), spec)
         except (OSError, ValueError) as exc:
             raise ValueError(f"config field 'initial_csv': {exc}") from exc
     bad = int(np.count_nonzero(~np.isfinite(gf.values)))
@@ -559,10 +560,7 @@ def _check_semigroup(cfg: JobConfig, tol: float) -> tuple:
 def _check_initial_condition(cfg: JobConfig, tol: float) -> tuple:
     if cfg.quadric.n > 1:
         raise NumericsError("initial_condition check runs on n = 1 geometries")
-
-    def f(Z):
-        return np.exp(-np.sum(np.abs(Z) ** 2, axis=-1))
-
+    f = parse_initial_expression("exp(-(x1^2 + y1^2))", 1)
     errs = initial_condition_check(f, [0.1, 0.01, 0.001], cfg.spectral, cfg.L)
     if not all(a > b for a, b in zip(errs, errs[1:])):
         raise NumericsError(f"initial-condition errors not decreasing: {errs}")

@@ -255,8 +255,8 @@ def test_criterion_6_initial_condition():
     Q = heisenberg(1)
     S = decompose_form(Q, [1.0])
 
-    def f(Z):
-        return np.exp(-np.sum(np.abs(Z) ** 2, axis=-1))
+    def f(*xy):
+        return np.exp(-sum(a**2 for a in xy))
 
     errs = initial_condition_check(f, [0.1, 0.01, 0.001], S, L_IN)
     decreasing = all(a > b for a, b in zip(errs, errs[1:]))

@@ -57,3 +57,13 @@ def test_traced_heat_apply_counts_every_output_point(tmp_path):
     assert tracer.counts["boxop.heat_apply.out_points"] == 2 * 2 + 3
     # the semigroup check's one tensor_nodes(spec, d) call on its 400 x 400 box
     assert tracer.counts["quadrature.nodes"] == 400**2
+
+
+def test_evolve_n2_job_passes_its_closed_form_check(tmp_path, capsys):
+    # The benchmark's evolve-n2 job (33^4 nodes, two times x two points),
+    # checked against its closed form, so a sampling or contraction fault
+    # fails here too.
+    job = load_perfbench("workloads")["EvolveN2"](20261018, tmp_path).evolve_job(times=2)
+    rc = main(job.argv)
+    result = job.check(rc, capsys.readouterr().err)
+    assert result.status == "ok", result.message

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import random_hermitian_quadric
@@ -18,7 +20,8 @@ from quadheat import (
     weighted_heat_kernel,
     weighted_heat_kernel_batch,
 )
-from quadheat.boxop import write_atomic
+from quadheat.boxop import sample_on_grid, write_atomic
+from quadheat.cli import parse_initial_expression
 
 L_IN = FormIndex([1])
 L_OUT = FormIndex([])
@@ -296,6 +299,92 @@ class TestHeatApplyFactorised:
                 assert np.isfinite(heat_apply(gf, 1.0, S, L_IN, origin)[0])
 
 
+def _geometry(kind):
+    """Heisenberg n = 1, the n = 2 geometries of _n2_geometry, or a rank-1 n = 3 v v^H."""
+    if kind == "heisenberg":
+        return decompose_form(QuadricForm(1, 1, [np.eye(1)]), [1.0])
+    if kind == "rank1_n3":
+        rng = np.random.default_rng(20240816)
+        v = rng.normal(size=3) + 1j * rng.normal(size=3)
+        v /= np.linalg.norm(v)
+        return decompose_form(QuadricForm(3, 1, [np.outer(v, v.conj())]), [1.0])
+    return _n2_geometry(kind)[1]
+
+
+class TestSampleOnGrid:
+    """sample_on_grid passes f the real coordinates of z = V c."""
+
+    @pytest.mark.parametrize("kind,points", [("heisenberg", 21), ("full_rank", 9),
+                                             ("rank1_n3", 8)])
+    def test_coordinates_are_v_times_c(self, kind, points):
+        S = _geometry(kind)
+        spec = GridSpec.cube(3.0, 2 * S.n, points)
+        seen = []
+        sample_on_grid(lambda *xy: seen.extend(xy) or 0.0, spec, S)
+        # z = V c by a stack of the complex nodes times V^T, built independently
+        c = np.stack(np.broadcast_arrays(*[
+            spec.axis_coordinate(2 * j) + 1j * spec.axis_coordinate(2 * j + 1)
+            for j in range(S.n)]), axis=-1)
+        z = c @ S.V.T
+        assert len(seen) == 2 * S.n
+        for k in range(S.n):
+            bound = 1e-14 * (1.0 + np.abs(z[..., k]))
+            for got, want in ((seen[2 * k], z[..., k].real), (seen[2 * k + 1], z[..., k].imag)):
+                assert np.all(np.abs(np.broadcast_to(got, spec.shape()) - want) <= bound)
+
+    def test_constant_fills_the_grid(self):
+        spec = GridSpec.cube(1.0, 4, 9)
+        gf = sample_on_grid(parse_initial_expression("3.5", 2), spec, _geometry("full_rank"))
+        assert gf.values.shape == spec.shape()
+        assert np.all(gf.values == 3.5)
+
+    def test_memory_per_node(self):
+        # 80 B/node with an (N, n) complex stack and matmul; 48 with 2n real
+        # coordinates and the expression's own temporaries.
+        spec = GridSpec.cube(4.0, 4, 17)
+        f = parse_initial_expression("exp(-(x1^2+y1^2+x2^2+y2^2))", 2)
+        peak, gf = _traced_peak(lambda: sample_on_grid(f, spec, _geometry("full_rank")))
+        assert np.isrealobj(gf.values)
+        assert peak <= 64 * gf.values.size
+
+
+def _traced_peak(fn):
+    """Peak bytes traced while ``fn()`` runs, above what was held before, and its result."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn()
+        return tracemalloc.get_traced_memory()[1] - before, out
+    finally:
+        tracemalloc.stop()
+
+
+class TestRealFieldHeatApply:
+    OUT = TestHeatApplyFactorised.OUT
+
+    def test_matches_complex_cast(self):
+        S = _geometry("full_rank")
+        spec = GridSpec.cube(4.0, 4, 15)
+        x1, y1, x2, y2 = (spec.axis_coordinate(k) for k in range(4))
+        f = (np.exp(-0.5 * (x1**2 + y1**2 + x2**2 + y2**2))
+             * (1.0 + 0.3 * x1 - 0.2 * y2 + 0.1 * x2 * y1))
+        got = heat_apply(GridFunction(spec, f), 0.5, S, L_IN, self.OUT)
+        want = heat_apply(GridFunction(spec, f.astype(complex)), 0.5, S, L_IN, self.OUT)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-13 * abs(w)
+
+    def test_memory_per_node(self):
+        # 18.2 B/node when the field is cast to complex on every call; 2.2
+        # when the first contraction takes two real products.
+        S = _geometry("full_rank")
+        spec = GridSpec.cube(4.0, 4, 17)
+        x1, y1, x2, y2 = (spec.axis_coordinate(k) for k in range(4))
+        gf = GridFunction(spec, np.exp(-(x1**2 + y1**2 + x2**2 + y2**2)))
+        peak, _ = _traced_peak(lambda: heat_apply(gf, 0.5, S, L_IN, self.OUT))
+        assert peak <= 6 * gf.values.size
+
+
 class TestSemigroupCheck:
     QUAD = GridSpec.cube(6.0, 2, 400)
 
@@ -318,8 +407,8 @@ class TestSemigroupCheck:
 
 class TestInitialCondition:
     def test_errors_decrease(self, heis_q, heis_spectral):
-        def f(Z):
-            return np.exp(-np.sum(np.abs(Z) ** 2, axis=-1))
+        def f(*xy):
+            return np.exp(-sum(a**2 for a in xy))
 
         errs = initial_condition_check(f, [0.1, 0.01, 0.001], heis_spectral,
                                        L_IN)
@@ -327,8 +416,8 @@ class TestInitialCondition:
         assert errs[-1] <= 5e-3
 
     def test_zero_data_exact(self, heis_q, heis_spectral):
-        def f(Z):
-            return np.zeros(Z.shape[:-1])
+        def f(*xy):
+            return np.zeros_like(xy[0])
 
         errs = initial_condition_check(f, [0.1, 0.01], heis_spectral, L_IN)
         assert errs == [0.0, 0.0]
@@ -336,8 +425,8 @@ class TestInitialCondition:
     def test_gaussian_weight_is_stationary(self, heis_q, heis_spectral):
         # exp(-|z|^2) is annihilated by the evolution generator at lambda = 1,
         # L = {1}: the evolved value at the origin equals 1 for every s
-        def f(Z):
-            return np.exp(-np.sum(np.abs(Z) ** 2, axis=-1))
+        def f(*xy):
+            return np.exp(-sum(a**2 for a in xy))
 
         errs = initial_condition_check(f, [0.5], heis_spectral, L_IN,
                                        base_points=401, box_half_width=4.0)

@@ -52,25 +52,25 @@ def write_config(tmp_path, name="cfg.json", **overrides):
 class TestExpressionGrammar:
     def test_basic_arithmetic(self):
         f = parse_initial_expression("2*x1^2 - y1/4 + 1", 1)
-        Z = np.array([[1.5 + 2.0j]])
-        assert f(Z)[0] == pytest.approx(2 * 1.5**2 - 2.0 / 4 + 1)
+        assert f(np.array([1.5]), np.array([2.0]))[0] == pytest.approx(2 * 1.5**2 - 2.0 / 4 + 1)
 
     def test_exp_and_nesting(self):
         f = parse_initial_expression("exp(-(x1^2 + y1^2))", 1)
-        Z = np.array([[0.3 - 0.4j]])
-        assert f(Z)[0] == pytest.approx(np.exp(-0.25))
+        assert f(np.array([0.3]), np.array([-0.4]))[0] == pytest.approx(np.exp(-0.25))
 
     def test_unary_minus_binds_outside_power(self):
         f = parse_initial_expression("-x1^2", 1)
-        assert f(np.array([[2.0 + 0j]]))[0] == -4.0
+        assert f(np.array([2.0]), np.array([0.0]))[0] == -4.0
 
     def test_right_associative_power(self):
         f = parse_initial_expression("x1^3^2", 1)
-        assert f(np.array([[2.0 + 0j]]))[0] == 2.0**9
+        assert f(np.array([2.0]), np.array([0.0]))[0] == 2.0**9
 
     def test_constant_expression_broadcasts(self):
+        # The parser returns the scalar; sample_on_grid broadcasts it to the grid
+        # (tests/test_boxop.py::TestSampleOnGrid::test_constant_fills_the_grid).
         f = parse_initial_expression("3.5", 2)
-        assert list(f(np.zeros((4, 2), dtype=complex))) == [3.5] * 4
+        assert f(*np.zeros((4, 4))) == 3.5
 
     def test_unknown_identifier_position(self):
         with pytest.raises(ExprError) as err:
@@ -91,8 +91,7 @@ class TestExpressionGrammar:
 
     def test_second_dimension_variables(self):
         f = parse_initial_expression("x2*y1", 2)
-        Z = np.array([[1.0 + 2.0j, 3.0 + 4.0j]])
-        assert f(Z)[0] == pytest.approx(3.0 * 2.0)
+        assert f(*np.array([[1.0], [2.0], [3.0], [4.0]]))[0] == pytest.approx(3.0 * 2.0)
 
 
 class TestEval:
@@ -495,6 +494,17 @@ class TestConfigEdgeCases:
         qpath.write_text(json.dumps(HEIS))
         path, _ = write_config(tmp_path, quadric="quadric.json", points=[[[0.0, 0.0]]])
         assert main(["eval", "--config", path]) == 0
+
+    def test_paths_resolve_beside_the_config(self, tmp_path, monkeypatch):
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        (sub / "q.json").write_text(json.dumps(HEIS))
+        spec = GridSpec([3.0, 3.0], 21)
+        GridFunction(spec, np.zeros(spec.shape())).save_csv(str(sub / "init.csv"))
+        write_config(sub, name="e.json", quadric="q.json", initial_csv="init.csv",
+                     grid={"half_widths": [3.0, 3.0], "points": 21}, out_points=[[[0.0, 0.0]]])
+        monkeypatch.chdir(tmp_path)
+        assert main(["evolve", "--config", "sub/e.json", "--out", "e.csv"]) == 0
 
     def test_nonexistent_config(self, capsys):
         assert main(["eval", "--config", "/nonexistent/cfg.json"]) == 2

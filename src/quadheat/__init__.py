@@ -23,7 +23,6 @@ from .hermite import (
     UTildeParams,
     mehler_closed,
     psi,
-    psi_scaled,
     u_tilde_closed,
     u_tilde_series,
 )
@@ -42,15 +41,7 @@ from .kernel import (
     weighted_heat_kernel_batch,
 )
 from .quadrature import GridSpec, integrate_with_estimate, tail_bound
-from .quadric import (
-    GroupElement,
-    QuadricForm,
-    group_inverse,
-    group_mul,
-    heisenberg,
-    phi_eval,
-    phi_lambda_matrix,
-)
+from .quadric import QuadricForm, heisenberg, phi_lambda_matrix
 from .spectral import SpectralData, decompose_form, eigendecompose, rank_nu
 
 __version__ = "0.1.0"

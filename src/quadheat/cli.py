@@ -22,7 +22,6 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,9 +40,8 @@ from .boxop import (
 from .errors import NumericsError
 from .forms import FormIndex, epsilon
 from .hermite import UTildeParams, default_series_terms, u_tilde_closed, u_tilde_series
-# weighted_heat_kernel stays in this namespace for callers that instrument it.
+# rho_hat and weighted_heat_kernel stay in this namespace for callers that instrument them.
 from .kernel import (  # noqa: F401
-    KernelQuery,
     log_rho_hat,
     rho_hat,
     rho_hat_adapted,
@@ -376,10 +374,13 @@ def cmd_eval(cfg: JobConfig, out_path: str | None) -> int:
     heads = [f'{_json_field("point", _pairs(z))}, {job}, "value": [' for z in P]
     tail = "}" if zt is None else f', {_json_field("point_tilde", _pairs(zt))}}}'
     lines = []
+    # log10_abs of an underflowed value comes from log rho_hat, times (2 pi)^{m/2} with zt
+    log_norm = 0.0 if zt is None else 0.5 * S.m * np.log(2.0 * np.pi)
     with np.errstate(all="ignore"):  # a non-finite value is reported below
+        c = (P if zt is None else P - zt) @ np.conj(S.V)
         for s in cfg.s_values:
             if zt is None:
-                vals = rho_hat_adapted(s, P @ np.conj(S.V), S, cfg.L).astype(complex)
+                vals = rho_hat_adapted(s, c, S, cfg.L).astype(complex)
             else:
                 vals = weighted_heat_kernel_batch(s, P, zt, cfg.quadric, S, cfg.L)
             bad = np.flatnonzero(~np.isfinite(vals))
@@ -387,9 +388,14 @@ def cmd_eval(cfg: JobConfig, out_path: str | None) -> int:
                 i = int(bad[0])
                 raise NumericsError(f"kernel value {complex(vals[i])} at s={s!r}, "
                                     f"points[{i}] is not finite")
-            logs = np.log10(np.abs(vals)).tolist()
-            for head, v, lg in zip(heads, vals.tolist(), logs):
-                log = "null" if v == 0 else repr(lg)
+            logs = np.log10(np.abs(vals))
+            under = vals == 0
+            if under.any():
+                cu = c[under]
+                logs[under] = (log_rho_hat(s, cu.real**2 + cu.imag**2, S, cfg.L)
+                               + log_norm) / np.log(10.0)
+            for head, v, lg in zip(heads, vals.tolist(), logs.tolist()):
+                log = "null" if lg == -np.inf else repr(lg)  # only when |c|^2 overflowed
                 lines.append(f'{{"s": {s!r}, {head}{v.real!r}, {v.imag!r}], '
                              f'"log10_abs": {log}{tail}')
     text = "\n".join(lines) + "\n"
@@ -443,7 +449,7 @@ def cmd_scan(cfg: JobConfig, out_path: str | None) -> int:
     return EXIT_OK
 
 
-def cmd_evolve(cfg: JobConfig, out_path: str | None, threads: int) -> int:
+def cmd_evolve(cfg: JobConfig, out_path: str | None) -> int:
     if out_path is None:
         raise ValueError("evolve requires --out PATH for its CSV output")
     n = cfg.quadric.n
@@ -477,15 +483,7 @@ def cmd_evolve(cfg: JobConfig, out_path: str | None, threads: int) -> int:
     if bad:
         raise ValueError(f"config field '{source}': initial data is not finite at "
                          f"{bad} of {gf.values.size} grid nodes")
-
-    def one_s(s):
-        return heat_apply(gf, s, S, cfg.L, out_points=out_points)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_s, cfg.s_values))
-    else:
-        results = [one_s(s) for s in cfg.s_values]
+    results = [heat_apply(gf, s, S, cfg.L, out_points=out_points) for s in cfg.s_values]
     lines = [
         f"# config_sha256={config_digest(cfg.raw)}",
         "s,point_index,re,im",
@@ -575,7 +573,7 @@ def _check_euclidean(cfg: JobConfig, tol: float) -> tuple:
     for _ in range(200):
         s = float(rng.uniform(0.3, 3.0))
         z = rng.normal(size=n) + 1j * rng.normal(size=n)
-        got = rho_hat(KernelQuery(s, z, S0, cfg.L))
+        got = float(rho_hat_adapted(s, z @ np.conj(S0.V), S0, cfg.L))
         want = (
             2.0**n
             * (2.0 * np.pi) ** (-(0.5 * m + n))
@@ -590,20 +588,17 @@ def _check_evenness(cfg: JobConfig, tol: float) -> tuple:
     rng = np.random.default_rng(20240812)
     S = cfg.spectral
     worst = 0.0
+    j = np.arange(S.n)
     for _ in range(100):
         s = float(rng.uniform(0.2, 2.0))
         z = rng.normal(size=S.n) + 1j * rng.normal(size=S.n)
-        base = rho_hat(KernelQuery(s, z, S, cfg.L))
         c = S.V.conj().T @ z
-        for j in range(S.n):
-            # x_j -> -x_j and y_j -> -y_j sign flips in adapted coordinates
-            for flip in (-np.conj(c[j]), np.conj(c[j])):
-                c2 = c.copy()
-                c2[j] = flip
-                other = rho_hat(KernelQuery(s, S.V @ c2, S, cfg.L))
-                worst = max(worst, abs(other - base) / base)
-        neg = rho_hat(KernelQuery(s, -z, S, cfg.L))
-        worst = max(worst, abs(neg - base) / base)
+        # x_j -> -x_j and y_j -> -y_j sign flips in adapted coordinates, mapped back to z
+        flips = np.tile(c, (2 * S.n, 1))
+        flips[2 * j, j], flips[2 * j + 1, j] = -np.conj(c), np.conj(c)
+        Z = np.vstack([z, flips @ S.V.T, -z])
+        vals = rho_hat_adapted(s, Z @ np.conj(S.V), S, cfg.L)
+        worst = max(worst, float(np.max(np.abs(vals[1:] - vals[0]) / vals[0])))
     return worst, ""
 
 
@@ -684,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to the JSON job config")
     parser.add_argument("--out", default=None, help="output file path")
     parser.add_argument("--threads", type=int, default=1,
-                        help="evolve's parallelism cap, at most the CPU count; scan ignores it")
+                        help="accepted and checked to be at least 1; has no effect")
     parser.add_argument("--tol", type=float, default=None,
                         help="override every verification tolerance")
     return parser
@@ -698,7 +693,6 @@ def main(argv=None) -> int:
     if args.tol is not None and not 0.0 < args.tol < float("inf"):
         sys.stderr.write(f"error: --tol must be a positive finite number, got {args.tol}\n")
         return EXIT_INVALID
-    threads = min(args.threads, os.cpu_count() or 1)
     try:
         cfg = load_config(args.config)
         if args.command == "eval":
@@ -706,7 +700,7 @@ def main(argv=None) -> int:
         if args.command == "scan":
             return cmd_scan(cfg, args.out)
         if args.command == "evolve":
-            return cmd_evolve(cfg, args.out, threads)
+            return cmd_evolve(cfg, args.out)
         return cmd_verify(cfg, args.out, args.tol)
     except (ValueError, ExprError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -47,13 +47,6 @@ def psi(l: int, x):
     return p if p.shape else float(p)
 
 
-def psi_scaled(l: int, mu_abs: float, xi):
-    """psi_l(sqrt(mu_abs) xi) * mu_abs^{1/4}; unit L2 norm in xi for mu_abs > 0."""
-    if mu_abs <= 0.0:
-        raise ValueError(f"mu_abs must be positive, got {mu_abs}")
-    return psi(l, np.sqrt(mu_abs) * np.asarray(xi, dtype=float)) * mu_abs**0.25
-
-
 def mehler_closed(w, x, y):
     """Closed form of sum_l w^l psi_l(x) psi_l(y) for |w| < 1.
 

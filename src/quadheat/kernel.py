@@ -54,8 +54,6 @@ class KernelQuery:
     z: np.ndarray
     spectral: SpectralData
     L: FormIndex
-    eta: np.ndarray | None = None
-    zt: np.ndarray | None = None
 
     def __post_init__(self):
         if self.s <= 0.0:
@@ -146,8 +144,6 @@ def rho_hat(q: KernelQuery) -> float:
 
     Strictly positive; Gaussian decay in every adapted direction.
     """
-    if q.eta is not None or q.zt is not None:
-        raise ValueError("rho_hat takes a plain one-point query (no eta, no zt)")
     c = q.spectral.V.conj().T @ q.z
     return float(rho_hat_adapted(q.s, c, q.spectral, q.L))
 

@@ -1,11 +1,9 @@
-"""Vector-valued Hermitian forms and the group structure they induce.
+"""Vector-valued Hermitian forms.
 
 A quadric geometry is described by m Hermitian n x n matrices ``A_k``.  The
 form ``phi(z, w) = (w^H A_1 z, ..., w^H A_m z)`` is linear in its first slot
 and conjugate-linear in the second, so ``phi(z, w) = conj(phi(w, z))`` and
-``phi(z, z)`` is real componentwise.  The associated group on C^n x R^m is
-
-    (z, t) (z', t') = (z + z', t + t' + 2 Im phi(z, z')).
+``phi(z, z)`` is real componentwise.
 
 Everything here is immutable after construction and safe to share across
 threads.
@@ -103,40 +101,9 @@ class QuadricForm:
         return cls(n, m, A.view(complex).reshape(m, n, n))
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """A point g = (z, t) of the group C^n x R^m."""
-
-    z: np.ndarray
-    t: np.ndarray
-
-    def __init__(self, z, t):
-        z = np.asarray(z, dtype=complex).reshape(-1)
-        t = np.asarray(t, dtype=float).reshape(-1)
-        z.setflags(write=False)
-        t.setflags(write=False)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "t", t)
-
-
 def heisenberg(n: int = 1) -> QuadricForm:
     """The classic case: phi(z, z) = |z|^2, i.e. a single identity matrix."""
     return QuadricForm(n, 1, [np.eye(n, dtype=complex)])
-
-
-def phi_eval(Q: QuadricForm, z, w) -> np.ndarray:
-    """Evaluate the form: component k is ``w^H A_k z``.
-
-    Linear in ``z``, conjugate-linear in ``w``; satisfies
-    ``phi_eval(Q, z, w) == conj(phi_eval(Q, w, z))``.
-    """
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    w = np.asarray(w, dtype=complex).reshape(-1)
-    if z.shape != (Q.n,) or w.shape != (Q.n,):
-        raise ValueError(
-            f"vectors must have length n={Q.n}, got {z.shape[0]} and {w.shape[0]}"
-        )
-    return np.array([np.vdot(w, a @ z) for a in Q.A])
 
 
 def phi_lambda_matrix(Q: QuadricForm, lam) -> np.ndarray:
@@ -149,16 +116,3 @@ def phi_lambda_matrix(Q: QuadricForm, lam) -> np.ndarray:
         out += lk * a
     return out
 
-
-def group_mul(Q: QuadricForm, g: GroupElement, h: GroupElement) -> GroupElement:
-    """Group law (z,t)(z',t') = (z+z', t+t' + 2 Im phi(z,z'))."""
-    if g.z.shape != (Q.n,) or h.z.shape != (Q.n,):
-        raise ValueError(f"group elements must have z of length n={Q.n}")
-    if g.t.shape != (Q.m,) or h.t.shape != (Q.m,):
-        raise ValueError(f"group elements must have t of length m={Q.m}")
-    return GroupElement(g.z + h.z, g.t + h.t + 2.0 * phi_eval(Q, g.z, h.z).imag)
-
-
-def group_inverse(g: GroupElement) -> GroupElement:
-    """The inverse of (z, t) is (-z, -t)."""
-    return GroupElement(-g.z, -g.t)

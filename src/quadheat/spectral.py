@@ -57,17 +57,6 @@ class SpectralData:
             raise ValueError("SpectralData has no lambda attached")
         return self.lam.shape[0]
 
-    def to_json(self) -> dict:
-        out = {
-            "mu": [float(x) for x in self.mu],
-            "V": [[float(v.real), float(v.imag)] for v in self.V.ravel()],
-            "nu": int(self.nu),
-            "tol": float(self.tol),
-        }
-        if self.lam is not None:
-            out["lambda"] = [float(x) for x in self.lam]
-        return out
-
 
 def rank_nu(mu, tol: float) -> int:
     """Number of eigenvalues with |mu_j| > tol."""

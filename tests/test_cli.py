@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import warnings
 
 import numpy as np
@@ -168,12 +167,18 @@ class TestScan:
             assert re == want  # exact round-trip through repr
             assert im == 0.0
 
-    def test_threads_do_not_change_bytes(self, tmp_path):
-        path, _ = self.grid_config(tmp_path)
+    @pytest.mark.parametrize("command, overrides", [
+        ("scan", {"s": 0.5, "grid": {"half_widths": [1.0, 1.0], "points": 11}}),
+        ("evolve", {"s": [0.1, 0.2, 0.3], "L": [], "initial": "exp(-(x1^2+y1^2))",
+                    "grid": {"half_widths": [3.0, 3.0], "points": 41},
+                    "out_points": [[[0.0, 0.0]], [[0.5, 0.0]]]}),
+    ], ids=["scan", "evolve"])
+    def test_threads_do_not_change_bytes(self, tmp_path, command, overrides):
+        path, _ = write_config(tmp_path, **overrides)
         out1 = tmp_path / "t1.csv"
         out4 = tmp_path / "t4.csv"
-        assert main(["scan", "--config", path, "--out", str(out1)]) == 0
-        assert main(["scan", "--config", path, "--out", str(out4), "--threads", "4"]) == 0
+        assert main([command, "--config", path, "--out", str(out1)]) == 0
+        assert main([command, "--config", path, "--out", str(out4), "--threads", "4"]) == 0
         assert out1.read_bytes() == out4.read_bytes()
 
     def test_lambda_zero_matches_gaussian(self, tmp_path):
@@ -420,40 +425,6 @@ class TestEvolve:
         assert "config field 'initial_csv'" in err and "line 2:" in err
         assert "Traceback" not in err and not out.exists()
 
-    def test_threads_capped_at_cpu_count(self, tmp_path, monkeypatch):
-        pools = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                assert max_workers <= os.cpu_count()
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", InlinePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        grid = {"half_widths": [3.0, 3.0], "points": 41}
-        path, _ = self.evolve_config(tmp_path, s=[0.1, 0.2, 0.3], grid=grid)
-        out1, outmax = tmp_path / "t1.csv", tmp_path / "tmax.csv"
-        assert main(["evolve", "--config", path, "--out", str(out1)]) == 0
-        assert pools == []
-        assert main(["evolve", "--config", path, "--out", str(outmax),
-                     "--threads", str(10**9)]) == 0
-        assert pools == [3]
-        assert out1.read_bytes() == outmax.read_bytes()
-        scan_path, _ = write_config(tmp_path, name="scan.json", s=0.5,
-                                    grid={"half_widths": [1.0, 1.0], "points": 11})
-        assert main(["scan", "--config", scan_path, "--out", str(tmp_path / "s.csv"),
-                     "--threads", str(10**9)]) == 0
-        assert pools == [3]  # scan ignores --threads
-
     def test_both_initial_sources_rejected(self, tmp_path, capsys):
         path, _ = self.evolve_config(tmp_path, initial_csv="whatever.csv")
         assert main(["evolve", "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
@@ -652,6 +623,21 @@ class TestEvalStrictJson:
         for line in lines:
             record = json.loads(line, parse_constant=reject)
             assert all(math.isfinite(x) for x in record["value"])
+
+    @pytest.mark.parametrize("extra", [{}, {"point_tilde": [[0.0, 0.0]]}],
+                             ids=["one_point", "point_tilde"])
+    def test_underflowed_value_keeps_log_space_log10(self, tmp_path, capsys, extra):
+        s = 0.5
+        path, _ = write_config(tmp_path, s=s, points=[[[40.0, 0.0]]], **extra)
+        assert main(["eval", "--config", path]) == 0
+        record = strict_json(capsys.readouterr().out)
+        # Heisenberg, lambda = 1, L = [1]: (2 pi)^{-3/2} 2 e^s / sinh(s) exp(-|z|^2 coth(s))
+        log_rho = (-1.5 * np.log(2 * np.pi) + np.log(2.0) + s - np.log(np.sinh(s))
+                   - 40.0**2 / np.tanh(s))
+        if extra:  # the two-point kernel carries (2 pi)^{m/2}
+            log_rho += 0.5 * np.log(2 * np.pi)
+        assert record["value"] == [0.0, 0.0]
+        assert record["log10_abs"] == pytest.approx(log_rho / np.log(10.0), rel=1e-12)
 
 
 def strict_json(text):

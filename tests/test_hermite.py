@@ -9,7 +9,6 @@ from quadheat import (
     decompose_form,
     mehler_closed,
     psi,
-    psi_scaled,
     u_tilde_closed,
     u_tilde_series,
 )
@@ -74,13 +73,11 @@ class TestPsi:
 
 
 class TestPsiScaled:
-    def test_reduces_to_psi(self):
-        x = np.linspace(-2, 2, 9)
-        np.testing.assert_array_equal(psi_scaled(3, 1.0, x), psi(3, x))
+    """psi_l(sqrt(mu) xi) mu^{1/4}, the Hermite function at scale mu > 0."""
 
     def test_unit_norm(self):
         xi = np.linspace(-10.0, 10.0, 20001)
-        vals = psi_scaled(3, 2.5, xi)
+        vals = psi(3, np.sqrt(2.5) * xi) * 2.5**0.25
         norm = np.trapezoid(vals**2, xi)
         assert norm == pytest.approx(1.0, abs=1e-8)
 
@@ -89,15 +86,13 @@ class TestPsiScaled:
         h = 1e-3
         for l, mu in ((3, 1.0), (1, 2.5)):
             xi = np.linspace(-3.0, 3.0, 41)
-            d2 = (psi_scaled(l, mu, xi + h) - 2 * psi_scaled(l, mu, xi)
-                  + psi_scaled(l, mu, xi - h)) / h**2
-            resid = -d2 + (mu * xi) ** 2 * psi_scaled(l, mu, xi) \
-                - (2 * l + 1) * mu * psi_scaled(l, mu, xi)
-            assert np.max(np.abs(resid)) <= 1e-5
 
-    def test_requires_positive_scale(self):
-        with pytest.raises(ValueError):
-            psi_scaled(0, 0.0, 1.0)
+            def f(x):
+                return psi(l, np.sqrt(mu) * x) * mu**0.25
+
+            d2 = (f(xi + h) - 2 * f(xi) + f(xi - h)) / h**2
+            resid = -d2 + (mu * xi) ** 2 * f(xi) - (2 * l + 1) * mu * f(xi)
+            assert np.max(np.abs(resid)) <= 1e-5
 
 
 class TestMehlerClosed:

@@ -190,9 +190,6 @@ class TestRhoHat:
     def test_rejects_bad_queries(self, heis_spectral):
         with pytest.raises(ValueError):
             KernelQuery(-1.0, [0.0], heis_spectral, L_IN)
-        q = KernelQuery(1.0, [0.0], heis_spectral, L_IN, eta=np.array([]))
-        with pytest.raises(ValueError):
-            rho_hat(q)
 
 
 class TestRhoHatEta:

@@ -2,44 +2,28 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from quadheat import (
-    GroupElement,
-    QuadricForm,
-    group_inverse,
-    group_mul,
-    heisenberg,
-    phi_eval,
-    phi_lambda_matrix,
-)
+from quadheat import QuadricForm, heisenberg, phi_lambda_matrix
 from conftest import random_hermitian_quadric
 
 
 class TestPhiEval:
-    def test_identity_form(self, heis_q):
-        assert phi_eval(heis_q, [1.0], [1.0]) == pytest.approx([1.0])
-        np.testing.assert_allclose(phi_eval(heis_q, [1j], [1.0]), [1j])
+    """phi(z, w)_k = w^H A_k z, computed from the matrices a QuadricForm stores."""
 
     def test_hermitian_symmetry_random(self, rng):
         Q = random_hermitian_quadric(rng, 3, 2)
         for _ in range(100):
             z = rng.normal(size=3) + 1j * rng.normal(size=3)
             w = rng.normal(size=3) + 1j * rng.normal(size=3)
-            a = phi_eval(Q, z, w)
-            b = phi_eval(Q, w, z)
+            a = np.array([np.vdot(w, A @ z) for A in Q.A])
+            b = np.array([np.vdot(z, A @ w) for A in Q.A])
             np.testing.assert_allclose(a, np.conj(b), rtol=1e-12, atol=1e-14)
 
     def test_diagonal_is_real(self, rng):
         Q = random_hermitian_quadric(rng, 3, 2)
         z = rng.normal(size=3) + 1j * rng.normal(size=3)
-        vals = phi_eval(Q, z, z)
+        vals = np.array([np.vdot(z, A @ z) for A in Q.A])
         np.testing.assert_allclose(vals.imag, 0.0, atol=1e-13)
-
-    def test_dimension_mismatch(self, heis_q):
-        with pytest.raises(ValueError):
-            phi_eval(heis_q, [1.0, 2.0], [1.0])
 
 
 class TestPhiLambdaMatrix:
@@ -64,72 +48,13 @@ class TestPhiLambdaMatrix:
         for _ in range(20):
             z = rng.normal(size=3) + 1j * rng.normal(size=3)
             quad = np.vdot(z, A @ z)
-            dotted = phi_eval(Q, z, z) @ lam
+            dotted = np.array([np.vdot(z, a @ z) for a in Q.A]) @ lam
             assert abs(quad.imag) < 1e-12 * max(1.0, abs(quad))
             np.testing.assert_allclose(dotted.real, quad.real, rtol=1e-12)
 
     def test_dimension_mismatch(self, heis_q):
         with pytest.raises(ValueError):
             phi_lambda_matrix(heis_q, [1.0, 2.0])
-
-
-class TestGroupLaw:
-    def test_identity_element(self, heis_q, rng):
-        g = GroupElement(rng.normal(size=1) + 1j * rng.normal(size=1), rng.normal(size=1))
-        e = GroupElement([0.0], [0.0])
-        for h in (group_mul(heis_q, g, e), group_mul(heis_q, e, g)):
-            np.testing.assert_allclose(h.z, g.z)
-            np.testing.assert_allclose(h.t, g.t)
-
-    def test_inverse_cancels(self, heis_q, rng):
-        g = GroupElement(rng.normal(size=1) + 1j * rng.normal(size=1), rng.normal(size=1))
-        h = group_mul(heis_q, g, group_inverse(g))
-        np.testing.assert_allclose(h.z, [0.0], atol=1e-15)
-        np.testing.assert_allclose(h.t, [0.0], atol=1e-15)
-
-    def test_heisenberg_example(self, heis_q):
-        # (1, 0) (i, 0) = (1 + i, 2 Im(conj(i) 1)) = (1 + i, -2)
-        g = GroupElement([1.0], [0.0])
-        h = GroupElement([1j], [0.0])
-        out = group_mul(heis_q, g, h)
-        np.testing.assert_allclose(out.z, [1.0 + 1j])
-        np.testing.assert_allclose(out.t, [-2.0])
-
-    @settings(max_examples=50, deadline=None)
-    @given(data=st.lists(st.floats(-5, 5), min_size=9, max_size=9))
-    def test_associativity(self, data):
-        Q = QuadricForm(1, 1, [np.array([[1.0]], dtype=complex)])
-        g = GroupElement([data[0] + 1j * data[1]], [data[2]])
-        h = GroupElement([data[3] + 1j * data[4]], [data[5]])
-        k = GroupElement([data[6] + 1j * data[7]], [data[8]])
-        lhs = group_mul(Q, group_mul(Q, g, h), k)
-        rhs = group_mul(Q, g, group_mul(Q, h, k))
-        np.testing.assert_allclose(lhs.z, rhs.z, atol=1e-12)
-        np.testing.assert_allclose(lhs.t, rhs.t, atol=1e-12)
-
-    def test_associativity_multidim(self, rng):
-        Q = random_hermitian_quadric(rng, 2, 3)
-        for _ in range(50):
-            gs = [
-                GroupElement(rng.normal(size=2) + 1j * rng.normal(size=2), rng.normal(size=3))
-                for _ in range(3)
-            ]
-            lhs = group_mul(Q, group_mul(Q, gs[0], gs[1]), gs[2])
-            rhs = group_mul(Q, gs[0], group_mul(Q, gs[1], gs[2]))
-            np.testing.assert_allclose(lhs.t, rhs.t, atol=1e-12)
-
-    def test_inverse_examples(self):
-        g = group_inverse(GroupElement([1 + 1j], [3.0]))
-        np.testing.assert_allclose(g.z, [-1 - 1j])
-        np.testing.assert_allclose(g.t, [-3.0])
-        zero = group_inverse(GroupElement([0.0], [0.0]))
-        np.testing.assert_allclose(zero.z, [0.0])
-
-    def test_inverse_involution(self, rng):
-        g = GroupElement(rng.normal(size=2) + 1j * rng.normal(size=2), rng.normal(size=3))
-        gg = group_inverse(group_inverse(g))
-        np.testing.assert_array_equal(gg.z, g.z)
-        np.testing.assert_array_equal(gg.t, g.t)
 
 
 class TestConstruction:

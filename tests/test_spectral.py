@@ -110,11 +110,6 @@ class TestEigendecompose:
         with pytest.raises(NumericsError, match="did not converge"):
             eigendecompose(random_hermitian(rng, 3))
 
-    def test_json_dump_fields(self, rng):
-        S = eigendecompose(random_hermitian(rng, 2), lam=[0.5])
-        blob = S.to_json()
-        assert set(blob) == {"mu", "V", "nu", "tol", "lambda"}
-
 
 class TestRank:
     def test_all_zero(self):

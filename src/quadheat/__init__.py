@@ -19,9 +19,9 @@ from .boxop import (
 from .errors import NumericsError
 from .forms import FormIndex, epsilon
 from .hermite import (
-    MehlerFactors,
     UTildeParams,
     mehler_closed,
+    mehler_factor,
     psi,
     u_tilde_closed,
     u_tilde_series,

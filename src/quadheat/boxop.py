@@ -51,6 +51,8 @@ from .quadric import QuadricForm
 from .quadrature import GridSpec, tensor_nodes
 from .spectral import SpectralData
 
+HEAT_TAIL_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class GridFunction:
@@ -239,7 +241,7 @@ def pde_residual(
 
 
 def heat_apply(
-    f: GridFunction, s: float, S: SpectralData, L: FormIndex, out_points, tail_tol: float = 1e-6,
+    f: GridFunction, s: float, S: SpectralData, L: FormIndex, out_points,
 ) -> list:
     """Evolve sampled initial data by integrating the two-point kernel.
 
@@ -256,7 +258,7 @@ def heat_apply(
     temporary: a real ``f`` takes its first contraction as two real products,
     so it is never copied to complex.  Raises NumericsError when
     the boundary values of kernel x data suggest mass outside the grid above
-    ``tail_tol``.
+    HEAT_TAIL_TOL.
     """
     if s <= 0.0:
         raise ValueError(f"time s must be positive, got {s}")
@@ -280,9 +282,9 @@ def heat_apply(
         edge = max(float(reduce(np.multiply, [m[i] for m in mods], np.abs(v[i])).max())
                    for i in faces)
         tail = pref * edge * spec.face_area()
-        if tail > tail_tol:
+        if tail > HEAT_TAIL_TOL:
             raise NumericsError(f"boundary tail estimate {tail:.3e} exceeds "
-                                f"{tail_tol:.3e}; enlarge the grid box")
+                                f"{HEAT_TAIL_TOL:.3e}; enlarge the grid box")
         acc = v  # contract direction j against the leading axes (2j, 2j + 1)
         for j in range(n):
             phase = np.exp(-2j * mu[j] * (np.conj(nodes[j]) * c[j]).imag)
@@ -321,13 +323,13 @@ def semigroup_check(
 
 def initial_condition_check(
     f, s_list, S: SpectralData, L: FormIndex,
-    box_half_width: float = 3.0, base_points: int = 19, growth: float = 0.6,
+    box_half_width: float = 3.0, base_points: int = 19,
 ) -> list:
     """Errors |H{f}(s, 0) - f(0)| along a decreasing list of times.
 
     ``f(x1, y1, ..., xn, yn)`` takes real coordinates as in sample_on_grid
     and must have Gaussian decay.  Grids refine as s shrinks (points ~
-    s^-growth) so the kernel stays resolved; with well-chosen parameters the
+    s^-0.6) so the kernel stays resolved; with well-chosen parameters the
     errors decrease monotonically along the list.
     """
     n = S.n
@@ -336,7 +338,7 @@ def initial_condition_check(
     origin = np.zeros(n, dtype=complex)
     f0 = complex(np.ravel(f(*np.zeros(2 * n)))[0])
     for s in s_list:
-        pts_per_axis = int(np.ceil(base_points * (s_ref / float(s)) ** growth))
+        pts_per_axis = int(np.ceil(base_points * (s_ref / float(s)) ** 0.6))
         pts_per_axis = max(base_points, pts_per_axis)
         if pts_per_axis % 2 == 0:
             pts_per_axis += 1

@@ -57,16 +57,6 @@ EXIT_OK = 0
 EXIT_NUMERIC = 1
 EXIT_INVALID = 2
 
-ALL_CHECKS = (
-    "mehler",
-    "inversion",
-    "pde_residual",
-    "semigroup",
-    "initial_condition",
-    "euclidean",
-    "evenness",
-)
-
 DEFAULT_TOLERANCES = {
     "mehler": 1e-9,
     "inversion": 1e-6,
@@ -397,8 +387,8 @@ def cmd_eval(cfg: JobConfig, out_path: str | None) -> int:
             for head, v, lg in zip(heads, vals.tolist(), logs.tolist()):
                 log = "null" if lg == -np.inf else repr(lg)  # only when |c|^2 overflowed
                 lines.append(f'{{"s": {s!r}, {head}{v.real!r}, {v.imag!r}], '
-                             f'"log10_abs": {log}{tail}')
-    text = "\n".join(lines) + "\n"
+                             f'"log10_abs": {log}{tail}\n')
+    text = "".join(lines)  # no points: no records, empty output
     if out_path:
         write_atomic(out_path, [text])
     else:
@@ -616,17 +606,18 @@ CHECK_FUNCTIONS = {
 def run_verification(cfg: JobConfig, tol_override: float | None = None) -> dict:
     """Run the configured checks and assemble the report dict; a check that
     cannot run (NumericsError or ValueError) is a failed entry with error null."""
-    names = cfg.raw.get("checks", list(ALL_CHECKS))
+    names = cfg.raw.get("checks", list(DEFAULT_TOLERANCES))
     if not isinstance(names, list) or not all(isinstance(c, str) for c in names):
         raise ValueError(f"config field 'checks': expected a list of check names, got {names!r}")
-    unknown = [c for c in names if c not in CHECK_FUNCTIONS]
-    if unknown:
-        raise ValueError(f"config field 'checks': unknown check names {unknown}")
     overrides = cfg.raw.get("tolerances", {})
     if not isinstance(overrides, dict) or not all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in overrides.values()):
         raise ValueError("config field 'tolerances': expected an object mapping check names "
                          f"to numbers, got {overrides!r}")
+    for key, given in (("checks", names), ("tolerances", overrides)):
+        unknown = [c for c in given if c not in DEFAULT_TOLERANCES]
+        if unknown:
+            raise ValueError(f"config field '{key}': unknown check names {unknown}")
     debug = cfg.raw.get("debug", {})
     if not isinstance(debug, dict):
         raise ValueError(f"config field 'debug': expected an object, got {debug!r}")

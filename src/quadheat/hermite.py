@@ -5,7 +5,10 @@ three-term recurrence, which psi and the truncated Mehler series share.
 Their generating function in closed form (Mehler) collapses the
 transform-side series for the heat evolution into a product of Gaussians,
 giving both a truncated-series evaluator and a closed-form evaluator whose
-agreement is one of the independent oracles for the kernel formulas.
+agreement is one of the independent oracles for the kernel formulas.  The
+per-direction factor of that product is written once, in mehler_factor,
+which kernel.rho_via_inversion also integrates; eta_norm_sq is the one check
+of the kernel-block dual eta.
 
 Series evaluation requires s > 0 (at s = 0 the series only converges
 distributionally).
@@ -13,7 +16,7 @@ distributionally).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count, islice
 
 import numpy as np
@@ -83,35 +86,30 @@ def _mehler_series(w: complex, x, y, N: int):
     return total
 
 
-@dataclass(frozen=True)
-class MehlerFactors:
-    """Per-direction ingredients of the transform-side product.
+def mehler_factor(s: float, a, b, mu: float, eps: int, factor=mehler_closed):
+    """One direction's factor S^((1-eps)/2) factor(-i S, alpha, beta) of the
+    transform-side product, elementwise over broadcasting ``a``, ``b``.
 
-    S_j = exp(-2 |mu_j| s), alpha_j = a_j / (2 |mu_j|^{1/2}),
-    beta_j = -b_j |mu_j|^{1/2} / (2 mu_j), eps_j in {-1, +1}.  beta keeps the
-    sign of mu_j exactly as written; the evenness of the final kernel checks
-    that this convention is consistent.
+    S = exp(-2 |mu| s), alpha = a / (2 |mu|^{1/2}), beta = -b |mu|^{1/2} / (2 mu),
+    eps in {-1, +1}.  beta keeps the sign of mu exactly as written; the
+    evenness of the final kernel checks that this convention is consistent.
+    ``factor`` is mehler_closed or a truncation of the same sum.
     """
+    am = abs(mu)
+    S = np.exp(-2.0 * am * s)
+    alpha, beta = a / (2.0 * np.sqrt(am)), -b * np.sqrt(am) / (2.0 * mu)
+    return S ** ((1 - eps) // 2) * factor(-1j * S, alpha, beta)
 
-    S: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    eps: np.ndarray
 
-    @classmethod
-    def build(cls, s: float, a, b, mu_nonzero, eps) -> "MehlerFactors":
-        if s <= 0.0:
-            raise ValueError(f"time s must be positive, got {s}")
-        mu = np.asarray(mu_nonzero, dtype=float)
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        am = np.abs(mu)
-        return cls(
-            S=np.exp(-2.0 * am * s),
-            alpha=a / (2.0 * np.sqrt(am)),
-            beta=-b * np.sqrt(am) / (2.0 * mu),
-            eps=np.asarray(eps, dtype=int),
-        )
+def eta_norm_sq(eta, S: SpectralData) -> float:
+    """|eta|^2 of the dual of the kernel-block coordinates, after checking that
+    ``eta`` has length n - nu; None stands for eta = 0."""
+    if eta is None:
+        return 0.0
+    eta = np.asarray(eta, dtype=complex).reshape(-1)
+    if eta.shape != (S.n - S.nu,):
+        raise ValueError(f"eta must have length n - nu = {S.n - S.nu}")
+    return float(np.sum(np.abs(eta) ** 2))
 
 
 @dataclass(frozen=True)
@@ -121,7 +119,7 @@ class UTildeParams:
     a, b are the Fourier duals of the rank-block coordinates, of shape
     (..., nu); leading axes broadcast against each other and the solutions
     are evaluated over them.  eta is the dual of the kernel-block
-    coordinates (complex, length n - nu, may be empty).
+    coordinates (complex, length n - nu, may be empty; None means 0).
     """
 
     s: float
@@ -129,46 +127,34 @@ class UTildeParams:
     b: np.ndarray
     spectral: SpectralData
     L: FormIndex
-    eta: np.ndarray = field(default=None)
+    eta: np.ndarray | None = None
 
     def __post_init__(self):
         if self.s <= 0.0:
             raise ValueError(f"time s must be positive, got {self.s}")
-        if self.spectral.lam is None:
-            raise ValueError("spectral data must carry its lambda vector")
         nu = self.spectral.nu
         a = np.atleast_1d(np.asarray(self.a, dtype=float))
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
         if a.shape[-1] != nu or b.shape[-1] != nu:
             raise ValueError(f"a and b must have shape (..., nu) with nu={nu}")
-        eta = self.eta
-        eta = np.zeros(self.spectral.n - nu, dtype=complex) if eta is None else np.asarray(eta, dtype=complex).reshape(-1)
-        if eta.shape != (self.spectral.n - nu,):
-            raise ValueError(f"eta must have length n - nu = {self.spectral.n - nu}")
+        eta_norm_sq(self.eta, self.spectral)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "eta", eta)
-
-    def factors(self) -> MehlerFactors:
-        nu = self.spectral.nu
-        return MehlerFactors.build(
-            self.s, self.a, self.b, self.spectral.mu[:nu], epsilon(self.L, self.spectral)
-        )
 
     def prefactor(self) -> float:
         """(2 pi)^{-(2n + m - nu)/2} exp(-s |eta|^2 / 4)."""
         n, m, nu = self.spectral.n, self.spectral.m, self.spectral.nu
-        eta_sq = float(np.sum(np.abs(self.eta) ** 2))
+        eta_sq = eta_norm_sq(self.eta, self.spectral)
         return (2.0 * np.pi) ** (-0.5 * (2 * n + m - nu)) * np.exp(-0.25 * self.s * eta_sq)
 
 
 def _product(p: UTildeParams, factor):
-    """prefactor * prod_j S_j^((1-eps_j)/2) factor(-i S_j, alpha_j, beta_j) over
+    """prefactor * prod_j mehler_factor(s, a_j, b_j, mu_j, eps_j, factor) over
     the leading axes of a, b; a complex for one (a, b) pair."""
-    f = p.factors()
+    S, eps = p.spectral, epsilon(p.L, p.spectral)
     val = p.prefactor()
-    for j, (S_j, ep) in enumerate(zip(f.S, f.eps)):
-        val = val * (S_j ** ((1 - ep) // 2) * factor(-1j * S_j, f.alpha[..., j], f.beta[..., j]))
+    for j in range(S.nu):
+        val = val * mehler_factor(p.s, p.a[..., j], p.b[..., j], S.mu[j], eps[j], factor)
     return complex(val) if np.ndim(val) == 0 else val
 
 
@@ -180,8 +166,8 @@ def u_tilde_closed(p: UTildeParams):
 def u_tilde_series(p: UTildeParams, N: int | None = None):
     """Transform-side solution with each direction's sum truncated at l = N.
 
-    N defaults to max(50, ceil(-ln(1e-12) / (2 s min_j |mu_j|))), the point
-    where the geometric tail in S_j drops below 1e-12.
+    N defaults to max(50, ceil(-ln(SERIES_TOL) / (2 s min_j |mu_j|))), the
+    point where the geometric tail in S_j drops below SERIES_TOL = 1e-12.
     """
     if N is None:
         N = default_series_terms(p.s, p.spectral.mu[: p.spectral.nu])
@@ -190,9 +176,9 @@ def u_tilde_series(p: UTildeParams, N: int | None = None):
     return _product(p, lambda w, x, y: _mehler_series(w, x, y, N))
 
 
-def default_series_terms(s: float, mu_nonzero, tol: float = SERIES_TOL) -> int:
+def default_series_terms(s: float, mu_nonzero) -> int:
     """Truncation order from the geometric tail rate of S_j = e^{-2|mu|s}."""
     mu = np.abs(np.asarray(mu_nonzero, dtype=float))
     if mu.size == 0:
         return 50
-    return max(50, int(np.ceil(-np.log(tol) / (2.0 * s * mu.min()))))
+    return max(50, int(np.ceil(-np.log(SERIES_TOL) / (2.0 * s * mu.min()))))

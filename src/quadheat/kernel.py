@@ -25,7 +25,8 @@ independent oracle.  The integral factorises into one 2-D integral per rank
 direction, each on its own GridSpec box sized from that direction's decay
 rate (inversion_rate), so it runs at every rank (full-rank n = 2 included)
 and reports each direction's quadrature tail estimate and the budget they
-give the product.
+give the product.  Its integrand's per-direction factor is
+hermite.mehler_factor, the one the Mehler oracles multiply.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from .errors import NumericsError
 from .forms import FormIndex, epsilon
-from .hermite import MehlerFactors, mehler_closed
+from .hermite import eta_norm_sq, mehler_factor
 from .quadric import QuadricForm
 # integrate_with_estimate stays in this namespace for callers that instrument it.
 from .quadrature import GridSpec, integrate_with_estimate, tail_bound  # noqa: F401
@@ -152,17 +153,14 @@ def rho_hat_eta(s: float, xp, yp, eta, S: SpectralData, L: FormIndex) -> float:
     """Kernel with the kernel-block directions resolved in frequency.
 
     (2 pi)^{-(m/2+n)} exp(-s |eta|^2 / 4) times the rank-block factors at
-    (xp, yp).  ``eta`` may be None when nu = n.
+    (xp, yp).  ``eta`` has length n - nu; None means eta = 0.
     """
-    n, nu = S.n, S.nu
+    nu = S.nu
     xp, yp = (np.asarray(v, dtype=float).reshape(-1) for v in (xp, yp))
     if xp.shape != (nu,) or yp.shape != (nu,):
         raise ValueError(f"xp and yp must have length nu={nu}")
-    eta = np.zeros(n - nu, dtype=complex) if eta is None else np.asarray(eta, dtype=complex).reshape(-1)
-    if eta.shape != (n - nu,):
-        raise ValueError(f"eta must have length n - nu = {n - nu}")
     const, log_fac, rates = _log_rho_parts(s, S, L)
-    log_rho = const - 0.25 * s * float(np.sum(np.abs(eta) ** 2))
+    log_rho = const - 0.25 * s * eta_norm_sq(eta, S)
     return float(np.exp(log_rho + np.sum(log_fac[:nu] - rates[:nu] * (xp**2 + yp**2))))
 
 
@@ -177,8 +175,6 @@ def weighted_heat_kernel_batch(
     the physical kernel uses the default -1 in exp(2i phase_sign lambda .
     Im phi(z, zt)).
     """
-    if S.lam is None:
-        raise ValueError("spectral data must carry its lambda vector")
     z, Zt = np.asarray(z, dtype=complex), np.asarray(Zt, dtype=complex)
     mag = (2.0 * np.pi) ** (0.5 * S.m) * rho_hat_adapted(s, (z - Zt) @ np.conj(S.V), S, L)
     arg = np.zeros(np.broadcast_shapes(z.shape, Zt.shape)[:-1])  # lambda . Im phi(z, zt)
@@ -209,14 +205,12 @@ def inversion_rate(s: float, S: SpectralData, direction: int) -> float:
     return 0.5 * ((1.0 - Sj**2) / (1.0 + Sj**2)) / (4.0 * am)
 
 
-def inversion_quadspec(
-    s: float, S: SpectralData, tol: float = 1e-6, points: int = 512, direction: int = 0,
-) -> GridSpec:
-    """Square box over the duals (a_j, b_j) of rank direction j = ``direction``,
-    sized so the integrand's Gaussian factor at the boundary is below 1e-3 times
-    the requested tolerance."""
+def inversion_quadspec(s: float, S: SpectralData, tol: float = 1e-6, direction: int = 0) -> GridSpec:
+    """Square box of 512 x 512 points over the duals (a_j, b_j) of rank
+    direction j = ``direction``, sized so the integrand's Gaussian factor at the
+    boundary is below 1e-3 times the requested tolerance."""
     rate = inversion_rate(s, S, direction)
-    return GridSpec.cube(float(np.sqrt(np.log(1.0 / (1e-3 * tol)) / rate)), 2, points)
+    return GridSpec.cube(float(np.sqrt(np.log(1.0 / (1e-3 * tol)) / rate)), 2, 512)
 
 
 def rho_via_inversion(
@@ -230,8 +224,8 @@ def rho_via_inversion(
     is a product over rank directions j, so its integral is a product of one
     trapezoid integral I_j = e(x)^T G_j e(y), e(x) = exp(i a x), per direction
     on its own inversion_quadspec box (a 2-D GridSpec ``quad`` replaces every
-    box), with G_j = w_a w_b^T o exp(-i a b / (4 mu_j)) o S_j^((1-eps_j)/2)
-    mehler_closed(-i S_j, alpha, beta).
+    box), with G_j = w_a w_b^T o exp(-i a b / (4 mu_j)) o
+    mehler_factor(s, a, b, mu_j, eps_j) on the box's P x P nodes.
     Times exp(-2i sum mu_j x_j y_j) and the normalization, it is an independent
     oracle for rho_hat_eta at one point (``xp``, ``yp`` of shape (nu,)) or at K
     (shape (K, nu)).  Raises NumericsError when the budget, the normalization
@@ -242,8 +236,6 @@ def rho_via_inversion(
     """
     if s <= 0.0:
         raise ValueError(f"time s must be positive, got {s}")
-    if S.lam is None:
-        raise ValueError("spectral data must carry its lambda vector")
     nu = S.nu
     if nu < 1:
         raise ValueError("inversion needs nu >= 1")
@@ -253,7 +245,7 @@ def rho_via_inversion(
     xp, yp = np.atleast_2d(np.asarray(xp, dtype=float), np.asarray(yp, dtype=float))
     if xp.ndim != 2 or xp.shape[1] != nu or yp.shape != xp.shape:
         raise ValueError(f"xp and yp must have shape (nu,) or (K, nu) with nu={nu}")
-    eta_sq = 0.0 if eta is None else float(np.sum(np.abs(np.asarray(eta)) ** 2))
+    eta_sq = eta_norm_sq(eta, S)
     twist_sign, ab_sign = phase_signs
     pref = (2.0 * np.pi) ** (-0.5 * (2 * S.n + S.m + nu)) * np.exp(-0.25 * s * eta_sq)
     eps = epsilon(L, S)
@@ -262,8 +254,7 @@ def rho_via_inversion(
     for j in range(nu):
         spec = quad if quad is not None else inversion_quadspec(s, S, tol=tol, direction=j)
         (a, b), (wa, wb) = spec.axes(), spec.weights()
-        f = MehlerFactors.build(s, a[:, None], b[None, :], S.mu[j], eps[j])
-        F = f.S ** ((1 - f.eps) // 2) * mehler_closed(-1j * f.S, f.alpha, f.beta)
+        F = mehler_factor(s, a[:, None], b[None, :], S.mu[j], eps[j])
         absF = np.abs(F)  # the a.b phase has modulus 1
         tails.append(float(tail_bound(spec, inversion_rate(s, S, j), float(absF.max()))))
         mass.append(float(wa @ absF @ wb))

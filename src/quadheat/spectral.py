@@ -4,9 +4,9 @@ For each frequency vector ``lam`` the Hermitian matrix ``A = sum_k lam_k A_k``
 is diagonalized by LAPACK's Hermitian eigensolver (``np.linalg.eigh``).  The
 output is fully deterministic: eigenvalues are ordered nonzero-first by
 descending magnitude (ties positive-before-negative, then by eigh's ascending
-order), eigenvector phases are fixed by making the largest-magnitude entry
-real positive, and numerically degenerate clusters are re-orthonormalized in
-index order.
+order), and eigenvector phases are fixed by making the largest-magnitude entry
+real positive.  eigh's columns are orthonormal as returned, degenerate
+eigenvalue clusters included, so no further orthonormalization is done.
 
 Coordinates in the eigenbasis split into the rank block z' (nonzero
 eigenvalues, ``nu`` of them) and the kernel block z'' where the evolution is
@@ -23,7 +23,6 @@ from .errors import NumericsError
 from .quadric import HERMITIAN_DEFECT_TOL, QuadricForm, phi_lambda_matrix
 
 DEFAULT_RANK_TOL_REL = 1e-10
-DEGENERACY_GAP_REL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -85,33 +84,13 @@ def _fix_phases(V: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gram_schmidt_clusters(mu: np.ndarray, V: np.ndarray, gap: float) -> np.ndarray:
-    """Re-orthonormalize columns inside numerically degenerate eigenvalue
-    clusters, in index order (modified Gram-Schmidt)."""
-    out = V.copy()
-    n = mu.shape[0]
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and abs(mu[stop] - mu[stop - 1]) < gap:
-            stop += 1
-        if stop - start > 1:
-            for j in range(start, stop):
-                for i in range(start, j):
-                    out[:, j] -= np.vdot(out[:, i], out[:, j]) * out[:, i]
-                out[:, j] /= np.linalg.norm(out[:, j])
-        start = stop
-    return out
-
-
-def eigendecompose(A, tol_rel: float = DEFAULT_RANK_TOL_REL, lam=None) -> SpectralData:
+def eigendecompose(A, lam=None) -> SpectralData:
     """Diagonalize a Hermitian matrix into canonical SpectralData.
 
-    ``tol_rel`` scales the rank cut: eigenvalues with magnitude at most
-    ``tol_rel * max(1, |A|_F)`` count as the kernel block.  eigh reads one
-    triangle only, so a matrix whose Hermitian defect ``|A - A^H|_F`` exceeds
-    ``HERMITIAN_DEFECT_TOL * max(1, |A|_F)`` raises ValueError.  Raises
-    NumericsError if LAPACK fails to converge.
+    Eigenvalues with magnitude at most ``DEFAULT_RANK_TOL_REL * max(1, |A|_F)``
+    count as the kernel block.  eigh reads one triangle only, so a matrix whose
+    Hermitian defect ``|A - A^H|_F`` exceeds ``HERMITIAN_DEFECT_TOL * max(1, |A|_F)``
+    raises ValueError.  Raises NumericsError if LAPACK fails to converge.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -124,17 +103,16 @@ def eigendecompose(A, tol_rel: float = DEFAULT_RANK_TOL_REL, lam=None) -> Spectr
         mu_raw, V_raw = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
         raise NumericsError(f"Hermitian eigensolver failed: {exc}") from exc
-    tol = tol_rel * scale
+    tol = DEFAULT_RANK_TOL_REL * scale
     order = _canonical_order(mu_raw, tol)
     mu = mu_raw[order]
-    V = _gram_schmidt_clusters(mu, V_raw[:, order], DEGENERACY_GAP_REL * scale)
-    V = _fix_phases(V)
+    V = _fix_phases(V_raw[:, order])
     nu = rank_nu(mu, tol)
     lam_arr = None if lam is None else np.asarray(lam, dtype=float).reshape(-1).copy()
     return SpectralData(mu=mu, V=V, nu=nu, tol=float(tol), lam=lam_arr)
 
 
-def decompose_form(Q: QuadricForm, lam, tol_rel: float = DEFAULT_RANK_TOL_REL) -> SpectralData:
+def decompose_form(Q: QuadricForm, lam) -> SpectralData:
     """Eigendecompose the matrix of ``phi . lam``, remembering lambda."""
-    return eigendecompose(phi_lambda_matrix(Q, lam), tol_rel=tol_rel, lam=lam)
+    return eigendecompose(phi_lambda_matrix(Q, lam), lam=lam)
 

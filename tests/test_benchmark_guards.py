@@ -1,4 +1,4 @@
-"""The benchmark's scan digests and heat_apply counter hold on the current program.
+"""The benchmark's scan digests and traced counters hold on the current program.
 
 The perfbench sources are executed rather than imported, so no bytecode cache
 is written into perfbench/.
@@ -57,6 +57,21 @@ def test_traced_heat_apply_counts_every_output_point(tmp_path):
     assert tracer.counts["boxop.heat_apply.out_points"] == 2 * 2 + 3
     # the semigroup check's one tensor_nodes(spec, d) call on its 400 x 400 box
     assert tracer.counts["quadrature.nodes"] == 400**2
+
+
+def test_traced_verify_counts_series_and_inversion_calls(tmp_path):
+    tracer = load_perfbench("tracing")["Tracer"]()
+    verify = tmp_path / "verify.json"
+    verify.write_text(json.dumps({"quadric": {"n": 1, "m": 1, "A": [[[1.0, 0.0]]]},
+                                  "lambda": [1.0], "L": [1], "checks": ["mehler", "inversion"]}))
+    traced_main = tracer.install(0)
+    try:
+        assert traced_main(["verify", "--config", str(verify), "--out", str(tmp_path / "v.json")]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["hermite.series.calls"] > 0
+    assert tracer.counts["hermite.series.terms"] > 0
+    assert tracer.counts["kernel.inversion.calls"] > 0
 
 
 def test_evolve_n2_job_passes_its_closed_form_check(tmp_path, capsys):

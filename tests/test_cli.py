@@ -122,6 +122,14 @@ class TestEval:
         assert main(["eval", "--config", path]) == 2
         assert "'L'" in capsys.readouterr().err
 
+    def test_no_points_give_empty_output(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path, points=[])
+        out = tmp_path / "eval.jsonl"
+        assert main(["eval", "--config", path]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["eval", "--config", path, "--out", str(out)]) == 0
+        assert out.read_text() == ""
+
     def test_missing_points(self, tmp_path, capsys):
         path, _ = write_config(tmp_path)
         assert main(["eval", "--config", path]) == 2
@@ -729,7 +737,8 @@ N2_CHECKS = ["mehler", "inversion", "pde_residual", "euclidean", "evenness"]
 
 class TestVerifyEveryGeometry:
     @pytest.mark.parametrize("quadric,lam,L,checks", [
-        (HEIS, [1.0], [1], list(cli.ALL_CHECKS)),
+        (HEIS, [1.0], [1], ["mehler", "inversion", "pde_residual", "semigroup",
+                            "initial_condition", "euclidean", "evenness"]),
         (rotated_form_json([1.0, 0.0], 3), [1.0], [1], N2_CHECKS),
         (FULL_RANK_N2, [1.0, 1.0], [1, 2], N2_CHECKS),
         (rotated_form_json([1.0, -0.5, 0.75], 5), [1.0], [2],
@@ -791,6 +800,16 @@ class TestVerifyFailures:
         captured = capsys.readouterr()
         assert "tolerances" in captured.err and captured.out == ""
 
+
+    def test_unknown_tolerance_key_rejected(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path, checks=["euclidean"], tolerances={"euclidian": 1e-3})
+        assert main(["verify", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert "config field 'tolerances'" in captured.err and "euclidian" in captured.err
+        assert captured.out == ""
+
+    def test_every_check_has_a_default_tolerance(self):
+        assert list(cli.CHECK_FUNCTIONS) == list(cli.DEFAULT_TOLERANCES)
 
     @pytest.mark.parametrize("field,value", [
         ("checks", 5),

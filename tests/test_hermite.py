@@ -3,11 +3,11 @@ import pytest
 
 from quadheat import (
     FormIndex,
-    MehlerFactors,
     SpectralData,
     UTildeParams,
     decompose_form,
     mehler_closed,
+    mehler_factor,
     psi,
     u_tilde_closed,
     u_tilde_series,
@@ -193,10 +193,18 @@ class TestUTilde:
             UTildeParams(0.0, [0.0], [0.0], S, L_IN)
 
     def test_beta_sign_follows_mu(self):
-        f = MehlerFactors.build(0.5, [1.0], [1.0], [-2.0], [1])
+        seen = []
+
+        def capture(w, alpha, beta):
+            seen.append((w, beta))
+            return 1.0
+
+        mehler_factor(0.5, 1.0, 1.0, -2.0, 1, factor=capture)
+        (w, beta), = seen
         # beta = -b |mu|^{1/2} / (2 mu) is positive for negative mu
-        assert f.beta[0] > 0
-        assert f.S[0] == pytest.approx(np.exp(-2.0))
+        assert beta > 0
+        # the factor's argument is w = -i S with S = exp(-2 |mu| s)
+        assert w.imag == pytest.approx(-np.exp(-2.0)) and w.real == 0.0
 
     @pytest.mark.parametrize("mu,L", [([1.0, -0.5], FormIndex([1, 2])), ([1.0, -0.5], FormIndex([])),
                                       ([2.0, 0.75], FormIndex([2]))])

@@ -12,6 +12,7 @@ from quadheat import (
     NumericsError,
     QuadricForm,
     SpectralData,
+    UTildeParams,
     decompose_form,
     epsilon,
     heisenberg,
@@ -389,6 +390,16 @@ class TestFactorisedInversion:
         tiny = GridSpec.cube(3.0, 2, 64)
         with pytest.raises(NumericsError, match="tail"):
             rho_via_inversion(0.3, [0.0, 0.0], [0.0, 0.0], None, S, FormIndex([1]), quad=tiny)
+
+    @pytest.mark.parametrize("call", [
+        lambda S, eta: UTildeParams(0.5, [0.1], [0.2], S, L_IN, eta=eta),
+        lambda S, eta: rho_hat_eta(0.5, [0.1], [0.2], eta, S, L_IN),
+        lambda S, eta: rho_via_inversion(0.5, [0.1], [0.2], eta, S, L_IN),
+    ], ids=["u_tilde_params", "rho_hat_eta", "rho_via_inversion"])
+    def test_eta_length_checked(self, call):
+        S = _inversion_geometries()[1][1]  # rank 1, n = 2: eta has length n - nu = 1
+        with pytest.raises(ValueError, match="n - nu"):
+            call(S, [0.1, 0.2, 0.3])
 
     def test_sample_shape_checked(self):
         S = _inversion_geometries()[2][1]

@@ -66,6 +66,16 @@ class TestEigendecompose:
         assert np.array_equal(S1.V, S2.V)
         assert S1.nu == S2.nu
 
+    def test_degenerate_eigenbasis_unitary_and_deterministic(self, rng):
+        X = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        U, _ = np.linalg.qr(X)
+        A = U @ np.diag([2.0, 2.0, -1.0, 0.0]) @ U.conj().T
+        S = eigendecompose(A)
+        assert np.linalg.norm(S.V.conj().T @ S.V - np.eye(4)) <= 1e-13
+        assert np.linalg.norm(A @ S.V - S.V @ np.diag(S.mu)) <= 1e-13 * np.linalg.norm(A)
+        again = eigendecompose(A)
+        assert np.array_equal(S.mu, again.mu) and np.array_equal(S.V, again.V)
+
     def test_zero_matrix(self):
         S = eigendecompose(np.zeros((3, 3), dtype=complex))
         assert S.nu == 0

@@ -82,3 +82,12 @@ def test_evolve_n2_job_passes_its_closed_form_check(tmp_path, capsys):
     rc = main(job.argv)
     result = job.check(rc, capsys.readouterr().err)
     assert result.status == "ok", result.message
+
+
+def test_verify_suite_round_passes_every_check(tmp_path, capsys):
+    # One round of the benchmark's verify-suite (four verify jobs on three
+    # geometries), so a referee that stops passing fails here too.
+    for job in load_perfbench("workloads")["VerifySuite"](20261018, tmp_path).next_round():
+        rc = main(job.argv)
+        result = job.check(rc, capsys.readouterr().err)
+        assert result.status == "ok", (job.kind, result.message)

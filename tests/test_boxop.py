@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import random_hermitian_quadric
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadheat import (
     FormIndex,
@@ -20,7 +22,7 @@ from quadheat import (
     weighted_heat_kernel,
     weighted_heat_kernel_batch,
 )
-from quadheat.boxop import sample_on_grid, write_atomic
+from quadheat.boxop import _BLOCK_ROWS, _block_maxima, sample_on_grid, write_atomic
 from quadheat.cli import parse_initial_expression
 
 L_IN = FormIndex([1])
@@ -148,6 +150,18 @@ class TestPdeResidual:
     def test_requires_positive_earlier_time(self, heis_spectral):
         with pytest.raises(ValueError):
             pde_residual(0.5, heis_spectral, L_IN, GridSpec.cube(1.0, 2, 16), 0.5)
+
+    @pytest.mark.parametrize("s,hs,message", [
+        (0.7, 0.0, "need hs > 0"),
+        (0.7, -1e-4, "need hs > 0"),
+        (0.7, float("nan"), "hs must be finite"),
+        (0.7, float("inf"), "hs must be finite"),
+        (float("nan"), 1e-4, "s must be finite"),
+        (float("inf"), 1e-4, "s must be finite"),
+    ])
+    def test_rejects_bad_times(self, heis_spectral, s, hs, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            pde_residual(s, heis_spectral, L_IN, GridSpec.cube(2.0, 2, 101), hs)
 
     def test_sample_matches_pointwise(self, heis_spectral):
         from quadheat import KernelQuery, rho_hat
@@ -523,6 +537,69 @@ class TestPdeResidualFactorised:
             ring = np.ones(grid.shape(), dtype=bool)
             ring[(slice(1, -1),) * grid.dim] = False
             assert np.isnan(out[ring]).all() and np.isfinite(interior(out)).all()
+
+
+@st.composite
+def _residual_cases(draw):
+    """A geometry, index set, time and grid for the residual; n = 3 stays at
+    9 points, where the full-grid reference already holds 9^6 nodes."""
+    n = draw(st.integers(1, 3))
+    points = draw(st.integers(9, 13)) if n < 3 else 9
+    half_widths = draw(st.lists(st.floats(0.8, 2.5), min_size=2 * n, max_size=2 * n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["generic", "lambda_zero", "rank_deficient"]))
+    if kind == "rank_deficient":  # rank n - 1: a kernel direction beside the rank ones
+        U = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+        d = np.r_[rng.choice([-1.0, 1.0], n - 1) * rng.uniform(0.3, 1.5, n - 1), 0.0]
+        Q, lam = QuadricForm(n, 1, [(U * d) @ U.conj().T]), [1.0]
+    else:
+        Q = random_hermitian_quadric(rng, n, 2, scale=0.7)
+        lam = [0.0, 0.0] if kind == "lambda_zero" else list(rng.uniform(-1.0, 1.0, 2))
+    S = decompose_form(Q, lam)
+    assert S.nu == {"generic": n, "lambda_zero": 0, "rank_deficient": n - 1}[kind]
+    L = FormIndex(sorted(draw(st.sets(st.integers(1, n)))))
+    return S, L, draw(st.floats(0.3, 1.5)), GridSpec(half_widths, points)
+
+
+class TestPdeResidualProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(case=_residual_cases())
+    def test_matches_full_grid_reference(self, case):
+        # At n = 3 direction 1 lies across the row/column split of the
+        # rank-one terms, and directions 0 and 2 on either side of it.
+        S, L, s, grid = case
+        got = pde_residual(s, S, L, grid, 1e-4)
+
+        def written_out(rho):
+            return _written_out_box(rho, grid, S, L)
+
+        assert abs(got - _residual_on_full_grid(s, S, L, grid, 1e-4, written_out)) <= 1e-10
+
+
+@pytest.mark.parametrize("part,t", [(0, 0), (0, 2), (1, 1)])
+def test_block_maxima_reach_the_last_partial_block(rng, part, t):
+    # Rows are not a multiple of the block height, and one term is largest in
+    # the last row; part 0's terms 0 and 1 are the time difference.
+    n_rows, n_cols = 2 * _BLOCK_ROWS + 3, 7
+    parts = [(rng.normal(size=(k, n_rows)), rng.normal(size=(k, n_cols))) for k in (4, 2)]
+    parts[part][0][t, -1] = 50.0
+    re, im = (sum(np.outer(r, c) for r, c in zip(rows, cols)) for rows, cols in parts)
+    dt = sum(np.outer(r, c) for r, c in zip(parts[0][0][:2], parts[0][1][:2]))
+    top, top_dt = _block_maxima(parts)
+    assert top == pytest.approx(np.max(re**2 + im**2), rel=1e-12)
+    assert top_dt == pytest.approx(np.max(np.abs(dt)), rel=1e-12)
+
+
+class TestPdeResidualMemory:
+    def test_verify_grids_peak_below_one_byte_per_node(self, heis_spectral):
+        # The verify check's grids: 56 B/node at 2001^2 and 34 at 49^4 when the
+        # residual field was broadcast over all N nodes.
+        for S, L, grid in ((heis_spectral, L_IN, GridSpec.cube(2.0, 2, 2001)),
+                           (_n2_geometry("rank1")[1], L_IN, GridSpec.cube(0.06, 4, 49)),
+                           (_full_rank_mu_geometry(), FormIndex([1, 2]), GridSpec.cube(0.06, 4, 49))):
+            peak, r = _traced_peak(lambda: pde_residual(0.7, S, L, grid, 1e-4))
+            assert peak < grid.points ** grid.dim
+            assert 0.0 < r <= 1e-5
 
 
 class TestRankDeficient:

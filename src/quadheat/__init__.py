@@ -28,6 +28,7 @@ from .hermite import (
 )
 from .kernel import (
     KernelQuery,
+    inversion_budget,
     inversion_quadspec,
     inversion_rate,
     log_mu_sinh_factor,
@@ -40,7 +41,7 @@ from .kernel import (
     weighted_heat_kernel,
     weighted_heat_kernel_batch,
 )
-from .quadrature import GridSpec, integrate_with_estimate, tail_bound
+from .quadrature import GridSpec, aliasing_bound, integrate_with_estimate, tail_bound
 from .quadric import QuadricForm, heisenberg, phi_lambda_matrix
 from .spectral import SpectralData, decompose_form, eigendecompose, rank_nu
 

@@ -42,6 +42,7 @@ from .forms import FormIndex, epsilon
 from .hermite import UTildeParams, default_series_terms, u_tilde_closed, u_tilde_series
 # rho_hat and weighted_heat_kernel stay in this namespace for callers that instrument them.
 from .kernel import (  # noqa: F401
+    inversion_budget,
     log_rho_hat,
     rho_hat,
     rho_hat_adapted,
@@ -516,11 +517,13 @@ def _check_inversion(cfg: JobConfig, tol: float) -> tuple:
     yp = np.repeat(samples[:, 1:], S.nu, axis=1)
     for s in (0.3, 0.7):
         want = np.array([rho_hat_eta(s, x, y, None, S, cfg.L) for x, y in zip(xp, yp)])
-        got, tails, budget = rho_via_inversion(s, xp, yp, None, S, cfg.L, tol=tol,
-                                               return_budget=True)
+        got = rho_via_inversion(s, xp, yp, None, S, cfg.L, tol=tol)
+        specs, tails, aliasing, budget = inversion_budget(s, xp, yp, None, S, cfg.L, tol=tol)
         worst = max(worst, float(np.max(np.abs(got - want))), float(np.max(np.abs(got.imag))))
-        notes.append(f"s={s}: tails {', '.join(f'{t:.1e}' for t in tails)}, budget {budget:.1e}")
-    return worst, "per-direction quadrature tails and product budget: " + "; ".join(notes)
+        notes.append(f"s={s}: nodes {', '.join(f'{q.points}x{q.points}' for q in specs)}, aliasing "
+                     f"{', '.join(f'{a:.1e}' for a in aliasing)}, tails {', '.join(f'{t:.1e}' for t in tails)}"
+                     f", budget {budget:.1e}")
+    return worst, "per-direction nodes, aliasing bounds, tails and product budget: " + "; ".join(notes)
 
 
 def _check_pde_residual(cfg: JobConfig, tol: float) -> tuple:

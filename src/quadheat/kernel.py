@@ -21,11 +21,11 @@ weighted_heat_kernel_batch evaluates with the original form
 
 rho_via_inversion reproduces the closed form from the transform-side
 solution by inverse Fourier integration and is the package's strongest
-independent oracle.  The integral factorises into one 2-D integral per rank
-direction, each on its own GridSpec box sized from that direction's decay
-rate (inversion_rate), so it runs at every rank (full-rank n = 2 included)
-and reports each direction's quadrature tail estimate and the budget they
-give the product.  Its integrand's per-direction factor is
+independent oracle.  The integral factorises into one 2-D trapezoid integral
+per rank direction, so it runs at every rank (full-rank n = 2 included), on a
+box from the direction's decay rate and a step from its aliasing bound (32 to
+45 points per axis at tol 1e-6); inversion_budget sums the tail and aliasing
+bounds into the product's budget.  Its integrand's per-direction factor is
 hermite.mehler_factor, the one the Mehler oracles multiply.
 """
 
@@ -40,7 +40,7 @@ from .forms import FormIndex, epsilon
 from .hermite import eta_norm_sq, mehler_factor
 from .quadric import QuadricForm
 # integrate_with_estimate stays in this namespace for callers that instrument it.
-from .quadrature import GridSpec, integrate_with_estimate, tail_bound  # noqa: F401
+from .quadrature import GridSpec, aliasing_bound, integrate_with_estimate, tail_bound  # noqa: F401
 from .spectral import SpectralData
 
 # Below this value of s|mu| the exact expressions cancel; switch to series.
@@ -201,16 +201,51 @@ def inversion_rate(s: float, S: SpectralData, direction: int) -> float:
     if not 0 <= direction < S.nu:
         raise ValueError(f"direction {direction} is not a rank direction (nu={S.nu})")
     am = abs(float(S.mu[direction]))
-    Sj = np.exp(-2.0 * am * s)
-    return 0.5 * ((1.0 - Sj**2) / (1.0 + Sj**2)) / (4.0 * am)
+    return np.tanh(2.0 * am * s) / (8.0 * am)
 
 
 def inversion_quadspec(s: float, S: SpectralData, tol: float = 1e-6, direction: int = 0) -> GridSpec:
-    """Square box of 512 x 512 points over the duals (a_j, b_j) of rank
-    direction j = ``direction``, sized so the integrand's Gaussian factor at the
-    boundary is below 1e-3 times the requested tolerance."""
-    rate = inversion_rate(s, S, direction)
-    return GridSpec.cube(float(np.sqrt(np.log(1.0 / (1e-3 * tol)) / rate)), 2, 512)
+    """Square box over the duals (a_j, b_j) of rank direction j = ``direction``,
+    sized from t = min(tol, 1e-6): half-width R puts the integrand's Gaussian at
+    the boundary below 1e-3 t; step pi / rho puts the copies of the integral I_j,
+    2 rho apart, below 1e-6 t of its peak within rho, where |I_j| is 1e-6 t."""
+    t = min(tol, 1e-6)
+    R = np.sqrt((np.log(1e3) - np.log(t)) / inversion_rate(s, S, direction))
+    rho = np.sqrt((np.log(1e6) - np.log(t)) / mu_coth(s, S.mu[direction]))
+    return GridSpec.cube(float(R), 2, int(np.ceil(2.0 * R * rho / np.pi)) + 1)
+
+
+def _inversion_pref(s: float, eta, S: SpectralData) -> float:
+    """The inversion's normalization, (2 pi)^(-(2n + m + nu)/2) exp(-s |eta|^2 / 4)."""
+    return (2.0 * np.pi) ** (-0.5 * (2 * S.n + S.m + S.nu)) * np.exp(-0.25 * s * eta_norm_sq(eta, S))
+
+
+def inversion_budget(s: float, xp, yp, eta, S: SpectralData, L: FormIndex,
+                     quad: GridSpec | None = None, tol: float = 1e-6):
+    """A priori error budget of rho_via_inversion at samples of shape (K, nu).
+
+    |mehler_factor| of direction j is F_j exp(-rate_j (a^2 + b^2)) (inversion_rate),
+    so its integral I_j has modulus at most M_j = pi F_j / rate_j and decays like
+    exp(-mu_coth(s, mu_j) (x^2 + y^2)).  On its grid (inversion_quadspec, or ``quad``)
+    the trapezoid error is at most err_j = tail_bound + aliasing_bound at scale M_j,
+    so the product's is at most pref (prod_j (M_j + err_j) - prod_j M_j), the
+    budget, maximised over the samples.  Returns the grids, tails, largest
+    aliasing bounds and budget; raises NumericsError above ``tol``."""
+    eps, specs, tails, mass, alias = epsilon(L, S), [], [], [], []
+    for j in range(S.nu):
+        specs.append(quad if quad is not None else inversion_quadspec(s, S, tol=tol, direction=j))
+        rate, peak = inversion_rate(s, S, j), float(abs(mehler_factor(s, 0.0, 0.0, S.mu[j], eps[j])))
+        tails.append(float(tail_bound(specs[j], rate, peak)))
+        mass.append(np.pi * peak / rate)
+        alias.append(aliasing_bound(specs[j], mu_coth(s, S.mu[j]), mass[j], xp[:, j], yp[:, j]))
+    rel = np.log1p((np.array(tails)[:, None] + np.array(alias)) / np.array(mass)[:, None])
+    budget = float(_inversion_pref(s, eta, S) * np.prod(mass) * np.max(np.expm1(np.sum(rel, axis=0))))
+    aliasing = np.max(alias, axis=1).tolist()
+    if not budget <= tol:
+        raise NumericsError(
+            f"inversion tail and aliasing budget {budget:.3e} exceeds tolerance {tol:.3e}; per-direction "
+            f"tails {[float(f'{t:.3e}') for t in tails]}, aliasing {[float(f'{a:.3e}') for a in aliasing]}")
+    return specs, tails, aliasing, budget
 
 
 def rho_via_inversion(
@@ -222,54 +257,36 @@ def rho_via_inversion(
 
     The integrand exp(i(a.x' + b.y')) exp(-i/4 sum a_j b_j / mu_j) u~(s, a, b)
     is a product over rank directions j, so its integral is a product of one
-    trapezoid integral I_j = e(x)^T G_j e(y), e(x) = exp(i a x), per direction
-    on its own inversion_quadspec box (a 2-D GridSpec ``quad`` replaces every
-    box), with G_j = w_a w_b^T o exp(-i a b / (4 mu_j)) o
-    mehler_factor(s, a, b, mu_j, eps_j) on the box's P x P nodes.
-    Times exp(-2i sum mu_j x_j y_j) and the normalization, it is an independent
-    oracle for rho_hat_eta at one point (``xp``, ``yp`` of shape (nu,)) or at K
-    (shape (K, nu)).  Raises NumericsError when the budget, the normalization
-    times sum_j tail_j prod_{k != j} (sum |G_k| + tail_k) with tail_j from
-    tail_bound on max |integrand j| at rate inversion_rate(s, S, j), exceeds
-    ``tol``; ``return_budget`` also returns the tails and budget.
-    ``phase_signs`` (twist, a.b phase; physically -1) exist for ablation tests.
+    trapezoid integral I_j = e(x)^T G_j e(y), e(x) = exp(i a x), per direction on
+    the P x P grid inversion_budget gives it (a 2-D GridSpec ``quad`` replaces
+    every grid), G_j = w_a w_b^T o exp(-i a b / (4 mu_j)) o mehler_factor(s, a,
+    b, mu_j, eps_j).  Times exp(-2i sum mu_j x_j y_j) and the normalization, it is
+    an independent oracle for rho_hat_eta at one point (``xp``, ``yp`` of shape
+    (nu,)) or at K (shape (K, nu)).  inversion_budget raises NumericsError before
+    any integration when the budget exceeds ``tol``; ``return_budget`` also
+    returns its tails and budget.  ``phase_signs`` (twist, a.b phase;
+    physically -1) exist for ablation tests.
     """
     if s <= 0.0:
         raise ValueError(f"time s must be positive, got {s}")
     nu = S.nu
     if nu < 1:
         raise ValueError("inversion needs nu >= 1")
-    if quad is not None and quad.dim != 2:
-        raise ValueError(f"quad must be a 2-D grid over (a_j, b_j), got {quad.dim} axes")
     single = np.ndim(xp) <= 1
     xp, yp = np.atleast_2d(np.asarray(xp, dtype=float), np.asarray(yp, dtype=float))
     if xp.ndim != 2 or xp.shape[1] != nu or yp.shape != xp.shape:
         raise ValueError(f"xp and yp must have shape (nu,) or (K, nu) with nu={nu}")
-    eta_sq = eta_norm_sq(eta, S)
+    specs, tails, _, budget = inversion_budget(s, xp, yp, eta, S, L, quad, tol)
     twist_sign, ab_sign = phase_signs
-    pref = (2.0 * np.pi) ** (-0.5 * (2 * S.n + S.m + nu)) * np.exp(-0.25 * s * eta_sq)
     eps = epsilon(L, S)
-    values = pref * np.exp(2j * twist_sign * np.sum(S.mu[:nu] * xp * yp, axis=1))
-    tails, mass = [], []
-    for j in range(nu):
-        spec = quad if quad is not None else inversion_quadspec(s, S, tol=tol, direction=j)
+    values = _inversion_pref(s, eta, S) * np.exp(2j * twist_sign * np.sum(S.mu[:nu] * xp * yp, axis=1))
+    for j, spec in enumerate(specs):
         (a, b), (wa, wb) = spec.axes(), spec.weights()
         F = mehler_factor(s, a[:, None], b[None, :], S.mu[j], eps[j])
-        absF = np.abs(F)  # the a.b phase has modulus 1
-        tails.append(float(tail_bound(spec, inversion_rate(s, S, j), float(absF.max()))))
-        mass.append(float(wa @ absF @ wb))
         F *= np.exp((0.25j * ab_sign / S.mu[j]) * np.outer(a, b))
         ex = wa * np.exp(1j * np.outer(xp[:, j], a))  # weights ride on e(x), e(y)
         ey = wb * np.exp(1j * np.outer(yp[:, j], b))
         # einsum, not a BLAS product: OpenBLAS threads would spin on after it
         values = values * np.einsum("kp,pq,kq->k", ex, F, ey)
-    budget = pref * sum(
-        t * np.prod([mass[k] + tails[k] for k in range(nu) if k != j])
-        for j, t in enumerate(tails)
-    )
-    if not budget <= tol:
-        raise NumericsError(
-            f"inversion tail budget {budget:.3e} exceeds tolerance {tol:.3e}; "
-            f"per-direction tail estimates {[float(f'{t:.3e}') for t in tails]}")
     values = complex(values[0]) if single else values
-    return (values, tails, float(budget)) if return_budget else values
+    return (values, tails, budget) if return_budget else values

@@ -5,9 +5,9 @@ point count per axis and the node budget.  The stencil grids, heat_apply's
 convolution, the semigroup composition box and the Fourier-inversion boxes
 all use it.  Integrands here are smooth with Gaussian decay, where the
 trapezoid rule converges spectrally; their decay rate describes the
-integrand, not the grid, so it is an argument of tail_bound, the a priori
-bound on the mass outside the box that callers use to refuse under-resolved
-requests.
+integrand, not the grid, so it is an argument of the a priori bounds that
+callers use to refuse under-resolved requests: tail_bound on the mass outside
+the box and aliasing_bound on the rule's aliasing error.
 
 Reductions sum node values with numpy's pairwise summation in a fixed order,
 so repeated runs are bit-stable.
@@ -120,3 +120,21 @@ def tail_bound(spec: GridSpec, rate: float, boundary_max: float) -> float:
         raise ValueError(f"decay rate must be positive, got {rate}")
     R = min(spec.half_widths)
     return boundary_max * spec.face_area() * np.exp(-rate * R * R)
+
+
+def aliasing_bound(spec: GridSpec, rate: float, scale: float, x, y) -> np.ndarray:
+    """Bound on the 2-D trapezoid rule's aliasing error at samples (x, y) for an
+    integrand exp(i(a x + b y)) g(a, b) whose integral I has modulus at most
+    scale exp(-rate (x^2 + y^2)).  By Poisson summation the unbounded rule of
+    step h per axis sums the copies of I shifted by 2 pi l / h; per axis those
+    with l != 0 add at most 2 exp(-rate d^2) / (1 - exp(-2 rate T d)) with
+    T = 2 pi / h and d = max(T - |x|, T / 2), plus 1 when |x| > T / 2."""
+    if spec.dim != 2:
+        raise ValueError(f"aliasing_bound needs a 2-D grid, got {spec.dim} axes")
+    near, copies = [], []
+    for t, h in zip(np.broadcast_arrays(np.asarray(x, dtype=float), y), spec.spacing):
+        T = 2.0 * np.pi / h
+        d = np.maximum(T - np.abs(t), 0.5 * T)
+        near.append(np.exp(-rate * t * t))
+        copies.append(2.0 * np.exp(-rate * d * d) / -np.expm1(-2.0 * rate * T * d) + (np.abs(t) > 0.5 * T))
+    return scale * (near[0] * copies[1] + copies[0] * (near[1] + copies[1]))

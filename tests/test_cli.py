@@ -765,6 +765,35 @@ class TestVerifyEveryGeometry:
             assert 0.0 < float(part.split("budget ")[1]) <= inversion["tolerance"]
 
 
+class TestVerifyInversion:
+    @pytest.mark.parametrize("route", ["--tol", "tolerances"])
+    @pytest.mark.parametrize("tol", [1e-6, 1.0, 1e3, 1e6])
+    def test_any_tolerance_passes(self, tmp_path, capsys, tol, route):
+        # 1e3 used to size a box of half-width 0 and larger values a NaN one
+        extra = {"tolerances": {"inversion": tol}} if route == "tolerances" else {}
+        path, _ = write_config(tmp_path, checks=["inversion"], **extra)
+        args = ["verify", "--config", path] + ([f"--tol={tol!r}"] if route == "--tol" else [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args) == 0
+        entry = strict_json(capsys.readouterr().out)["checks"][0]
+        assert entry["pass"] and entry["tolerance"] == tol and entry["error"] <= 1e-9
+
+    def test_message_names_nodes_and_aliasing(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path, quadric=FULL_RANK_N2, L=[1, 2], checks=["inversion"],
+                               **{"lambda": [1.0, 1.0]})
+        assert main(["verify", "--config", path]) == 0
+        message = strict_json(capsys.readouterr().out)["checks"][0]["message"]
+        for s in ("s=0.3", "s=0.7"):
+            part = message.split(s + ": ")[1].split(";")[0]
+            nodes = part.split("nodes ")[1].split(", aliasing ")[0].split(", ")
+            aliasing = part.split("aliasing ")[1].split(", tails ")[0].split(", ")
+            tails = part.split("tails ")[1].split(", budget")[0].split(", ")
+            assert [len(set(q.split("x"))) for q in nodes] == [1, 1]
+            assert all(8 <= int(q.split("x")[0]) <= 64 for q in nodes)
+            assert len(aliasing) == 2 and all(0.0 < float(a) < float(t) for a, t in zip(aliasing, tails))
+
+
 class TestVerifyFailures:
     def test_check_that_cannot_run_is_a_failed_entry(self, tmp_path, capsys, monkeypatch):
         def over_budget(cfg, tol):

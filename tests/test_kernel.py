@@ -407,3 +407,52 @@ class TestFactorisedInversion:
             rho_via_inversion(0.3, np.zeros((3, 2)), np.zeros((2, 2)), None, S, L_IN)
         with pytest.raises(ValueError, match="shape"):
             rho_via_inversion(0.3, [0.0], [0.0], None, S, L_IN)
+
+
+@st.composite
+def _inversion_cases(draw):
+    """Random mu in +-[0.25, 4] over nu = 1 or 2 directions, s, L, samples with
+    |x|, |y| <= 1.5, and either the default boxes or one coarse square grid of
+    8 to 64 points on direction 0's default box."""
+    mag = st.floats(0.25, 4.0)
+    mu = [draw(mag) * draw(st.sampled_from([-1.0, 1.0])) for _ in range(draw(st.integers(1, 2)))]
+    S = spectral_for_mu(mu)
+    s = draw(st.floats(0.1, 2.0))
+    L = FormIndex(sorted(draw(st.sets(st.integers(1, len(mu))))))
+    K = draw(st.integers(1, 3))
+    coord = st.floats(-1.5, 1.5)
+    xp, yp = (np.array([[draw(coord) for _ in mu] for _ in range(K)]) for _ in range(2))
+    quad = None
+    if draw(st.booleans()):
+        quad = GridSpec.cube(inversion_quadspec(s, S).half_widths[0], 2, draw(st.integers(8, 64)))
+    return S, s, L, xp, yp, quad
+
+
+class TestInversionBudget:
+    @pytest.mark.parametrize("points", [9, 12])
+    def test_coarse_quad_is_refused(self, heis_spectral, points):
+        # 12 points used to return an error of 1.5e-3 under a budget of 4.5e-10
+        quad = GridSpec.cube(18.0, 2, points)
+        with pytest.raises(NumericsError, match="aliasing"):
+            rho_via_inversion(0.3, [0.7], [0.5], None, heis_spectral, L_IN, quad=quad)
+
+    @pytest.mark.parametrize("name,S,eta", _inversion_geometries()[:3])
+    def test_default_grids_stay_small(self, name, S, eta):
+        # the three verify-suite geometries; the fixed grid had 512 points per axis
+        for s in (0.3, 0.7):
+            assert all(inversion_quadspec(s, S, direction=j).points <= 64 for j in range(S.nu))
+
+    @pytest.mark.parametrize("tol", [1.0, 1e3, 1e6])
+    def test_loose_tolerance_reuses_the_tight_grid(self, heis_spectral, tol):
+        assert inversion_quadspec(0.3, heis_spectral, tol=tol) == inversion_quadspec(0.3, heis_spectral)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_inversion_cases())
+    def test_budget_bounds_the_error(self, case):
+        S, s, L, xp, yp, quad = case
+        try:
+            got, _, budget = rho_via_inversion(s, xp, yp, None, S, L, quad=quad, return_budget=True)
+        except NumericsError:
+            return
+        want = np.array([rho_hat_eta(s, x, y, None, S, L) for x, y in zip(xp, yp)])
+        assert np.max(np.abs(got - want)) <= budget + 1e-13

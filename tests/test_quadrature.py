@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from quadheat import GridSpec, integrate_with_estimate, psi, tail_bound
+from quadheat import GridSpec, aliasing_bound, integrate_with_estimate, psi, tail_bound
 from quadheat.quadrature import tensor_nodes
 
 
@@ -113,3 +113,35 @@ class TestTailBound:
         )
         assert val.real == pytest.approx(math.sqrt(math.pi), abs=1e-10)
         assert 0 < est <= 2 * 1.0 * math.exp(-25.0) * 1.001
+
+
+class TestAliasingBound:
+    # exp(i(a x + b y)) exp(-(a^2 + b^2) / 4) integrates to 4 pi exp(-(x^2 + y^2))
+    @staticmethod
+    def measured_error(spec, x, y):
+        (a, b), (wa, wb) = spec.axes(), spec.weights()
+        g = np.exp(-0.25 * (a[:, None] ** 2 + b[None, :] ** 2))
+        got = np.einsum("kp,pq,kq->k", wa * np.exp(1j * np.outer(x, a)), g,
+                        wb * np.exp(1j * np.outer(y, b)))
+        return np.abs(got - 4 * np.pi * np.exp(-(x**2 + y**2)))
+
+    def test_bounds_and_tracks_the_aliasing(self):
+        # box truncation exp(-36) is negligible; step 2 puts copies 2 pi / 2 = pi apart
+        spec = GridSpec.cube(12.0, 2, 13)
+        x, y = np.array([0.0, 0.5, -1.0, 1.5]), np.array([0.0, -0.3, 1.2, 0.2])
+        measured = self.measured_error(spec, x, y)
+        bound = aliasing_bound(spec, 1.0, 4 * np.pi, x, y)
+        assert np.all(measured <= bound) and np.all(bound <= 4 * measured)
+
+    def test_sample_past_half_period_is_bounded(self):
+        spec = GridSpec.cube(12.0, 2, 13)
+        x, y = np.array([1.7, 3.0, -6.0]), np.array([0.1, -2.5, 4.0])
+        assert np.all(self.measured_error(spec, x, y) <= aliasing_bound(spec, 1.0, 4 * np.pi, x, y))
+
+    def test_falls_with_the_step(self):
+        coarse, fine = (aliasing_bound(GridSpec.cube(12.0, 2, P), 1.0, 1.0, 0.5, 0.5) for P in (13, 25))
+        assert fine < coarse * math.exp(-20.0)
+
+    def test_needs_two_axes(self):
+        with pytest.raises(ValueError, match="2-D"):
+            aliasing_bound(GridSpec.cube(1.0, 1, 16), 1.0, 1.0, 0.0, 0.0)

@@ -35,7 +35,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product, repeat
+from itertools import product
 
 import numpy as np
 
@@ -72,8 +72,7 @@ class GridFunction:
 
     def save_csv(self, path: str) -> None:
         """Header row of coordinate names plus re,im; one node per row."""
-        vals = np.asarray(self.values, dtype=complex).ravel()
-        write_grid_csv(path, self.spec, {"re": vals.real, "im": vals.imag})
+        write_grid_csv(path, self.spec, {"re": np.real(self.values), "im": np.imag(self.values)})
 
     @classmethod
     def load_csv(cls, path: str, spec: GridSpec) -> "GridFunction":
@@ -112,20 +111,25 @@ def write_grid_csv(path: str, spec: GridSpec, columns: dict, comments=()) -> Non
     """Atomic CSV: ``comments`` lines, a header, then per node (in ``flat_points``
     order) its coordinates and one cell per ``columns`` array of per-node floats.
 
-    Cells are shortest round-trip reprs.  Each axis is formatted once, each
-    column once per index of axis 0 by one list repr, written as one block.
+    Cells are shortest round-trip reprs.  Each axis is formatted once, and each
+    column's distinct bit patterns (not values, so -0.0 and NaN payloads keep
+    their own) once by one list repr; each block of axis 0 indexes those strings.
     """
     names = [f"{'x' if k % 2 == 0 else 'y'}{k // 2 + 1}" for k in range(spec.dim)]
     axes = [repr(a.tolist())[1:-1].split(", ") for a in spec.axes()]
     # Coordinate cells of axes 1..dim-1, shared by every block; none on a 1-D grid.
     rest = [[",".join(t) for t in product(*axes[1:])]] if spec.dim > 1 else []
-    blocks = [np.asarray(c, dtype=float).reshape(spec.points, -1) for c in columns.values()]
+    texts, blocks = [], []
+    for c in columns.values():
+        bits, inverse = np.unique(np.asarray(c, dtype=float).view(np.uint64), return_inverse=True)
+        texts.append(np.array(repr(bits.view(float).tolist())[1:-1].split(", "), dtype=object))
+        blocks.append(inverse.astype(np.int32).reshape(spec.points, -1))  # NODE_BUDGET < 2**31
 
     def rows():
         yield "".join(f"{c}\n" for c in comments) + ",".join(names + list(columns)) + "\n"
-        for x0, *vals in zip(axes[0], *blocks):
-            cells = [repr(v.tolist())[1:-1].split(", ") for v in vals]
-            yield "\n".join(map(",".join, zip(repeat(x0), *rest, *cells))) + "\n"
+        for x0, *index in zip(axes[0], *blocks):
+            cells = [t[i].tolist() for t, i in zip(texts, index)]
+            yield f"{x0}," + f"\n{x0},".join(map(",".join, zip(*rest, *cells))) + "\n"
 
     write_atomic(path, rows())
 
@@ -161,8 +165,7 @@ def sample_rho_hat(s: float, spec: GridSpec, S: SpectralData, L: FormIndex) -> n
     per direction j along its own axes 2j, 2j + 1, the constant in the first."""
     _check_dim(spec, S.n)
     const, log_fac, rates = _log_rho_parts(s, S, L)
-    sq = [spec.axis_coordinate(2 * j) ** 2 + spec.axis_coordinate(2 * j + 1) ** 2 for j in range(S.n)]
-    terms = [f - a * q for f, a, q in zip(log_fac, rates, sq)]
+    terms = [f - a * q for f, a, q in zip(log_fac, rates, spec.squared_radii())]
     return np.exp(reduce(np.add, [const + terms[0]] + terms[1:]))
 
 

@@ -422,11 +422,13 @@ def cmd_scan(cfg: JobConfig, out_path: str | None) -> int:
     s = cfg.s_values[0]
     S = cfg.spectral
     eps = epsilon(cfg.L, S)
-    pts = spec.flat_points()
-    log_rho = log_rho_hat(s, pts[:, 0::2] ** 2 + pts[:, 1::2] ** 2, S, cfg.L)
+    # |c_j|^2 per node in flat_points order, without the N x 2n node array.
+    sq = np.stack(np.broadcast_arrays(*spec.squared_radii()), axis=-1).reshape(-1, S.n)
+    log_rho = log_rho_hat(s, sq, S, cfg.L)
+    del sq
     values = np.exp(log_rho)
     # Where the value underflows to 0.0, log10_abs is the finite log-space value.
-    logs = np.log10(values, out=log_rho / np.log(10.0), where=values > 0.0)
+    logs = np.log10(values, out=np.divide(log_rho, np.log(10.0), out=log_rho), where=values > 0.0)
     comments = [
         f"# config_sha256={config_digest(cfg.raw)}",
         f"# lambda={[float(x) for x in cfg.lam]}",

@@ -76,6 +76,11 @@ class GridSpec:
         shape[ax] = self.points
         return self.axes()[ax].reshape(shape)
 
+    def squared_radii(self) -> list:
+        """x_j^2 + y_j^2 of each axis pair (2j, 2j + 1), shaped to broadcast."""
+        return [self.axis_coordinate(k) ** 2 + self.axis_coordinate(k + 1) ** 2
+                for k in range(0, self.dim - 1, 2)]
+
     def flat_points(self) -> np.ndarray:
         """All nodes in lexicographic order as an (N, dim) array."""
         grids = np.meshgrid(*self.axes(), indexing="ij")

@@ -14,6 +14,7 @@ import pytest
 from quadheat.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SCAN_DIGESTS = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
 
 
 def load_perfbench(name: str) -> dict:
@@ -25,15 +26,19 @@ def load_perfbench(name: str) -> dict:
     return module.__dict__
 
 
-@pytest.mark.parametrize("kind,s", [("n1", 0.3), ("n2", 1.0), ("far", 1.8)])
-def test_scan_bytes_match_recorded_digest(tmp_path, kind, s):
-    workloads = load_perfbench("workloads")
+@pytest.fixture(scope="module")
+def workloads() -> dict:
+    return load_perfbench("workloads")
+
+
+@pytest.mark.parametrize("kind,s", [(k, float(s)) for k, s in (key.split(":") for key in SCAN_DIGESTS)])
+def test_scan_bytes_match_recorded_digest(tmp_path, workloads, kind, s):
     cfg = tmp_path / "scan.json"
     cfg.write_text(json.dumps(workloads["scan_config"](kind, s)))
     out = tmp_path / "scan.csv"
     assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
     digest = workloads["scan_stripped_digest"](out.read_bytes())
-    assert digest == workloads["load_reference"]()[f"{kind}:{s!r}"]
+    assert digest == SCAN_DIGESTS[f"{kind}:{s!r}"]
 
 
 def test_traced_heat_apply_counts_every_output_point(tmp_path):

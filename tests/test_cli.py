@@ -442,13 +442,27 @@ class TestEvolve:
         assert main(["evolve", "--config", path]) == 2
 
 
+# Few values, so most cells repeat: 0.0 and -0.0 compare equal, the two NaNs equal nothing,
+# and each has its own bit pattern.
+REPEATED = [0.0, -0.0, float("nan"), np.copysign(float("nan"), -1.0),
+            float("inf"), -float("inf"), 5e-324, 0.25]
+
+
 class TestGridCsv:
-    @pytest.mark.parametrize("half_widths,points", [([1.0, 2.0, 0.5, 3.0], 9), ([1.5], 8)])
-    def test_save_csv_bytes_match_per_row_repr(self, tmp_path, half_widths, points):
+    @pytest.mark.parametrize("half_widths,points,pool", [
+        pytest.param([1.0, 2.0, 0.5, 3.0], 9, None, id="half_widths0-9"),
+        pytest.param([1.5], 8, None, id="half_widths1-8"),
+        pytest.param([2.0, 1.0, 0.5, 1.5], 8, REPEATED, id="repeated_bit_patterns"),
+    ])
+    def test_save_csv_bytes_match_per_row_repr(self, tmp_path, half_widths, points, pool):
         spec = GridSpec(half_widths, points)
         rng = np.random.default_rng(7)
-        vals = rng.normal(size=spec.shape()) + 1j * rng.normal(size=spec.shape())
-        vals.flat[:4] = [-0.0, np.inf, complex(np.nan, -np.inf), 1e-300j]
+        if pool is None:
+            vals = rng.normal(size=spec.shape()) + 1j * rng.normal(size=spec.shape())
+            vals.flat[:4] = [-0.0, np.inf, complex(np.nan, -np.inf), 1e-300j]
+        else:  # set part by part: complex arithmetic would change the signs of zeros and NaNs
+            vals = np.empty(spec.shape(), dtype=complex)
+            vals.real, vals.imag = rng.choice(pool, spec.shape()), rng.choice(pool, spec.shape())
         path = tmp_path / "field.csv"
         GridFunction(spec, vals).save_csv(str(path))
         names = ["x1", "y1", "x2", "y2"][: spec.dim]

@@ -15,6 +15,7 @@ byte-identical and files reparse exactly.
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import json
 import operator
@@ -22,6 +23,7 @@ import os
 import re
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,7 +72,10 @@ DEFAULT_TOLERANCES = {
 
 
 # ---------------------------------------------------------------------------
-# initial-data expression grammar: identifiers, literals, + - * / ^, exp, ()
+# initial-data expressions: + - * / ^, unary + -, exp(.), x1..yn, ASCII decimal literals.
+# Python's parser reads them with "^" as "**": right-associative and binding tighter than
+# a unary minus on its left (-2^2 = -4), whitespace and newlines free, syntax error
+# positions its own.  A whitelist walk refuses every other node; nesting is capped.
 
 
 class ExprError(ValueError):
@@ -81,117 +86,12 @@ class ExprError(ValueError):
         self.pos = pos
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
-)
-
-
-def _tokenize(text: str) -> list:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            raise ExprError(f"unexpected character {rest[0]!r}", pos)
-        if m.lastgroup == "num":
-            tokens.append(("num", float(m.group("num")), m.start("num")))
-        elif m.lastgroup == "ident":
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(("end", None, len(text)))
-    return tokens
-
-
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
-
-
-class _Parser:
-    """Recursive descent for the tiny initial-data grammar."""
-
-    def __init__(self, text: str, variables: set):
-        self.tokens = _tokenize(text)
-        self.variables = variables
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, val, pos = self.peek()
-        if kind != "op" or val != op:
-            raise ExprError(f"expected {op!r}", pos)
-        return self.advance()
-
-    def parse(self):
-        node = self.expr()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ExprError(f"unexpected trailing token {val!r}", pos)
-        return node
-
-    def chain(self, ops: str, operand):
-        """Left-associative chain of ``operand``s joined by binary operators in ``ops``."""
-        node = operand()
-        while self.peek()[0] == "op" and self.peek()[1] in ops:
-            op = _BINARY[self.advance()[1]]
-            node = (lambda a, b, op: lambda env: op(a(env), b(env)))(node, operand(), op)
-        return node
-
-    def expr(self):
-        return self.chain("+-", self.term)
-
-    def term(self):
-        return self.chain("*/", self.factor)
-
-    def factor(self):
-        kind, val, _ = self.peek()
-        if kind == "op" and val in "+-":
-            self.advance()
-            inner = self.factor()
-            if val == "-":
-                return lambda env: -inner(env)
-            return inner
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.advance()
-            expo = self.factor()
-            return lambda env: base(env) ** expo(env)
-        return base
-
-    def atom(self):
-        kind, val, pos = self.advance()
-        if kind == "num":
-            return lambda env, v=np.float64(val): v  # IEEE 1/0, not ZeroDivisionError
-        if kind == "ident":
-            if val == "exp":
-                self.expect_op("(")
-                inner = self.expr()
-                self.expect_op(")")
-                return lambda env: np.exp(inner(env))
-            if val in self.variables:
-                return lambda env, name=val: env[name]
-            raise ExprError(f"unknown identifier {val!r}", pos)
-        if kind == "op" and val == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        raise ExprError(f"expected a value, got {val!r}", pos)
+MAX_NESTING = 100  # parentheses, and operations in the parse tree, nested in one another
+_TOO_DEEP = f"expression nests too deeply (more than {MAX_NESTING} levels)"
+_OUTSIDE_GRAMMAR = re.compile(r"\*\*|[^\sA-Za-z0-9_.+\-*/^()]")
+_DECIMAL = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: operator.pow}
 
 
 def parse_initial_expression(text: str, n: int):
@@ -202,19 +102,52 @@ def parse_initial_expression(text: str, n: int):
     (a constant stays a scalar).
     """
     names = [f"{a}{j + 1}" for j in range(n) for a in "xy"]
-    parser = _Parser(text, set(names))
+    bad = _OUTSIDE_GRAMMAR.search(text)
+    if bad:
+        raise ExprError(f"unexpected {bad.group()!r}", bad.start())
+    depth = 0
+    for pos, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if not 0 <= depth <= MAX_NESTING:
+            raise ExprError("unmatched ')'" if depth < 0 else _TOO_DEEP, pos)
+    # One line of ASCII, "^" as "**" (the same precedence and right associativity), in
+    # parentheses so that leading whitespace parses; back[i] is the text position of src[i].
+    src = "(" + re.sub(r"\s", " ", text).replace("^", "**") + ")"
+    back = [0] + [i for i, ch in enumerate(text) for _ in range(1 + (ch == "^"))] + [len(text)] * 2
     try:
-        fn = parser.parse()
-    except RecursionError:
-        raise ExprError("expression nests too deeply", parser.peek()[2]) from None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SyntaxWarning)  # "1if": a literal run into a keyword
+            tree = ast.parse(src, mode="eval").body
+    except SyntaxError as exc:
+        raise ExprError(exc.msg, back[min(max((exc.offset or 1) - 1, 0), len(src))]) from None
+    except (RecursionError, MemoryError):  # CPython's parser on a pathological input
+        raise ExprError(_TOO_DEEP, 0) from None
 
-    def evaluate(*xy):
-        try:
-            return fn(dict(zip(names, xy, strict=True)))
-        except RecursionError:
-            raise ExprError("expression nests too deeply to evaluate", 0) from None
+    def build(node, depth: int):
+        pos = back[node.col_offset]
+        if depth > MAX_NESTING:
+            raise ExprError(_TOO_DEEP, pos)
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            op, a, b = _BINARY[type(node.op)], build(node.left, depth + 1), build(node.right, depth + 1)
+            return lambda env: op(a(env), b(env))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            inner = build(node.operand, depth + 1)
+            return inner if isinstance(node.op, ast.UAdd) else lambda env: -inner(env)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "exp"
+                and node.func.col_offset == node.col_offset  # not "(exp)(x1)"
+                and len(node.args) == 1 and not node.keywords):
+            inner = build(node.args[0], depth + 1)
+            return lambda env: np.exp(inner(env))
+        if isinstance(node, ast.Name) and node.id in names:
+            return lambda env, name=node.id: env[name]
+        literal = src[node.col_offset:node.end_col_offset]
+        if isinstance(node, ast.Constant) and _DECIMAL.fullmatch(literal):
+            return lambda env, v=np.float64(float(literal)): v  # IEEE 1/0, not ZeroDivisionError
+        what = "unknown identifier" if isinstance(node, ast.Name) else "unexpected"
+        raise ExprError(f"{what} {text[pos:back[node.end_col_offset - 1] + 1]!r}", pos)
 
-    return evaluate
+    fn = build(tree, 0)
+    return lambda *xy: fn(dict(zip(names, xy, strict=True)))
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +631,7 @@ def main(argv=None) -> int:
         if args.command == "evolve":
             return cmd_evolve(cfg, args.out)
         return cmd_verify(cfg, args.out, args.tol)
-    except (ValueError, ExprError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
     except NumericsError as exc:

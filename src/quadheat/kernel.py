@@ -250,8 +250,7 @@ def inversion_budget(s: float, xp, yp, eta, S: SpectralData, L: FormIndex,
 
 def rho_via_inversion(
     s: float, xp, yp, eta, S: SpectralData, L: FormIndex,
-    quad: GridSpec | None = None, tol: float = 1e-6,
-    return_budget: bool = False, phase_signs: tuple = (-1.0, -1.0),
+    quad: GridSpec | None = None, tol: float = 1e-6, phase_signs: tuple = (-1.0, -1.0),
 ):
     """Numerical inverse Fourier transform of the transform-side solution.
 
@@ -263,9 +262,8 @@ def rho_via_inversion(
     b, mu_j, eps_j).  Times exp(-2i sum mu_j x_j y_j) and the normalization, it is
     an independent oracle for rho_hat_eta at one point (``xp``, ``yp`` of shape
     (nu,)) or at K (shape (K, nu)).  inversion_budget raises NumericsError before
-    any integration when the budget exceeds ``tol``; ``return_budget`` also
-    returns its tails and budget.  ``phase_signs`` (twist, a.b phase;
-    physically -1) exist for ablation tests.
+    any integration when the budget exceeds ``tol``.  ``phase_signs`` (twist,
+    a.b phase; physically -1) exist for ablation tests.
     """
     if s <= 0.0:
         raise ValueError(f"time s must be positive, got {s}")
@@ -276,7 +274,7 @@ def rho_via_inversion(
     xp, yp = np.atleast_2d(np.asarray(xp, dtype=float), np.asarray(yp, dtype=float))
     if xp.ndim != 2 or xp.shape[1] != nu or yp.shape != xp.shape:
         raise ValueError(f"xp and yp must have shape (nu,) or (K, nu) with nu={nu}")
-    specs, tails, _, budget = inversion_budget(s, xp, yp, eta, S, L, quad, tol)
+    specs = inversion_budget(s, xp, yp, eta, S, L, quad, tol)[0]
     twist_sign, ab_sign = phase_signs
     eps = epsilon(L, S)
     values = _inversion_pref(s, eta, S) * np.exp(2j * twist_sign * np.sum(S.mu[:nu] * xp * yp, axis=1))
@@ -288,5 +286,4 @@ def rho_via_inversion(
         ey = wb * np.exp(1j * np.outer(yp[:, j], b))
         # einsum, not a BLAS product: OpenBLAS threads would spin on after it
         values = values * np.einsum("kp,pq,kq->k", ex, F, ey)
-    values = complex(values[0]) if single else values
-    return (values, tails, budget) if return_budget else values
+    return complex(values[0]) if single else values

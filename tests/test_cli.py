@@ -1,9 +1,12 @@
 import json
 import math
+import operator
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadheat import (
     GridFunction,
@@ -46,6 +49,69 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path), cfg
+
+
+# Expression trees over the n = 2 variables: a leaf is a variable or a literal,
+# a node is (op, child) for "neg" and "exp" or (op, left, right) for + - * / ^.
+_VARIABLES = ["x1", "y1", "x2", "y2"]
+_LITERALS = ["2", ".5", "1.", "2.5e-3", "1E+2", "3", "0.75"]
+_OPERATIONS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+               "^": operator.pow, "neg": operator.neg, "exp": np.exp}
+# x, y at six nodes, zero and negative values among them
+_ENV = dict(zip(_VARIABLES, np.random.default_rng(20240813).normal(scale=2.0, size=(4, 6))))
+_ENV["x1"][0] = 0.0
+
+
+@st.composite
+def _expression_trees(draw, depth=6):
+    if depth == 1 or draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from(_VARIABLES + _LITERALS))
+    op = draw(st.sampled_from(list(_OPERATIONS)))
+    return (op, *(draw(_expression_trees(depth - 1)) for _ in range(1 if op in ("neg", "exp") else 2)))
+
+
+def _print_tree(tree):
+    """Tokens of ``tree`` with the fewest parentheses the grammar allows, and its
+    binding power: 1 sum, 2 product, 3 unary minus, 4 power, 5 atom.  Unary minus
+    binds outside ``^``, ``^`` is right-associative, ``* /`` and ``+ -`` left-associative."""
+    if isinstance(tree, str):
+        return [tree], 5
+    op, *args = tree
+    if op == "exp":
+        return ["exp", "(", *_print_tree(args[0])[0], ")"], 5
+    if op == "neg":
+        return ["-", *_print_wrapped(args[0], 3)], 3
+    if op == "^":
+        return [*_print_wrapped(args[0], 5), "^", *_print_wrapped(args[1], 3)], 4
+    power = 1 if op in "+-" else 2
+    return [*_print_wrapped(args[0], power), op, *_print_wrapped(args[1], power + 1)], power
+
+
+def _print_wrapped(tree, power):
+    tokens, own = _print_tree(tree)
+    return tokens if own >= power else ["(", *tokens, ")"]
+
+
+def _evaluate_tree(tree):
+    """``tree`` evaluated with the numpy operations the grammar documents."""
+    if isinstance(tree, str):
+        return _ENV[tree] if tree in _ENV else np.float64(float(tree))
+    op, *args = tree
+    return _OPERATIONS[op](*(_evaluate_tree(a) for a in args))
+
+
+@st.composite
+def _printed_trees(draw):
+    """A tree and its text, with random whitespace, newlines included, around every token."""
+    tree = draw(_expression_trees())
+    tokens = _print_tree(tree)[0]
+    space = st.sampled_from(["", " ", "\t", "\n", " \n  "])
+    return tree, "".join(draw(space) + token for token in tokens) + draw(space)
+
+
+# grammar tokens mixed with tokens only Python's own grammar knows
+_FUZZ_TOKENS = ["x1", "y2", "x3", "exp", "2", ".5", "1.", "e", "E", "0", "+", "-", "*", "/",
+                "^", "(", ")", " ", "\n", "**", ",", "[", "]", ":", "'", "_", "j", "0x"]
 
 
 class TestExpressionGrammar:
@@ -91,6 +157,51 @@ class TestExpressionGrammar:
     def test_second_dimension_variables(self):
         f = parse_initial_expression("x2*y1", 2)
         assert f(*np.array([[1.0], [2.0], [3.0], [4.0]]))[0] == pytest.approx(3.0 * 2.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_printed_trees())
+    def test_printed_tree_evaluates_bitwise(self, case):
+        tree, text = case
+        with np.errstate(all="ignore"):
+            got = parse_initial_expression(text, 2)(*_ENV.values())
+            want = _evaluate_tree(tree)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want, equal_nan=True), text
+
+    @pytest.mark.parametrize("text,want", [
+        ("x1 +\n y1", _ENV["x1"] + _ENV["y1"]),
+        ("\tx1", _ENV["x1"]),
+        ("2^-1", 0.5),
+        ("-2^2", -4.0),
+        ("x1 / - - 2", _ENV["x1"] / 2.0),
+        ("exp (x1)", np.exp(_ENV["x1"])),
+    ])
+    def test_accepted(self, text, want):
+        assert np.array_equal(parse_initial_expression(text, 2)(*_ENV.values()), want)
+
+    @pytest.mark.parametrize("text", [
+        "x1**2", "0x1F", "1_0", "1j", "x1 if y1 else 1", "True", "exp", "exp(x1, y1)",
+        "x1.real", "x1(2)", "(x1)(y1)", "x1 x1", "1e", "1.5.2", "x1 // 2", "",
+    ])
+    def test_refused(self, text):
+        with pytest.raises(ExprError) as err:
+            parse_initial_expression(text, 2)(*_ENV.values())
+        assert 0 <= err.value.pos <= len(text)
+
+    @pytest.mark.parametrize("text", ["١", "01", "x1^02"])
+    def test_non_ascii_digit_and_leading_zero_refused(self, text):
+        # Python's parser refuses an integer literal with a leading zero
+        with pytest.raises(ExprError):
+            parse_initial_expression(text, 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=12).map("".join))
+    def test_any_text_parses_or_raises_expr_error(self, text):
+        try:
+            with np.errstate(all="ignore"):
+                parse_initial_expression(text, 2)(*_ENV.values())
+        except ExprError as exc:
+            assert 0 <= exc.pos <= len(text)
 
 
 class TestEval:
@@ -912,12 +1023,12 @@ class TestIllShapedFields:
         assert name in err and "Traceback" not in err and not out.exists()
 
     @pytest.mark.parametrize("expr", [
-        "(" * 200 + "x1" + ")" * 200,    # fails while parsing
-        "-" * 1000 + "x1",               # fails while parsing
-        "+".join(["x1"] * 1500),         # fails while evaluating
+        "(" * 200 + "x1" + ")" * 200,    # refused before Python's parser runs
+        "-" * 1000 + "x1",               # refused in the parse tree
+        "+".join(["x1"] * 1500),         # refused in the parse tree
     ], ids=["parentheses", "unary_minus", "long_sum"])
     def test_deep_initial_expression_names_initial(self, tmp_path, capsys, expr):
-        # deeper than Python's recursion limit
+        # nested deeper than cli.MAX_NESTING
         path, _ = write_config(tmp_path, **_evolve_fields(initial=expr))
         out = tmp_path / "evo.csv"
         assert main(["evolve", "--config", path, "--out", str(out)]) == 2

@@ -16,6 +16,7 @@ from quadheat import (
     decompose_form,
     epsilon,
     heisenberg,
+    inversion_budget,
     inversion_quadspec,
     inversion_rate,
     log_mu_sinh_factor,
@@ -377,8 +378,8 @@ class TestFactorisedInversion:
     def test_budget_reported_per_direction(self):
         S = _inversion_geometries()[2][1]
         xp, yp = _sample_duals(2)
-        values, tails, budget = rho_via_inversion(0.3, xp, yp, None, S, FormIndex([1]),
-                                                  return_budget=True)
+        values = rho_via_inversion(0.3, xp, yp, None, S, FormIndex([1]))
+        _, tails, _, budget = inversion_budget(0.3, xp, yp, None, S, FormIndex([1]))
         assert values.shape == (4,) and len(tails) == 2
         assert 0.0 < budget <= 1e-6 and all(0.0 < t for t in tails)
         # each direction gets its own box from its own |mu_j|
@@ -451,8 +452,9 @@ class TestInversionBudget:
     def test_budget_bounds_the_error(self, case):
         S, s, L, xp, yp, quad = case
         try:
-            got, _, budget = rho_via_inversion(s, xp, yp, None, S, L, quad=quad, return_budget=True)
+            budget = inversion_budget(s, xp, yp, None, S, L, quad=quad)[3]
         except NumericsError:
             return
+        got = rho_via_inversion(s, xp, yp, None, S, L, quad=quad)
         want = np.array([rho_hat_eta(s, x, y, None, S, L) for x, y in zip(xp, yp)])
         assert np.max(np.abs(got - want)) <= budget + 1e-13

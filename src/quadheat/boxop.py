@@ -140,19 +140,28 @@ def _directions(spec: GridSpec) -> list:
             for j in range(spec.dim // 2)]
 
 
+_SLAB_NODES = 2**15  # nodes per slab of sample_on_grid, so f's temporaries stay in cache
+
+
 def sample_on_grid(f, spec: GridSpec, S: SpectralData) -> GridFunction:
     """Data ``f`` at every node c of an adapted grid, taken at the point z = V c.
 
-    ``f(x1, y1, ..., xn, yn)`` gets the real and imaginary parts of z, in the
-    grid's axis order, as 2n real arrays that broadcast to the grid shape; its
-    result is broadcast to the grid shape.  Each coordinate is a sum over j of
-    Re or Im of V[k, j] (x_j + i y_j), one P x P term per direction, so the
-    only N-sized arrays are the 2n coordinates and whatever ``f`` makes.
+    ``f(x1, y1, ..., xn, yn)`` must be elementwise: it gets the real and
+    imaginary parts of z, in the grid's axis order, as 2n real arrays over one
+    slab of rows of axis 0 (about _SLAB_NODES nodes), and is called once per
+    slab; its result is broadcast to the slab.  The output takes the dtype of
+    the first slab's result.  Each coordinate is a sum over j of Re or Im of
+    V[k, j] (x_j + i y_j), one P x P term per direction built once, so the
+    only N-sized array is the output field.
     """
-    dirs = _directions(spec)
-    xy = [reduce(np.add, [part(v * c) for v, c in zip(row, dirs)])
-          for row in S.V for part in (np.real, np.imag)]
-    return GridFunction(spec, np.broadcast_to(f(*xy), spec.shape()))
+    terms = [[np.ascontiguousarray(part(v * c)) for v, c in zip(row, _directions(spec))]
+             for row in S.V for part in (np.real, np.imag)]
+    rows, out = max(1, _SLAB_NODES // spec.points ** (spec.dim - 1)), None
+    for slab in (slice(i, i + rows) for i in range(0, spec.points, rows)):
+        value = f(*(reduce(np.add, [t[0][slab]] + t[1:]) for t in terms))
+        out = np.empty(spec.shape(), np.result_type(value)) if out is None else out
+        out[slab] = value
+    return GridFunction(spec, out)
 
 
 def _check_dim(spec: GridSpec, n: int) -> None:
@@ -326,15 +335,15 @@ def heat_apply(
     nodes = _directions(spec)
     axw = spec.weights()
     weights = [np.outer(axw[2 * j], axw[2 * j + 1]) for j in range(n)]
+    v = f.values
     faces = [(slice(None),) * ax + (end,) for ax in range(dim)
              for end in (slice(0, 1), slice(-1, None))]
-    v = f.values
+    faces = [(i, np.abs(v[i])) for i in faces]  # |f| on the 2 dim faces, once per call
     out = []
     for z in out_points:
         c = S.V.conj().T @ np.asarray(z, dtype=complex).reshape(-1)
         mods = [np.exp(-rates[j] * np.abs(c[j] - nodes[j]) ** 2) for j in range(n)]
-        edge = max(float(reduce(np.multiply, [m[i] for m in mods], np.abs(v[i])).max())
-                   for i in faces)
+        edge = max(float(reduce(np.multiply, [m[i] for m in mods], a).max()) for i, a in faces)
         tail = pref * edge * spec.face_area()
         if tail > HEAT_TAIL_TOL:
             raise NumericsError(f"boundary tail estimate {tail:.3e} exceeds "

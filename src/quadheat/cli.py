@@ -97,9 +97,9 @@ _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
 def parse_initial_expression(text: str, n: int):
     """Compile an initial-data expression over x1, y1, ..., xn, yn.
 
-    Returns a callable ``f(x1, y1, ..., xn, yn)`` of 2n real arrays, the
-    contract of boxop.sample_on_grid, whose result has their broadcast shape
-    (a constant stays a scalar).
+    Returns an elementwise callable ``f(x1, y1, ..., xn, yn)`` of 2n real
+    arrays, the contract of boxop.sample_on_grid (one call per slab), whose
+    result has their broadcast shape (a constant stays a scalar).
     """
     names = [f"{a}{j + 1}" for j in range(n) for a in "xy"]
     bad = _OUTSIDE_GRAMMAR.search(text)

@@ -22,6 +22,7 @@ from quadheat import (
     weighted_heat_kernel,
     weighted_heat_kernel_batch,
 )
+from quadheat import boxop
 from quadheat.boxop import _BLOCK_ROWS, _block_maxima, sample_on_grid, write_atomic
 from quadheat.cli import parse_initial_expression
 
@@ -326,25 +327,58 @@ def _geometry(kind):
 
 
 class TestSampleOnGrid:
-    """sample_on_grid passes f the real coordinates of z = V c."""
+    """sample_on_grid passes f the real coordinates of z = V c, one slab of axis 0 at a time."""
 
     @pytest.mark.parametrize("kind,points", [("heisenberg", 21), ("full_rank", 9),
                                              ("rank1_n3", 8)])
-    def test_coordinates_are_v_times_c(self, kind, points):
+    def test_coordinates_are_v_times_c(self, kind, points, monkeypatch):
         S = _geometry(kind)
         spec = GridSpec.cube(3.0, 2 * S.n, points)
-        seen = []
-        sample_on_grid(lambda *xy: seen.extend(xy) or 0.0, spec, S)
+        rows = next(r for r in (2, 3) if points % r)  # rows of axis 0 per slab, the last fewer
+        monkeypatch.setattr(boxop, "_SLAB_NODES", rows * points ** (spec.dim - 1))
+        calls = []
+        sample_on_grid(lambda *xy: calls.append(xy) or 0.0, spec, S)
+        sizes = [min(rows, points - i) for i in range(0, points, rows)]
+        assert sizes[-1] < rows
+        assert [len(xy) for xy in calls] == [2 * S.n] * len(sizes)
+        # the slabs tile axis 0 in order
+        seen = [np.concatenate([np.broadcast_to(xy[k], (m,) + spec.shape()[1:])
+                                for xy, m in zip(calls, sizes)]) for k in range(2 * S.n)]
         # z = V c by a stack of the complex nodes times V^T, built independently
         c = np.stack(np.broadcast_arrays(*[
             spec.axis_coordinate(2 * j) + 1j * spec.axis_coordinate(2 * j + 1)
             for j in range(S.n)]), axis=-1)
         z = c @ S.V.T
-        assert len(seen) == 2 * S.n
         for k in range(S.n):
             bound = 1e-14 * (1.0 + np.abs(z[..., k]))
             for got, want in ((seen[2 * k], z[..., k].real), (seen[2 * k + 1], z[..., k].imag)):
-                assert np.all(np.abs(np.broadcast_to(got, spec.shape()) - want) <= bound)
+                assert np.all(np.abs(got - want) <= bound)
+
+    @pytest.mark.parametrize("expr", [
+        "exp(-(x1^2+y1^2+x2^2+y2^2))",
+        "exp(-(x1^2+y1^2+x2^2+y2^2))*(1 + x1*y2 - 0.5*x2^3/4)",  # not unitarily invariant
+        "1/(x1^2+y1^2)",  # inf where z1 = 0, the origin among them
+        "3.5",
+    ])
+    def test_slabs_match_one_slab(self, expr, monkeypatch):
+        S = _geometry("full_rank")
+        spec = GridSpec.cube(3.0, 4, 9)  # odd: through the origin
+        f = parse_initial_expression(expr, 2)
+        fields = []
+        for nodes in (9**4, 2 * 9**3):  # one slab; five, the last of one row
+            monkeypatch.setattr(boxop, "_SLAB_NODES", nodes)
+            with np.errstate(all="ignore"):
+                fields.append(sample_on_grid(f, spec, S).values)
+        one, slabs = fields
+        assert slabs.dtype == one.dtype == np.float64
+        assert slabs.tobytes() == one.tobytes()
+        assert np.isfinite(one).all() == (expr != "1/(x1^2+y1^2)")
+
+    def test_complex_result_stays_complex(self):
+        spec = GridSpec.cube(1.0, 2, 9)
+        gf = sample_on_grid(lambda x1, y1: x1 + 1j * y1, spec, _geometry("heisenberg"))
+        assert gf.values.dtype == np.complex128
+        assert np.all(gf.values.imag == np.broadcast_to(spec.axis_coordinate(1), spec.shape()))
 
     def test_constant_fills_the_grid(self):
         spec = GridSpec.cube(1.0, 4, 9)
@@ -353,13 +387,14 @@ class TestSampleOnGrid:
         assert np.all(gf.values == 3.5)
 
     def test_memory_per_node(self):
-        # 80 B/node with an (N, n) complex stack and matmul; 48 with 2n real
-        # coordinates and the expression's own temporaries.
-        spec = GridSpec.cube(4.0, 4, 17)
+        # 48 B/node with 2n N-sized coordinates and the expression's own
+        # temporaries over the whole grid; 10 with slabs, the output field's 8
+        # and the slabs' scratch.
+        spec = GridSpec.cube(4.0, 4, 33)
         f = parse_initial_expression("exp(-(x1^2+y1^2+x2^2+y2^2))", 2)
         peak, gf = _traced_peak(lambda: sample_on_grid(f, spec, _geometry("full_rank")))
         assert np.isrealobj(gf.values)
-        assert peak <= 64 * gf.values.size
+        assert peak <= 12 * gf.values.size
 
 
 def _traced_peak(fn):

@@ -17,7 +17,7 @@ from quadheat import (
     rho_hat_adapted,
     weighted_heat_kernel,
 )
-from quadheat import cli
+from quadheat import boxop, cli
 from quadheat.cli import ExprError, load_config, main, parse_initial_expression
 
 HEIS = {"n": 1, "m": 1, "A": [[[1.0, 0.0]]]}
@@ -454,6 +454,21 @@ class TestEvolve:
             out[name] = [float(r.split(",")[2]) for r in rows]
         for a, b, c in zip(out["f"], out["g"], out["sum"]):
             assert c == pytest.approx(a + b, abs=1e-12)
+
+    def test_output_bytes_do_not_depend_on_slabs(self, tmp_path, monkeypatch):
+        # sample_on_grid calls the expression once per slab of axis 0; the
+        # evolved values are the same bytes for one slab and for several.
+        path, _ = self.evolve_config(
+            tmp_path, quadric=FULL_RANK_N2, **{"lambda": [1.0, 1.0]}, L=[1], s=[0.5],
+            initial="exp(-(x1^2+y1^2+x2^2+y2^2))*(1 + x1*y2 - 0.5*x2^3/4)",
+            grid={"half_widths": [5.0] * 4, "points": 13},
+            out_points=[[[0.3, 0.2], [-0.25, 0.1]], [[-0.4, 0.05], [0.15, -0.3]]])
+        outs = []
+        for nodes in (13**4, 2 * 13**3):  # one slab; seven, the last of one row
+            monkeypatch.setattr(boxop, "_SLAB_NODES", nodes)
+            outs.append(tmp_path / f"evo{nodes}.csv")
+            assert main(["evolve", "--config", path, "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path, _ = self.evolve_config(tmp_path, initial="exp(-(x1^2+q^2))")

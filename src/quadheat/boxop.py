@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from itertools import product
 
 import numpy as np
@@ -234,17 +234,18 @@ _BLOCK_ROWS = 16  # rows per block of pde_residual's max-norm
 def _block_maxima(parts: list) -> tuple:
     """Max over the nodes of |sum_t rows[t] (x) cols[t]|^2 summed over the
     (rows, cols) stacks in ``parts``, and of |the first stack's terms 0 and 1|,
-    _BLOCK_ROWS rows at a time.  np.einsum without ``optimize`` loops in one
-    thread and calls no BLAS."""
+    _BLOCK_ROWS rows at a time.  Each term sum is one np.matmul (OpenBLAS, on the
+    calling thread at these sizes) or, for one term, np.einsum, 3x faster there."""
     n_rows, n_cols = parts[0][0].shape[1], parts[0][1].shape[1]
     acc = np.empty((len(parts) + 1, min(_BLOCK_ROWS, n_rows), n_cols))  # the parts, scratch
     top = top_dt = 0.0
     for i in range(0, n_rows, _BLOCK_ROWS):
         a, q, b = acc[:-1, : n_rows - i], acc[-1, : n_rows - i], slice(i, i + _BLOCK_ROWS)
-        np.einsum("ti,tj->ij", parts[0][0][:2, b], parts[0][1][:2], out=q)
+        np.matmul(parts[0][0][:2, b].T, parts[0][1][:2], out=q)
         top_dt = max(top_dt, q.max(), -q.min())
         for p, (rows, cols) in enumerate(parts):
-            np.einsum("ti,tj->ij", rows[:, b], cols, out=a[p])
+            term_sum = np.matmul if len(rows) > 1 else partial(np.einsum, "it,tj->ij")
+            term_sum(rows[:, b].T, cols, out=a[p])
         top = max(top, np.einsum("pij,pij->ij", a, a, out=q).max())
     return top, top_dt
 
@@ -262,8 +263,8 @@ def pde_residual(
     sum of 2 + 4n outer products of 1-D vectors: a matrix from the first n
     axes (rows) to the last n, where a direction on one side sums its terms
     into one.  _block_maxima reduces it by blocks of rows, so no N-node array
-    exists: 25-45 ms and 1.3 MB traced on a 2-vCPU Xeon at n = 1 on 2001^2
-    and n = 2 on 49^4.
+    exists: 11-23 ms wall and 1.3 MB on a 2-vCPU Xeon at n = 1 on 2001^2 and
+    n = 2 on 49^4, on the calling thread alone.
     """
     for name, value in (("s", s), ("hs", hs)):
         if not np.isfinite(value):

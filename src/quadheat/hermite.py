@@ -1,14 +1,15 @@
 """Hermite functions, Mehler summation, and the transform-side solution.
 
 The normalized Hermite functions psi_l come from one generator of the stable
-three-term recurrence, which psi and the truncated Mehler series share.
-Their generating function in closed form (Mehler) collapses the
+three-term recurrence, which psi and the truncated Mehler series share; the
+series runs it once, over x and y stacked and every direction at once.  The
+functions' generating function in closed form (Mehler) collapses the
 transform-side series for the heat evolution into a product of Gaussians,
 giving both a truncated-series evaluator and a closed-form evaluator whose
 agreement is one of the independent oracles for the kernel formulas.  The
 per-direction factor of that product is written once, in mehler_factor,
-which kernel.rho_via_inversion also integrates; eta_norm_sq is the one check
-of the kernel-block dual eta.
+which takes all directions in one call and which kernel.rho_via_inversion
+also integrates; eta_norm_sq is the one check of the kernel-block dual eta.
 
 Series evaluation requires s > 0 (at s = 0 the series only converges
 distributionally).
@@ -21,6 +22,7 @@ from itertools import count, islice
 
 import numpy as np
 
+from .errors import NumericsError
 from .forms import FormIndex, epsilon
 from .spectral import SpectralData
 
@@ -51,15 +53,15 @@ def psi(l: int, x):
 
 
 def mehler_closed(w, x, y):
-    """Closed form of sum_l w^l psi_l(x) psi_l(y) for |w| < 1.
+    """Closed form of sum_l w^l psi_l(x) psi_l(y) for |w| < 1, elementwise over w, x, y.
 
     Equals pi^{-1/2} (1 - w^2)^{-1/2}
     exp(-((1 + w^2)/(1 - w^2)) (x^2 + y^2)/2 + 2 w x y / (1 - w^2)),
     with the principal square root.
     """
-    w = complex(w)
-    if abs(w) >= 1.0:
-        raise ValueError(f"need |w| < 1, got |w| = {abs(w)}")
+    w = np.asarray(w, dtype=complex)
+    if np.any(np.abs(w) >= 1.0):
+        raise ValueError(f"need |w| < 1, got |w| = {np.max(np.abs(w))}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     one_minus = 1.0 - w * w
@@ -74,21 +76,20 @@ def mehler_closed(w, x, y):
     return val if np.ndim(val) else complex(val)
 
 
-def _mehler_series(w: complex, x, y, N: int):
-    """Truncation of the Mehler sum at l = N inclusive, by joint recurrence."""
-    terms = zip(_hermite_functions(np.asarray(x, dtype=float)),
-                _hermite_functions(np.asarray(y, dtype=float)))
-    px, py = next(terms)
-    total, wl = np.asarray(px * py, dtype=complex), 1.0
-    for px, py in islice(terms, N):
-        wl = wl * w
-        total = total + wl * px * py
+def _mehler_series(w, x, y, N: int):
+    """Truncation of the Mehler sum at l = N inclusive, elementwise over
+    broadcasting w, x, y: N + 1 steps of one recurrence over x and y stacked."""
+    xy = np.stack(np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
+    total, wl = 0j, 1.0
+    for px, py in islice(_hermite_functions(xy), N + 1):
+        total, wl = total + wl * px * py, wl * w
     return total
 
 
-def mehler_factor(s: float, a, b, mu: float, eps: int, factor=mehler_closed):
-    """One direction's factor S^((1-eps)/2) factor(-i S, alpha, beta) of the
-    transform-side product, elementwise over broadcasting ``a``, ``b``.
+def mehler_factor(s: float, a, b, mu, eps, factor=mehler_closed):
+    """The directions' factors S^((1-eps)/2) factor(-i S, alpha, beta) of the
+    transform-side product, elementwise over broadcasting ``a``, ``b``, ``mu``,
+    ``eps``: a, b of shape (..., nu) and mu, eps of shape (nu,) give them all.
 
     S = exp(-2 |mu| s), alpha = a / (2 |mu|^{1/2}), beta = -b |mu|^{1/2} / (2 mu),
     eps in {-1, +1}.  beta keeps the sign of mu exactly as written; the
@@ -150,11 +151,11 @@ class UTildeParams:
 
 def _product(p: UTildeParams, factor):
     """prefactor * prod_j mehler_factor(s, a_j, b_j, mu_j, eps_j, factor) over
-    the leading axes of a, b; a complex for one (a, b) pair."""
-    S, eps = p.spectral, epsilon(p.L, p.spectral)
-    val = p.prefactor()
-    for j in range(S.nu):
-        val = val * mehler_factor(p.s, p.a[..., j], p.b[..., j], S.mu[j], eps[j], factor)
+    the leading axes of a, b, from one mehler_factor call for all directions;
+    a complex for one (a, b) pair."""
+    S = p.spectral
+    f = mehler_factor(p.s, p.a, p.b, S.mu[: S.nu], epsilon(p.L, S), factor)
+    val = p.prefactor() * np.prod(f, axis=-1)
     return complex(val) if np.ndim(val) == 0 else val
 
 
@@ -164,15 +165,20 @@ def u_tilde_closed(p: UTildeParams):
 
 
 def u_tilde_series(p: UTildeParams, N: int | None = None):
-    """Transform-side solution with each direction's sum truncated at l = N.
+    """Transform-side solution with each direction's sum truncated at l = N:
+    N + 1 recurrence steps, all directions and both arguments at once, or
+    NumericsError before any step when N exceeds PSI_MAX_ORDER.
 
     N defaults to max(50, ceil(-ln(SERIES_TOL) / (2 s min_j |mu_j|))), the
     point where the geometric tail in S_j drops below SERIES_TOL = 1e-12.
     """
-    if N is None:
-        N = default_series_terms(p.s, p.spectral.mu[: p.spectral.nu])
+    mu = np.abs(p.spectral.mu[: p.spectral.nu])
+    N = default_series_terms(p.s, mu) if N is None else N
     if N < 0:
         raise ValueError(f"truncation order must be nonnegative, got {N}")
+    if N > PSI_MAX_ORDER:
+        raise NumericsError(f"series needs {N} terms at s={p.s} (smallest |mu| {mu.min(initial=np.inf):.3g}), "
+                            f"over the {PSI_MAX_ORDER}-term limit")
     return _product(p, lambda w, x, y: _mehler_series(w, x, y, N))
 
 

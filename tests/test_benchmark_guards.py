@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from quadheat.cli import main
+from quadheat.cli import SERIES_MARGIN, main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SCAN_DIGESTS = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
@@ -77,6 +77,24 @@ def test_traced_verify_counts_series_and_inversion_calls(tmp_path):
     assert tracer.counts["hermite.series.calls"] > 0
     assert tracer.counts["hermite.series.terms"] > 0
     assert tracer.counts["kernel.inversion.calls"] > 0
+
+
+def test_traced_mehler_sums_few_terms_past_the_useful_ones(tmp_path):
+    # The check's four series (two times x (L, its complement)) each stop
+    # SERIES_MARGIN terms past default_series_terms.  A fixed 300 terms summed
+    # 1200 against 378 useful here (useful_terms_frac 0.39 on verify-suite).
+    tracer = load_perfbench("tracing")["Tracer"]()
+    verify = tmp_path / "verify.json"
+    verify.write_text(json.dumps({"quadric": {"n": 1, "m": 1, "A": [[[1.0, 0.0]]]},
+                                  "lambda": [1.0], "L": [1], "checks": ["mehler"]}))
+    traced_main = tracer.install(0)
+    try:
+        assert traced_main(["verify", "--config", str(verify), "--out", str(tmp_path / "v.json")]) == 0
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts
+    assert counts["hermite.series.calls"] == 4
+    assert counts["hermite.series.terms"] <= counts["hermite.series.useful_terms"] + 4 * SERIES_MARGIN
 
 
 def test_evolve_n2_job_passes_its_closed_form_check(tmp_path, capsys):

@@ -611,17 +611,23 @@ class TestPdeResidualProperty:
         assert abs(got - _residual_on_full_grid(s, S, L, grid, 1e-4, written_out)) <= 1e-10
 
 
-@pytest.mark.parametrize("part,t", [(0, 0), (0, 2), (1, 1)])
-def test_block_maxima_reach_the_last_partial_block(rng, part, t):
+@pytest.mark.parametrize("counts,part,t", [
+    pytest.param(c, p, t, id=f"{p}-{t}" if c == (4, 2) else f"{'+'.join(map(str, c))}terms-{p}-{t}")
+    for c, p, t in [((4, 2), 0, 0), ((4, 2), 0, 2), ((4, 2), 1, 1), ((4, 1), 0, 3), ((4, 1), 1, 0),
+                    ((3, 6), 0, 2), ((3, 6), 1, 5), ((6, 3), 0, 5), ((6, 3), 1, 2), ((5,), 0, 4)]
+])
+def test_block_maxima_reach_the_last_partial_block(rng, counts, part, t):
     # Rows are not a multiple of the block height, and one term is largest in
-    # the last row; part 0's terms 0 and 1 are the time difference.
+    # the last row; part 0's terms 0 and 1 are the time difference.  counts are
+    # the terms of the real and the imaginary part: (4, 1) is rank-1 n=2, whose
+    # one imaginary term takes einsum where longer parts take matmul.
     n_rows, n_cols = 2 * _BLOCK_ROWS + 3, 7
-    parts = [(rng.normal(size=(k, n_rows)), rng.normal(size=(k, n_cols))) for k in (4, 2)]
+    parts = [(rng.normal(size=(k, n_rows)), rng.normal(size=(k, n_cols))) for k in counts]
     parts[part][0][t, -1] = 50.0
-    re, im = (sum(np.outer(r, c) for r, c in zip(rows, cols)) for rows, cols in parts)
+    fields = [sum(np.outer(r, c) for r, c in zip(rows, cols)) for rows, cols in parts]
     dt = sum(np.outer(r, c) for r, c in zip(parts[0][0][:2], parts[0][1][:2]))
     top, top_dt = _block_maxima(parts)
-    assert top == pytest.approx(np.max(re**2 + im**2), rel=1e-12)
+    assert top == pytest.approx(np.max(sum(f**2 for f in fields)), rel=1e-12)
     assert top_dt == pytest.approx(np.max(np.abs(dt)), rel=1e-12)
 
 

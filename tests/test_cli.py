@@ -17,7 +17,7 @@ from quadheat import (
     rho_hat_adapted,
     weighted_heat_kernel,
 )
-from quadheat import boxop, cli
+from quadheat import boxop, cli, hermite
 from quadheat.cli import ExprError, load_config, main, parse_initial_expression
 
 HEIS = {"n": 1, "m": 1, "A": [[[1.0, 0.0]]]}
@@ -896,13 +896,41 @@ class TestVerifyEveryGeometry:
                                **{"lambda": [1.0, 1.0]})
         assert main(["verify", "--config", path]) == 0
         mehler, inversion = strict_json(capsys.readouterr().out)["checks"]
-        # mu = (1, -0.5): the 1e-12 tail needs ceil(27.63 / (2 s 0.5)) terms
-        assert "300 terms" in mehler["message"] and "277 at s=0.1" in mehler["message"]
+        # mu = (1, -0.5): the 1e-12 tail needs ceil(27.63 / (2 s 0.5)) terms, and
+        # each time's series sums cli.SERIES_MARGIN more
+        assert f"{277 + cli.SERIES_MARGIN} terms at s=0.1" in mehler["message"]
+        assert "277 at s=0.1" in mehler["message"]
         for s in ("s=0.3", "s=0.7"):
             part = inversion["message"].split(s + ": ")[1].split(";")[0]
             tails = part.split("tails ")[1].split(", budget")[0].split(", ")
             assert len(tails) == 2 and all(0.0 < float(t) < 1e-6 for t in tails)
             assert 0.0 < float(part.split("budget ")[1]) <= inversion["tolerance"]
+
+    @pytest.mark.parametrize("lam", [0.1, 0.2])
+    def test_mehler_passes_at_small_mu(self, tmp_path, capsys, lam):
+        # A 1e-12 tail needs 1382 and 691 terms at s = 0.1; a fixed 300 failed
+        # the unchanged 1e-9 tolerance with 5.1e-6 and 1.2e-8.
+        path, _ = write_config(tmp_path, checks=["mehler"], **{"lambda": [lam]})
+        assert main(["verify", "--config", path]) == 0
+        entry = strict_json(capsys.readouterr().out)["checks"][0]
+        assert entry["pass"] and entry["tolerance"] == 1e-9
+
+    def test_mehler_at_small_mu_fails_with_300_terms(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "default_series_terms", lambda s, mu: 300)
+        path, _ = write_config(tmp_path, checks=["mehler"], **{"lambda": [0.1]})
+        assert main(["verify", "--config", path]) == 1
+        entry = strict_json(capsys.readouterr().out)["checks"][0]
+        assert not entry["pass"] and entry["error"] > entry["tolerance"]
+
+    def test_mehler_refuses_a_series_over_the_order_guard(self, tmp_path, capsys):
+        # lambda = 1e-4 would need about 1.4e6 terms at s = 0.1
+        path, _ = write_config(tmp_path, checks=["mehler"], **{"lambda": [1e-4]})
+        assert main(["verify", "--config", path]) == 1
+        entry = strict_json(capsys.readouterr().out)["checks"][0]
+        assert entry["error"] is None and entry["runtime_s"] < 1.0
+        needed = hermite.default_series_terms(0.1, [1e-4]) + cli.SERIES_MARGIN
+        assert f"{needed} terms at s=0.1" in entry["message"]
+        assert "|mu| 0.0001" in entry["message"] and str(hermite.PSI_MAX_ORDER) in entry["message"]
 
 
 class TestVerifyInversion:

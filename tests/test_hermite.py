@@ -3,6 +3,7 @@ import pytest
 
 from quadheat import (
     FormIndex,
+    NumericsError,
     SpectralData,
     UTildeParams,
     decompose_form,
@@ -12,6 +13,7 @@ from quadheat import (
     u_tilde_closed,
     u_tilde_series,
 )
+from quadheat.hermite import PSI_MAX_ORDER
 
 
 def spectral_for_mu(mu):
@@ -122,12 +124,10 @@ class TestMehlerClosed:
     @pytest.mark.parametrize("w", [0.3, -0.5, 0.8, 0.6j, -0.4 + 0.4j])
     def test_matches_truncated_series(self, w):
         xs = np.linspace(-4.0, 4.0, 5)
-        pairs = [(float(x), float(y)) for x in xs for y in xs]
-        psis = {l: {v: psi(l, v) for v in {p for pair in pairs for p in pair}}
-                for l in range(301)}
-        for x, y in pairs:
-            series = sum((w**l) * psis[l][x] * psis[l][y] for l in range(301))
-            assert abs(mehler_closed(w, x, y) - series) <= 1e-9
+        psis = [psi(l, xs) for l in range(301)]  # one array-valued call per order
+        series = sum((w**l) * p[:, None] * p[None, :] for l, p in enumerate(psis))
+        closed = mehler_closed(w, xs[:, None], xs[None, :])
+        assert closed.shape == (5, 5) and np.max(np.abs(closed - series)) <= 1e-9
 
 
 class TestUTilde:
@@ -167,6 +167,14 @@ class TestUTilde:
         closed = u_tilde_closed(p)
         for N in (10, 20, 40):
             assert abs(u_tilde_series(p, N) - closed) <= Sj ** (N + 1)
+
+    def test_series_over_the_order_guard_is_refused(self, heis_q):
+        # mu = 1e-4 puts the default truncation near 1.4e6 terms at s = 0.1
+        p = UTildeParams(0.1, [0.5], [0.5], decompose_form(heis_q, [1e-4]), L_IN)
+        with pytest.raises(NumericsError, match=r"needs \d+ terms at s=0.1 \(smallest \|mu\| 0.0001\)"):
+            u_tilde_series(p)
+        with pytest.raises(NumericsError, match=f"{PSI_MAX_ORDER + 1} terms"):
+            u_tilde_series(p, PSI_MAX_ORDER + 1)
 
     def test_default_truncation_matches(self, heis_q):
         S = decompose_form(heis_q, [0.5])

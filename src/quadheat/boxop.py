@@ -27,7 +27,7 @@ evaluates the weighted kernel on the grid's own adapted coordinates, where
 kernel and phase are one factor per direction, and contracts those factors
 with the field.  The semigroup check composes
 weighted_heat_kernel_batch with itself over a GridSpec box in original
-coordinates.
+coordinates, sized from the composed rate and the aliasing bound.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import product
+from itertools import count, product
 
 import numpy as np
 
@@ -48,8 +48,8 @@ from .kernel import (  # noqa: F401
     weighted_heat_kernel,
     weighted_heat_kernel_batch,
 )
-from .quadric import QuadricForm
-from .quadrature import GridSpec, tensor_nodes
+from .quadric import QuadricForm, phi_lambda_matrix
+from .quadrature import GridSpec, aliasing_bound, tensor_nodes
 from .spectral import SpectralData
 
 HEAT_TAIL_TOL = 1e-6
@@ -276,11 +276,9 @@ def pde_residual(
     n, axes = S.n, grid.axes()
     _check_dim(grid, n)
 
-    def gaussians(t: float):  # log C(t) and rho_hat(t)'s Gaussian along each axis
-        const, log_fac, rates = _log_rho_parts(t, S, L)
-        return const + np.sum(log_fac), [np.exp(-rates[k // 2] * x**2) for k, x in enumerate(axes)]
-
-    log_c, e = gaussians(s)
+    const, log_fac, rates = _log_rho_parts(np.array([s, s + hs, s - hs]), S, L)
+    log_c = const + np.sum(log_fac, axis=-1)  # log C(t) and each axis's Gaussian at the three times
+    e, *e_dt = [[np.exp(-r[k // 2] * x**2) for k, x in enumerate(axes)] for r in rates]
     inner = [g[1:-1] for g in e]
     terms = ([], [])  # (row, col) vectors of the real and the imaginary part's terms
 
@@ -289,9 +287,8 @@ def pde_residual(
                 for half in (vecs[:n], vecs[n:]))
         terms[part].append((coef * r, c))
 
-    for sign, t in ((1.0, s + hs), (-1.0, s - hs)):  # the time difference, first
-        log_ct, et = gaussians(t)
-        add(0, sign * np.exp(log_ct - log_c) / (2.0 * hs), [g[1:-1] for g in et])
+    for sign, log_ct, et in zip((1.0, -1.0), log_c[1:], e_dt):  # the time difference, first
+        add(0, sign * np.exp(log_ct - log_c[0]) / (2.0 * hs), [g[1:-1] for g in et])
     for j in range(n):
         maps = [(complex(p), _apply_map(X, e[2 * j], 0), _apply_map(Y, e[2 * j + 1], 0))
                 for p, X, Y in _direction_maps(grid, j, S, L)]
@@ -361,7 +358,7 @@ def heat_apply(
 
 def semigroup_check(
     s1: float, s2: float, z, zt, Q: QuadricForm, S: SpectralData, L: FormIndex,
-    quad: GridSpec, phase_sign: float = -1.0,
+    quad: GridSpec | None = None, phase_sign: float = -1.0,
 ) -> float:
     """Relative defect of kernel composition against the kernel at s1 + s2.
 
@@ -370,13 +367,26 @@ def semigroup_check(
     oscillatory phase nontrivially.  ``phase_sign`` other than -1 corrupts
     the kernels inside the composition integral (the reference stays
     physical), the deliberate negative control.
+
+    Without ``quad`` the cube covers z, zt and the radius where the integrand's
+    Gaussian, of rate A_j = a_j(s1) + a_j(s2) along adapted direction j, falls to
+    1e-12.  The points per axis grow until the aliasing_bounds b_i of the pairs
+    (x_i, y_i), at rate 1 / (4 max A) and the phase frequency 2 (Im d_i, Re d_i),
+    d = Phi_lambda (z - zt), give prod_i (1 + b_i) - 1 <= 1e-12, from the guess
+    where 2 pi / step clears max_i 2 |d_i| by the transform's width at 1e-12.
     """
     if s1 <= 0.0 or s2 <= 0.0:
         raise ValueError("both times must be positive")
-    n = S.n
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    zt = np.asarray(zt, dtype=complex).reshape(-1)
-    pts, wts = tensor_nodes(quad, 2 * n)
+    z, zt = (np.asarray(v, dtype=complex).reshape(-1) for v in (z, zt))
+    if quad is None:
+        rates, tol = _log_rho_parts(np.array([s1, s2]), S, L)[2].sum(axis=0), 1e-12
+        half = max(np.linalg.norm(z), np.linalg.norm(zt)) + np.sqrt(-np.log(tol) / rates.min())
+        d = 2.0 * phi_lambda_matrix(Q, S.lam) @ (z - zt)
+        guess = int(half * (np.abs(d).max() + 2.0 * np.sqrt(-np.log(tol) * rates.max())) / np.pi) + 1
+        points = next(p for p in count(max(8, guess)) if np.expm1(np.sum(np.log1p(aliasing_bound(
+            GridSpec.cube(half, 2, p), 0.25 / rates.max(), 1.0, d.imag, d.real)))) <= tol)
+        quad = GridSpec.cube(half, 2 * S.n, points)
+    pts, wts = tensor_nodes(quad, 2 * S.n)
     w = pts[:, 0::2] + 1j * pts[:, 1::2]
     k1 = weighted_heat_kernel_batch(s1, z, w, Q, S, L, phase_sign=phase_sign)
     k2 = weighted_heat_kernel_batch(s2, w, zt, Q, S, L, phase_sign=phase_sign)

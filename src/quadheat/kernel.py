@@ -12,7 +12,8 @@ runs on |mu|.  The product is assembled in log space in one place,
 _log_rho_parts (constant, per-direction log-prefactors and rates), which
 rho_hat_eta and boxop's grid factors also use; log_rho_hat sums it over
 squared adapted magnitudes and rho_hat_adapted exponentiates that once, so
-products of up to 16 exp(+-s|mu|)/sinh factors cannot overflow.
+products of up to 16 exp(+-s|mu|)/sinh factors cannot overflow.  Factors take
+their branch elementwise, so s may be times broadcasting against the points.
 
 The two-point weighted kernel multiplies the one-point kernel at z - zt by
 the oscillatory phase exp(-2i lambda . Im phi(z, zt)), which
@@ -65,76 +66,79 @@ class KernelQuery:
         object.__setattr__(self, "z", z)
 
 
-def log_mu_sinh_factor(s: float, mu: float, eps: int) -> float:
+def log_mu_sinh_factor(s, mu, eps):
     """log of 2 exp(s eps |mu|) |mu| / sinh(s |mu|), without overflow.
 
     Exact branch: log(4|mu|) + s(eps - 1)|mu| - log(-expm1(-2 s |mu|)).
     For s|mu| < 1e-8 the Taylor form log(2/s) + s eps |mu| - (s|mu|)^2/6
-    avoids the cancellation at the removable singularity.  Even in mu.
+    avoids the cancellation at the removable singularity.  Even in mu, and
+    elementwise over broadcast arrays (scalars in, a scalar out).
     """
-    if s <= 0.0:
-        raise ValueError(f"time s must be positive, got {s}")
-    if mu == 0.0:
+    if np.any(s <= 0.0):
+        raise ValueError(f"time s must be positive, got {np.min(s)}")
+    if np.any(np.asarray(mu) == 0.0):
         raise ValueError("mu must be nonzero; zero modes use the Euclidean factor")
-    am = abs(mu)
+    am = np.abs(mu)
     x = s * am
-    if x < SMALL_X_SWITCH:
-        return np.log(2.0 / s) + eps * x - x * x / 6.0
-    return np.log(4.0 * am) + (eps - 1.0) * x - np.log(-np.expm1(-2.0 * x))
+    with np.errstate(all="ignore"):  # the branch not taken may divide by 0 or overflow
+        return np.where(x < SMALL_X_SWITCH, np.log(2.0 / s) + eps * x - x * x / 6.0,
+                        np.log(4.0 * am) + (eps - 1.0) * x - np.log(-np.expm1(-2.0 * x)))[()]
 
 
-def mu_coth(s: float, mu: float) -> float:
+def mu_coth(s, mu):
     """|mu| coth(|mu| s), the Gaussian decay rate of one kernel factor.
 
-    For s|mu| < 1e-8 uses 1/s + s mu^2 / 3.  Even in mu.
+    For s|mu| < 1e-8 uses 1/s + s mu^2 / 3 (1/s at mu = 0).  Even in mu, and
+    elementwise over broadcast arrays (scalars in, a scalar out).
     """
-    if s <= 0.0:
-        raise ValueError(f"time s must be positive, got {s}")
-    am = abs(mu)
+    if np.any(s <= 0.0):
+        raise ValueError(f"time s must be positive, got {np.min(s)}")
+    am = np.abs(mu)
     x = s * am
-    if x < SMALL_X_SWITCH:
-        return 1.0 / s + s * mu * mu / 3.0
-    return am / np.tanh(x)
+    with np.errstate(all="ignore"):  # 0 / tanh(0) where mu = 0
+        return np.where(x < SMALL_X_SWITCH, 1.0 / s + s * mu * mu / 3.0, am / np.tanh(x))[()]
 
 
-def _log_rho_parts(s: float, S: SpectralData, L: FormIndex):
+def _log_rho_parts(s, S: SpectralData, L: FormIndex):
     """The pieces of log rho_hat, assembled here and nowhere else.
 
     log rho_hat(c) = const + sum_j (log_fac_j - rates_j |c_j|^2) over all n
     directions, const = -(m/2 + n) log(2 pi).  Rank directions j < nu take
     log_mu_sinh_factor and mu_coth; kernel directions the Euclidean pair
-    log(2/s) and 1/s, the mu -> 0 limit of the same factor.
+    log(2/s) and 1/s, the mu -> 0 limit of the same factor.  ``s`` may have
+    any shape; log_fac and rates have shape s.shape + (n,).
     """
     n, nu = S.n, S.nu
-    eps = epsilon(L, S)
-    rates = [mu_coth(s, S.mu[j] if j < nu else 0.0) for j in range(n)]  # raises for s <= 0
-    log_fac = [log_mu_sinh_factor(s, S.mu[j], eps[j]) for j in range(nu)]
-    log_fac += [np.log(2.0) - np.log(s)] * (n - nu)
-    return -(0.5 * S.m + n) * np.log(2.0 * np.pi), np.array(log_fac), np.array(rates)
+    s = np.asarray(s, dtype=float)[..., None]  # times on the leading axes, directions on the last
+    rates = mu_coth(s, np.where(np.arange(n) < nu, S.mu, 0.0))  # raises for s <= 0
+    euclid = np.broadcast_to(np.log(2.0) - np.log(s), s.shape[:-1] + (n - nu,))
+    log_fac = np.concatenate([log_mu_sinh_factor(s, S.mu[:nu], epsilon(L, S)), euclid], axis=-1)
+    return -(0.5 * S.m + n) * np.log(2.0 * np.pi), log_fac, rates
 
 
-def log_rho_hat(s: float, sq, S: SpectralData, L: FormIndex):
+def log_rho_hat(s, sq, S: SpectralData, L: FormIndex):
     """log rho_hat at squared adapted magnitudes ``sq`` = |c|^2 of shape (..., n).
 
-    Adds the constant, minus the kernel-block sum times 1/s (as one division,
-    the order scan's recorded bytes come from), then plus the rank-block sum.
+    ``s`` broadcasts against the leading axes of ``sq``.  Adds the constant,
+    minus the kernel-block sum times 1/s (as one division, the order scan's
+    recorded bytes come from), then plus the rank-block sum.
     """
     sq = np.asarray(sq, dtype=float)
     if sq.shape[-1:] != (S.n,):
         raise ValueError(f"adapted coordinates must have length n={S.n}")
     const, log_fac, rates = _log_rho_parts(s, S, L)
     nu = S.nu
-    out = (np.sum(log_fac[nu:]) + const) - np.sum(sq[..., nu:], axis=-1) / s
+    out = (np.sum(log_fac[..., nu:], axis=-1) + const) - np.sum(sq[..., nu:], axis=-1) / np.asarray(s)
     if nu:
-        out = out + np.sum(log_fac[:nu] - rates[:nu] * sq[..., :nu], axis=-1)
+        out = out + np.sum(log_fac[..., :nu] - rates[..., :nu] * sq[..., :nu], axis=-1)
     return out
 
 
-def rho_hat_adapted(s: float, c, S: SpectralData, L: FormIndex):
+def rho_hat_adapted(s, c, S: SpectralData, L: FormIndex):
     """Kernel value at adapted complex coordinates; vectorized over leading axes.
 
-    ``c`` has shape (..., n) with c_j the coefficient along eigenvector j.
-    Returns a real array of shape (...).
+    ``c`` has shape (..., n) with c_j the coefficient along eigenvector j, and
+    ``s`` broadcasts against its leading axes.  Returns a real array (...).
     """
     c = np.asarray(c, dtype=complex)
     return np.exp(log_rho_hat(s, c.real**2 + c.imag**2, S, L))

@@ -60,8 +60,8 @@ def test_traced_heat_apply_counts_every_output_point(tmp_path):
         tracer.uninstall()
     # evolve: 2 times x 2 points; the initial_condition check: 3 times x 1 point
     assert tracer.counts["boxop.heat_apply.out_points"] == 2 * 2 + 3
-    # the semigroup check's one tensor_nodes(spec, d) call on its 400 x 400 box
-    assert tracer.counts["quadrature.nodes"] == 400**2
+    # the semigroup check's one tensor_nodes(spec, d) call, on its sized 25 x 25 box
+    assert tracer.counts["quadrature.nodes"] == 25**2
 
 
 def test_traced_verify_counts_series_and_inversion_calls(tmp_path):
@@ -77,6 +77,22 @@ def test_traced_verify_counts_series_and_inversion_calls(tmp_path):
     assert tracer.counts["hermite.series.calls"] > 0
     assert tracer.counts["hermite.series.terms"] > 0
     assert tracer.counts["kernel.inversion.calls"] > 0
+
+
+def test_traced_euclidean_and_evenness_make_one_kernel_call_each(tmp_path, workloads):
+    # Each check evaluates all its draws in one rho_hat_adapted call: 200 points for
+    # euclidean, and 100 draws x (the point, its 2n sign flips and -z) for evenness.
+    tracer = load_perfbench("tracing")["Tracer"]()
+    verify = tmp_path / "verify.json"
+    verify.write_text(json.dumps({"quadric": workloads["_full_rank"](), "L": [1, 2],
+                                  "lambda": workloads["FULL_RANK_LAMBDA"], "checks": ["euclidean", "evenness"]}))
+    traced_main = tracer.install(0)
+    try:
+        assert traced_main(["verify", "--config", str(verify), "--out", str(tmp_path / "v.json")]) == 0
+    finally:
+        tracer.uninstall()
+    assert [span[0] for span in tracer.spans].count("kernel.batch") == 2
+    assert tracer.counts["kernel.batch.points"] == 200 + 100 * (2 * 2 + 2)
 
 
 def test_traced_mehler_sums_few_terms_past_the_useful_ones(tmp_path):

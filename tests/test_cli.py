@@ -12,12 +12,13 @@ from quadheat import (
     GridFunction,
     GridSpec,
     KernelQuery,
+    NumericsError,
     QuadricForm,
     rho_hat,
     rho_hat_adapted,
     weighted_heat_kernel,
 )
-from quadheat import boxop, cli, hermite
+from quadheat import boxop, cli, hermite, kernel
 from quadheat.cli import ExprError, load_config, main, parse_initial_expression
 
 HEIS = {"n": 1, "m": 1, "A": [[[1.0, 0.0]]]}
@@ -880,7 +881,7 @@ class TestVerifyEveryGeometry:
         (HEIS, [1.0], [1], ["mehler", "inversion", "pde_residual", "semigroup",
                             "initial_condition", "euclidean", "evenness"]),
         (rotated_form_json([1.0, 0.0], 3), [1.0], [1], N2_CHECKS),
-        (FULL_RANK_N2, [1.0, 1.0], [1, 2], N2_CHECKS),
+        (FULL_RANK_N2, [1.0, 1.0], [1, 2], N2_CHECKS + ["semigroup"]),
         (rotated_form_json([1.0, -0.5, 0.75], 5), [1.0], [2],
          ["mehler", "inversion", "euclidean", "evenness"]),
     ], ids=["heisenberg_n1", "rank1_n2", "full_rank_n2", "n3"])
@@ -890,6 +891,45 @@ class TestVerifyEveryGeometry:
         report = strict_json(capsys.readouterr().out)
         assert [c["name"] for c in report["checks"]] == checks
         assert report["all_pass"] and all(c["error"] <= c["tolerance"] for c in report["checks"])
+        # runtime_s has microsecond resolution, so even the one-call checks read above 0
+        assert all(c["runtime_s"] > 0.0 for c in report["checks"])
+
+    @pytest.mark.parametrize("quadric,lam,L", [(HEIS, [1.0], [1]), (FULL_RANK_N2, [1.0, 1.0], [1, 2])],
+                             ids=["heisenberg_n1", "full_rank_n2"])
+    def test_semigroup_on_its_sized_grid(self, tmp_path, capsys, quadric, lam, L):
+        # The grid is sized for a 1e-12 aliasing and tail bound; a corrupted phase fails.
+        for phase_sign, rc in ((-1.0, 0), (1.0, 1)):
+            path, _ = write_config(tmp_path, quadric=quadric, L=L, checks=["semigroup"],
+                                   debug={"phase_sign": phase_sign}, **{"lambda": lam})
+            assert main(["verify", "--config", path]) == rc
+            error = strict_json(capsys.readouterr().out)["checks"][0]["error"]
+            assert error <= 1e-12 if phase_sign < 0 else error >= 1e-2
+
+    def test_semigroup_refuses_n3_naming_the_cause(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path, quadric=rotated_form_json([1.0, -0.5, 0.75], 5), L=[2],
+                               checks=["semigroup"])
+        with pytest.raises(NumericsError, match=r"n <= 2.*P\^6 nodes"):
+            cli._check_semigroup(load_config(path), 1e-5)
+        assert main(["verify", "--config", path]) == 1
+        entry = strict_json(capsys.readouterr().out)["checks"][0]
+        assert entry["error"] is None and "n <= 2" in entry["message"]
+
+    @pytest.mark.parametrize("check,fault", [
+        # a small odd term: the value at -z is no longer the value at z
+        ("evenness", lambda s, c, S, L: kernel.rho_hat_adapted(s, c, S, L) * (1.0 + 1e-6 * c[..., 0].real)),
+        # kernel-block directions decaying at rate 1/(2s), not 1/s
+        ("euclidean", lambda s, c, S, L: kernel.rho_hat_adapted(s, c, S, L)
+         * np.exp(0.5 * np.sum(np.abs(c[..., S.nu:]) ** 2, axis=-1) / s)),
+    ])
+    @pytest.mark.parametrize("quadric,lam,L", [(HEIS, [1.0], [1]), (FULL_RANK_N2, [1.0, 1.0], [1, 2])],
+                             ids=["heisenberg_n1", "full_rank_n2"])
+    def test_batched_referee_fails_a_faulty_kernel(self, tmp_path, capsys, monkeypatch, check, fault,
+                                                   quadric, lam, L):
+        monkeypatch.setattr(cli, "rho_hat_adapted", fault)
+        path, _ = write_config(tmp_path, quadric=quadric, L=L, checks=[check], **{"lambda": lam})
+        assert main(["verify", "--config", path]) == 1
+        entry = strict_json(capsys.readouterr().out)["checks"][0]
+        assert entry["error"] > 100.0 * entry["tolerance"]
 
     def test_messages_report_error_budgets(self, tmp_path, capsys):
         path, _ = write_config(tmp_path, quadric=FULL_RANK_N2, L=[1, 2], checks=["mehler", "inversion"],

@@ -20,6 +20,7 @@ from quadheat import (
     inversion_quadspec,
     inversion_rate,
     log_mu_sinh_factor,
+    log_rho_hat,
     mu_coth,
     rho_hat,
     rho_hat_adapted,
@@ -27,6 +28,7 @@ from quadheat import (
     rho_via_inversion,
     weighted_heat_kernel,
 )
+from quadheat.kernel import SMALL_X_SWITCH, _log_rho_parts
 
 L_IN = FormIndex([1])
 L_OUT = FormIndex([])
@@ -124,6 +126,68 @@ class TestStableFactors:
                 assert np.isfinite(log_mu_sinh_factor(s, mu, +1))
                 assert np.isfinite(log_mu_sinh_factor(s, mu, -1))
                 assert np.isfinite(mu_coth(s, mu))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@st.composite
+def _array_core_cases(draw):
+    """A rotated n <= 4 geometry whose last n - nu directions are kernel
+    directions, a form index, times on both sides of s |mu| = SMALL_X_SWITCH
+    (|mu| in [0.25, 3]), and squared magnitudes of shape (K, P, n)."""
+    n = draw(st.integers(1, 4))
+    nu = draw(st.integers(0, n))
+    mu = [draw(st.floats(0.25, 3.0)) * draw(st.sampled_from([-1.0, 1.0])) for _ in range(nu)]
+    S = decompose_form(_rotated_form(mu + [0.0] * (n - nu), draw(st.integers(0, 99))), [1.0])
+    L = FormIndex(sorted(draw(st.sets(st.integers(1, n)))))
+    tiny = st.sampled_from([1e-12, 3e-9, 0.99 * SMALL_X_SWITCH, 1.01 * SMALL_X_SWITCH, 3e-8, 1e-6])
+    s = np.array(draw(st.lists(st.one_of(tiny, st.floats(0.05, 3.0)), min_size=1, max_size=5)))
+    sq = np.array(draw(st.lists(st.floats(0.0, 4.0), min_size=s.size * 3 * n, max_size=s.size * 3 * n)))
+    return S, L, s, sq.reshape(s.size, 3, n)
+
+
+class TestArrayCore:
+    @settings(max_examples=40, deadline=None)
+    @given(case=_array_core_cases())
+    def test_every_element_matches_the_scalar_call_bitwise(self, case):
+        S, L, s, sq = case
+        assert S.nu == np.count_nonzero(np.abs(S.mu) > S.tol)
+        mu, eps = S.mu[: S.nu], epsilon(L, S)
+        for got, scalar in ((mu_coth(s[:, None], mu), lambda t, j: mu_coth(t, mu[j])),
+                            (log_mu_sinh_factor(s[:, None], mu, eps),
+                             lambda t, j: log_mu_sinh_factor(t, mu[j], int(eps[j])))):
+            want = [[scalar(float(t), j) for j in range(S.nu)] for t in s]
+            np.testing.assert_array_equal(_bits(got), _bits(np.reshape(want, got.shape)))
+        const, log_fac, rates = _log_rho_parts(s, S, L)
+        assert log_fac.shape == rates.shape == s.shape + (S.n,)
+        for k, t in enumerate(s):
+            c1, f1, r1 = _log_rho_parts(float(t), S, L)
+            assert c1 == const
+            np.testing.assert_array_equal(_bits(log_fac[k]), _bits(f1))
+            np.testing.assert_array_equal(_bits(rates[k]), _bits(r1))
+        per_time = [log_rho_hat(float(t), q, S, L) for t, q in zip(s, sq)]
+        np.testing.assert_array_equal(_bits(log_rho_hat(s[:, None], sq, S, L)), _bits(per_time))
+        np.testing.assert_array_equal(_bits(log_rho_hat(s, sq[:, 0], S, L)),
+                                      _bits([p[0] for p in per_time]))
+
+    def test_scalar_in_gives_scalar_out(self):
+        for value in (mu_coth(0.5, 2.0), mu_coth(1e-10, 2.0), mu_coth(0.5, 0.0),
+                      log_mu_sinh_factor(0.5, -2.0, 1), log_mu_sinh_factor(1e-10, 2.0, -1)):
+            assert np.ndim(value) == 0 and isinstance(value, float)
+            assert math.isfinite(math.exp(-value))
+
+    @pytest.mark.parametrize("bad", [0.0, -0.3])
+    def test_any_non_positive_time_raises(self, bad):
+        S = decompose_form(_rotated_form([1.0, 0.0], 3), [1.0])
+        s = np.array([[0.4, 1e-10], [1.0, bad]])
+        calls = [lambda: mu_coth(s, 1.0), lambda: log_mu_sinh_factor(s, 1.0, 1),
+                 lambda: _log_rho_parts(s, S, L_IN),
+                 lambda: log_rho_hat(s[..., None], np.ones((2, 2, 1, 2)), S, L_IN)]
+        for call in calls:
+            with pytest.raises(ValueError, match="time s must be positive"):
+                call()
 
 
 class TestRhoHat:

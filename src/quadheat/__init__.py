@@ -13,6 +13,7 @@ from .boxop import (
     heat_apply,
     initial_condition_check,
     pde_residual,
+    pde_residual_richardson,
     sample_rho_hat,
     semigroup_check,
 )

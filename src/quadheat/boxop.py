@@ -250,22 +250,9 @@ def _block_maxima(parts: list) -> tuple:
     return top, top_dt
 
 
-def pde_residual(
-    s: float, S: SpectralData, L: FormIndex, grid: GridSpec, hs: float
-) -> float:
-    """Max-norm residual of the closed-form kernel in the discrete heat equation.
-
-    Forms the central time difference of rho_hat over s - hs, s + hs plus the
-    stencil operator at s, and normalizes by the max interior time derivative.
-    Second order in both the grid spacing and hs.  rho_hat(t) is C(t) times
-    one Gaussian per axis, and the terms of _direction_maps map the Gaussians
-    of their two axes alone, so with C(s) divided out the residual field is a
-    sum of 2 + 4n outer products of 1-D vectors: a matrix from the first n
-    axes (rows) to the last n, where a direction on one side sums its terms
-    into one.  _block_maxima reduces it by blocks of rows, so no N-node array
-    exists: 11-23 ms wall and 1.3 MB on a 2-vCPU Xeon at n = 1 on 2001^2 and
-    n = 2 on 49^4, on the calling thread alone.
-    """
+def _residual_terms(s: float, S: SpectralData, L: FormIndex, grid: GridSpec, hs: float) -> tuple:
+    """pde_residual's (row, col) vector pairs on ``grid``: the real part's, the time
+    difference first, and the imaginary part's."""
     for name, value in (("s", s), ("hs", hs)):
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
@@ -298,8 +285,49 @@ def pde_residual(
                 kept = [(1.0, sum(c * np.multiply.outer(x, y) for c, x, y in kept), None)]
             for c, x, y in kept:
                 add(part, c, inner[: 2 * j] + [x, y] + inner[2 * j + 2:])
+    return terms
+
+
+def _normalized_max(terms) -> float:  # sqrt max |field|^2 over max |time difference|
     top, top_dt = _block_maxima([tuple(np.array(v) for v in zip(*t)) for t in terms if t])
     return float(np.sqrt(top) / top_dt)
+
+
+def pde_residual(
+    s: float, S: SpectralData, L: FormIndex, grid: GridSpec, hs: float
+) -> float:
+    """Max-norm residual of the closed-form kernel in the discrete heat equation.
+
+    Forms the central time difference of rho_hat over s - hs, s + hs plus the
+    stencil operator at s, and normalizes by the max interior time derivative.
+    Second order in both the grid spacing and hs.  rho_hat(t) is C(t) times
+    one Gaussian per axis, and the terms of _direction_maps map the Gaussians
+    of their two axes alone, so with C(s) divided out the residual field is a
+    sum of 2 + 4n outer products of 1-D vectors: a matrix from the first n
+    axes (rows) to the last n, where a direction on one side sums its terms
+    into one.  _block_maxima reduces it by blocks of rows, so no N-node array
+    exists: 11-23 ms wall and 1.3 MB on a 2-vCPU Xeon at n = 1 on 2001^2 and
+    n = 2 on 49^4 (the acceptance tests' grids), on the calling thread alone.
+    """
+    return _normalized_max(_residual_terms(s, S, L, grid, hs))
+
+
+def pde_residual_richardson(s: float, S: SpectralData, L: FormIndex, grid: GridSpec, hs: float) -> tuple:
+    """Fourth-order (4 R_h - R_2h) / 3 and second-order R_h over the interior of the
+    every-other-node subgrid of ``grid`` (odd points per axis), normalized as in
+    pde_residual.  R_h's terms are cut to those nodes; its operator terms times
+    4/3, R_2h's times -1/3 and the time difference (equal on both grids) once keep
+    the field low-rank: 1.1-2.2 ms at n = 1 on 401^2 and n = 2 on 25^4 (2-vCPU Xeon).
+    """
+    if grid.points % 2 == 0 or grid.points < 15:  # the subgrid needs 8 points per axis
+        raise ValueError(f"need an odd number of points per axis, at least 15, got {grid.points}")
+    fine = _residual_terms(s, S, L, grid, hs)
+    coarse = _residual_terms(s, S, L, GridSpec(grid.half_widths, (grid.points + 1) // 2), hs)
+    shape, every_other = (grid.points - 2,) * S.n, (slice(1, None, 2),) * S.n
+    fine = [[tuple(v.reshape(shape)[every_other].ravel() for v in t) for t in part] for part in fine]
+    ops = [[(r * (4.0 / 3.0), c) for r, c in f] + [(r * (-1.0 / 3.0), c) for r, c in g]
+           for f, g in ((fine[0][2:], coarse[0][2:]), (fine[1], coarse[1]))]
+    return _normalized_max([fine[0][:2] + ops[0], ops[1]]), _normalized_max(fine)
 
 
 def heat_apply(
@@ -350,8 +378,9 @@ def heat_apply(
         for j in range(n):
             phase = np.exp(-2j * mu[j] * (np.conj(nodes[j]) * c[j]).imag)
             k = (mods[j] * phase).squeeze() * weights[j]
-            acc = (np.tensordot(k, acc, 2) if np.iscomplexobj(acc)
-                   else np.tensordot(k.real, acc, 2) + 1j * np.tensordot(k.imag, acc, 2))
+            # to a scalar by einsum: a BLAS dot leaves OpenBLAS threads spinning after it
+            dot = partial(np.einsum, "ij,ij->") if acc.ndim == 2 else partial(np.tensordot, axes=2)
+            acc = dot(k, acc) if np.iscomplexobj(acc) else dot(k.real, acc) + 1j * dot(k.imag, acc)
         out.append(complex(pref * acc))
     return out
 

@@ -28,12 +28,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxop import (
+# pde_residual stays in this namespace for callers that instrument it.
+from .boxop import (  # noqa: F401
     GridFunction,
     GridSpec,
     heat_apply,
     initial_condition_check,
     pde_residual,
+    pde_residual_richardson,
     sample_on_grid,
     semigroup_check,
     write_atomic,
@@ -44,7 +46,6 @@ from .forms import FormIndex, epsilon
 from .hermite import UTildeParams, default_series_terms, u_tilde_closed, u_tilde_series
 # rho_hat and weighted_heat_kernel stay in this namespace for callers that instrument them.
 from .kernel import (  # noqa: F401
-    inversion_budget,
     log_rho_hat,
     rho_hat,
     rho_hat_adapted,
@@ -53,6 +54,7 @@ from .kernel import (  # noqa: F401
     weighted_heat_kernel,
     weighted_heat_kernel_batch,
 )
+from .quadrature import NODE_BUDGET
 from .quadric import QuadricForm, json_numbers
 from .spectral import SpectralData, decompose_form
 
@@ -455,8 +457,8 @@ def _check_inversion(cfg: JobConfig, tol: float) -> tuple:
     yp = np.repeat(samples[:, 1:], S.nu, axis=1)
     for s in (0.3, 0.7):
         want = np.array([rho_hat_eta(s, x, y, None, S, cfg.L) for x, y in zip(xp, yp)])
-        got = rho_via_inversion(s, xp, yp, None, S, cfg.L, tol=tol)
-        specs, tails, aliasing, budget = inversion_budget(s, xp, yp, None, S, cfg.L, tol=tol)
+        got, (specs, tails, aliasing, budget) = rho_via_inversion(s, xp, yp, None, S, cfg.L, tol=tol,
+                                                                  return_budget=True)
         worst = max(worst, float(np.max(np.abs(got - want))), float(np.max(np.abs(got.imag))))
         notes.append(f"s={s}: nodes {', '.join(f'{q.points}x{q.points}' for q in specs)}, aliasing "
                      f"{', '.join(f'{a:.1e}' for a in aliasing)}, tails {', '.join(f'{t:.1e}' for t in tails)}"
@@ -465,14 +467,14 @@ def _check_inversion(cfg: JobConfig, tol: float) -> tuple:
 
 
 def _check_pde_residual(cfg: JobConfig, tol: float) -> tuple:
-    n = cfg.quadric.n
-    if n == 1:
-        grid = GridSpec.cube(2.0, 2, 2001)
-    elif n == 2:
-        grid = GridSpec.cube(0.06, 4, 49)
-    else:
-        raise NumericsError("pde_residual check supports n <= 2 grids only")
-    return pde_residual(0.7, cfg.spectral, cfg.L, grid, 1e-4), ""
+    n, hs = cfg.quadric.n, 1e-4
+    if n > 3:  # the smallest grid whose every-other-node subgrid has 8 points per axis
+        raise NumericsError(f"pde_residual check needs n <= 3: its 15^{2 * n}-node grid "
+                            f"exceeds the node budget {NODE_BUDGET}")
+    grid = GridSpec.cube(2.0, 2, 401) if n == 1 else GridSpec.cube(0.06, 2 * n, 25 if n == 2 else 15)
+    r, floor = pde_residual_richardson(0.7, cfg.spectral, cfg.L, grid, hs)
+    return r, (f"Richardson on {grid.points}^{2 * n} and {(grid.points + 1) // 2}^{2 * n} nodes, "
+               f"hs={hs:g}; second-order floor {floor:.1e}")
 
 
 def _check_semigroup(cfg: JobConfig, tol: float) -> tuple:

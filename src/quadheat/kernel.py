@@ -255,6 +255,7 @@ def inversion_budget(s: float, xp, yp, eta, S: SpectralData, L: FormIndex,
 def rho_via_inversion(
     s: float, xp, yp, eta, S: SpectralData, L: FormIndex,
     quad: GridSpec | None = None, tol: float = 1e-6, phase_signs: tuple = (-1.0, -1.0),
+    return_budget: bool = False,
 ):
     """Numerical inverse Fourier transform of the transform-side solution.
 
@@ -266,8 +267,9 @@ def rho_via_inversion(
     b, mu_j, eps_j).  Times exp(-2i sum mu_j x_j y_j) and the normalization, it is
     an independent oracle for rho_hat_eta at one point (``xp``, ``yp`` of shape
     (nu,)) or at K (shape (K, nu)).  inversion_budget raises NumericsError before
-    any integration when the budget exceeds ``tol``.  ``phase_signs`` (twist,
-    a.b phase; physically -1) exist for ablation tests.
+    any integration when the budget exceeds ``tol``; ``return_budget`` also returns
+    its (grids, tails, aliasing, budget).  ``phase_signs`` (twist, a.b phase;
+    physically -1) exist for ablation tests.
     """
     if s <= 0.0:
         raise ValueError(f"time s must be positive, got {s}")
@@ -278,11 +280,11 @@ def rho_via_inversion(
     xp, yp = np.atleast_2d(np.asarray(xp, dtype=float), np.asarray(yp, dtype=float))
     if xp.ndim != 2 or xp.shape[1] != nu or yp.shape != xp.shape:
         raise ValueError(f"xp and yp must have shape (nu,) or (K, nu) with nu={nu}")
-    specs = inversion_budget(s, xp, yp, eta, S, L, quad, tol)[0]
+    budget = inversion_budget(s, xp, yp, eta, S, L, quad, tol)
     twist_sign, ab_sign = phase_signs
     eps = epsilon(L, S)
     values = _inversion_pref(s, eta, S) * np.exp(2j * twist_sign * np.sum(S.mu[:nu] * xp * yp, axis=1))
-    for j, spec in enumerate(specs):
+    for j, spec in enumerate(budget[0]):
         (a, b), (wa, wb) = spec.axes(), spec.weights()
         F = mehler_factor(s, a[:, None], b[None, :], S.mu[j], eps[j])
         F *= np.exp((0.25j * ab_sign / S.mu[j]) * np.outer(a, b))
@@ -290,4 +292,5 @@ def rho_via_inversion(
         ey = wb * np.exp(1j * np.outer(yp[:, j], b))
         # einsum, not a BLAS product: OpenBLAS threads would spin on after it
         values = values * np.einsum("kp,pq,kq->k", ex, F, ey)
-    return complex(values[0]) if single else values
+    values = complex(values[0]) if single else values
+    return (values, budget) if return_budget else values

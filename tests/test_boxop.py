@@ -1,3 +1,5 @@
+import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from conftest import random_hermitian_quadric
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_acceptance import _extrapolated_residual
 
 from quadheat import (
     FormIndex,
@@ -17,6 +20,7 @@ from quadheat import (
     heat_apply,
     initial_condition_check,
     pde_residual,
+    pde_residual_richardson,
     sample_rho_hat,
     semigroup_check,
     weighted_heat_kernel,
@@ -641,6 +645,52 @@ class TestPdeResidualMemory:
             peak, r = _traced_peak(lambda: pde_residual(0.7, S, L, grid, 1e-4))
             assert peak < grid.points ** grid.dim
             assert 0.0 < r <= 1e-5
+
+
+class TestPdeResidualRichardson:
+    """The low-rank (4 R_h - R_2h) / 3 against the acceptance test's dense extrapolation."""
+
+    def test_fourth_order_rate(self, heis_spectral):
+        r = [pde_residual_richardson(0.7, heis_spectral, L_IN, GridSpec.cube(2.0, 2, p), 1e-4)[0]
+             for p in (41, 81, 161)]
+        assert all(14.0 <= a / b <= 18.0 for a, b in zip(r, r[1:]))  # 15.7 and 15.7
+
+    @pytest.mark.parametrize("L", [L_IN, L_OUT])
+    def test_matches_dense_extrapolation_n1(self, heis_spectral, L):
+        fine, coarse = GridSpec.cube(2.0, 2, 201), GridSpec.cube(2.0, 2, 101)
+        r, second = pde_residual_richardson(0.7, heis_spectral, L, fine, 1e-4)
+        assert abs(r - _extrapolated_residual(0.7, 1e-4, fine, coarse, heis_spectral, L, L)) <= 1e-11
+        # the second-order field and the time derivative peak on the subgrid here
+        assert second == pytest.approx(pde_residual(0.7, heis_spectral, L, fine, 1e-4), rel=1e-9)
+
+    @pytest.mark.parametrize("kind", ["rank1", "full_rank"])
+    @pytest.mark.parametrize("L", [[1], [1, 2]])
+    def test_matches_dense_extrapolation_n2(self, kind, L):
+        # unequal half-widths, so every axis has its own spacing; the fine grid has 25^4 nodes
+        S, L = _n2_geometry(kind)[1], FormIndex(L)
+        fine, coarse = (GridSpec([0.07, 0.05, 0.06, 0.08], p) for p in (25, 13))
+        r, second = pde_residual_richardson(0.7, S, L, fine, 1e-4)
+        assert abs(r - _extrapolated_residual(0.7, 1e-4, fine, coarse, S, L, L)) <= 1e-11
+        assert r <= 1e-5 < second
+
+    @pytest.mark.parametrize("points", [200, 13])
+    def test_needs_odd_points_and_an_8_point_subgrid(self, heis_spectral, points):
+        with pytest.raises(ValueError, match="odd number of points per axis, at least 15"):
+            pde_residual_richardson(0.7, heis_spectral, L_IN, GridSpec.cube(2.0, 2, points), 1e-4)
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="OpenBLAS runs one thread on one CPU")
+def test_heat_apply_leaves_no_blas_thread_spinning(heis_spectral):
+    # A BLAS dot down to the scalar left OpenBLAS workers spinning for about
+    # 0.12 CPU-s after each n = 1 call, taking the second core from whatever ran next.
+    spec = GridSpec.cube(3.0, 2, 303)  # the initial_condition check's finest grid
+    real = sample_on_grid(lambda x, y: np.exp(-(x**2 + y**2)), spec, heis_spectral)
+    for gf in (real, GridFunction(spec, real.values * (1.0 + 0.5j))):
+        time.sleep(0.3)  # outlast a spin left by earlier tests
+        heat_apply(gf, 1e-3, heis_spectral, L_IN, [np.zeros(1, complex)])
+        t0 = time.process_time()
+        time.sleep(0.3)
+        assert time.process_time() - t0 < 0.02
 
 
 class TestRankDeficient:

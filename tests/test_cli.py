@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadheat import (
+    FormIndex,
     GridFunction,
     GridSpec,
     KernelQuery,
@@ -882,9 +883,9 @@ class TestVerifyEveryGeometry:
                             "initial_condition", "euclidean", "evenness"]),
         (rotated_form_json([1.0, 0.0], 3), [1.0], [1], N2_CHECKS),
         (FULL_RANK_N2, [1.0, 1.0], [1, 2], N2_CHECKS + ["semigroup"]),
-        (rotated_form_json([1.0, -0.5, 0.75], 5), [1.0], [2],
-         ["mehler", "inversion", "euclidean", "evenness"]),
-    ], ids=["heisenberg_n1", "rank1_n2", "full_rank_n2", "n3"])
+        (rotated_form_json([1.0, -0.5, 0.75], 5), [1.0], [2], N2_CHECKS),
+        (rotated_form_json([1.0, 0.0, 0.0], 7), [1.0], [1], N2_CHECKS),
+    ], ids=["heisenberg_n1", "rank1_n2", "full_rank_n2", "n3", "rank1_n3"])
     def test_all_applicable_checks_pass(self, tmp_path, capsys, quadric, lam, L, checks):
         path, _ = write_config(tmp_path, quadric=quadric, L=L, checks=checks, **{"lambda": lam})
         assert main(["verify", "--config", path]) == 0
@@ -954,6 +955,14 @@ class TestVerifyEveryGeometry:
         assert main(["verify", "--config", path]) == 0
         entry = strict_json(capsys.readouterr().out)["checks"][0]
         assert entry["pass"] and entry["tolerance"] == 1e-9
+
+    def test_inversion_computes_each_budget_once(self, tmp_path, capsys, monkeypatch):
+        budget, times = kernel.inversion_budget, []
+        monkeypatch.setattr(kernel, "inversion_budget",
+                            lambda s, *a, **k: times.append(s) or budget(s, *a, **k))
+        path, _ = write_config(tmp_path, checks=["inversion"])
+        assert main(["verify", "--config", path]) == 0
+        assert times == [0.3, 0.7]
 
     def test_mehler_at_small_mu_fails_with_300_terms(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "default_series_terms", lambda s, mu: 300)
@@ -1074,6 +1083,58 @@ class TestGridPoints:
         out = tmp_path / "scan.csv"
         assert main(["scan", "--config", path, "--out", str(out)]) == 0
         assert len(data_rows(out)) == 81
+
+
+def _diag_n2(mu):
+    return {"n": 2, "m": 1, "A": [[[mu[0], 0.0], [0.0, 0.0], [0.0, 0.0], [mu[1], 0.0]]]}
+
+
+class TestPdeResidualCheck:
+    """The check Richardson-extrapolates the stencil on a grid pair, at 1e-5."""
+
+    # Every geometry here failed the second-order check on 2001^2 or 49^4 nodes
+    # (3.9e-5 to 2.1e-4), though each kernel is correct.
+    @pytest.mark.parametrize("quadric,lam,L", [
+        (HEIS, [2.0], [1]), (HEIS, [3.0], [1]),
+        (_diag_n2([2.0, 1.0]), [1.0], [1, 2]), (_diag_n2([2.0, -2.0]), [1.0], [1]),
+        (_diag_n2([3.0, 0.5]), [1.0], [1]), (_diag_n2([3.0, 0.5]), [1.0], [1, 2]),
+        (FULL_RANK_N2, [1.0, 1.0], [1]),
+    ], ids=["heisenberg_lambda2", "heisenberg_lambda3", "mu2,1_L12", "mu2,-2_L1", "mu3,0.5_L1",
+            "mu3,0.5_L12", "full_rank_n2_L1"])
+    def test_passes_where_the_second_order_check_failed(self, tmp_path, capsys, quadric, lam, L):
+        path, _ = write_config(tmp_path, quadric=quadric, L=L, checks=["pde_residual"], **{"lambda": lam})
+        assert main(["verify", "--config", path]) == 0
+        entry = strict_json(capsys.readouterr().out)["checks"][0]
+        assert entry["error"] <= entry["tolerance"] == 1e-5
+        # the message names the grid pair, hs and the second-order floor the extrapolation removes
+        n = quadric["n"]
+        points = {1: 401, 2: 25}[n]
+        assert f"{points}^{2 * n} and {(points + 1) // 2}^{2 * n} nodes, hs=0.0001" in entry["message"]
+        assert float(entry["message"].split("floor ")[1]) > 100.0 * entry["error"]
+        assert len(entry["message"]) <= 120
+
+    @pytest.mark.parametrize("quadric,lam,L,wrong", [
+        (HEIS, [1.0], [1], []),
+        (FULL_RANK_N2, [1.0, 1.0], [1, 2], [1]),
+        (rotated_form_json([1.0, 0.0, 0.0], 7), [1.0], [1], []),
+        (rotated_form_json([1.0, -0.5, 0.75], 5), [1.0], [2], []),
+    ], ids=["heisenberg_n1", "full_rank_n2", "rank1_n3", "n3"])
+    def test_fails_a_wrong_index_kernel(self, tmp_path, capsys, monkeypatch, quadric, lam, L, wrong):
+        # the kernel takes the index set ``wrong`` while the stencil keeps L
+        monkeypatch.setattr(boxop, "_log_rho_parts",
+                            lambda t, S, _: kernel._log_rho_parts(t, S, FormIndex(wrong)))
+        path, _ = write_config(tmp_path, quadric=quadric, L=L, checks=["pde_residual"], **{"lambda": lam})
+        assert main(["verify", "--config", path]) == 1
+        assert strict_json(capsys.readouterr().out)["checks"][0]["error"] >= 1e-2
+
+    def test_refuses_n4_naming_the_node_budget(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path, quadric=rotated_form_json([1.0, -0.5, 0.75, 0.6], 5), L=[2],
+                               checks=["pde_residual"])
+        with pytest.raises(NumericsError, match=r"n <= 3.*15\^8-node grid exceeds the node budget"):
+            cli._check_pde_residual(load_config(path), 1e-5)
+        assert main(["verify", "--config", path]) == 1
+        entry = strict_json(capsys.readouterr().out)["checks"][0]
+        assert entry["error"] is None and "node budget" in entry["message"]
 
 
 def _evolve_fields(**overrides):

@@ -19,15 +19,13 @@ terms phase * X (x) Y of three-point maps along axes 2j and 2j + 1
 and pde_residual to rho_hat's one Gaussian per axis, so its residual field
 is 2 + 4n rank-one terms, reduced with no N-node array.
 
-Every grid is a quadrature.GridSpec, and convolution-style integrals use its
-trapezoid weights and face area.  sample_rho_hat, pde_residual's Gaussians
-and heat_apply's per-direction rates and peak come from
-kernel._log_rho_parts, the one assembly of the closed form.  heat_apply
-evaluates the weighted kernel on the grid's own adapted coordinates, where
-kernel and phase are one factor per direction, and contracts those factors
-with the field.  The semigroup check composes
-weighted_heat_kernel_batch with itself over a GridSpec box in original
-coordinates, sized from the composed rate and the aliasing bound.
+Every grid is a quadrature.GridSpec.  sample_rho_hat, pde_residual's
+Gaussians and heat_apply's per-direction rates and peak come from
+kernel._log_rho_parts, the one assembly of the closed form.  heat_apply, the
+one convolution engine (evolve and the initial-condition and semigroup checks
+integrate through it), evaluates the weighted kernel on the grid's adapted
+coordinates, kernel and phase one factor per direction, and contracts those
+factors with the field under trapezoid weights.
 """
 
 from __future__ import annotations
@@ -41,15 +39,15 @@ import numpy as np
 
 from .errors import NumericsError
 from .forms import FormIndex
-# rho_hat_adapted stays in this namespace for callers that instrument it.
+# rho_hat_adapted and tensor_nodes stay in this namespace for callers that instrument them.
 from .kernel import (  # noqa: F401
     _log_rho_parts,
     rho_hat_adapted,
     weighted_heat_kernel,
     weighted_heat_kernel_batch,
 )
-from .quadric import QuadricForm, phi_lambda_matrix
-from .quadrature import GridSpec, aliasing_bound, tensor_nodes
+from .quadric import QuadricForm
+from .quadrature import GridSpec, aliasing_bound, tensor_nodes  # noqa: F401
 from .spectral import SpectralData
 
 HEAT_TAIL_TOL = 1e-6
@@ -346,23 +344,18 @@ def heat_apply(
     Per output point, one P x P factor per direction (times its axes'
     trapezoid weights) is contracted with ``f``: O(N) time and no N-sized
     temporary: a real ``f`` takes its first contraction as two real products,
-    so it is never copied to complex.  Raises NumericsError when
-    the boundary values of kernel x data suggest mass outside the grid above
-    HEAT_TAIL_TOL.
+    so it is never copied to complex.  Raises NumericsError when the boundary
+    values of kernel x data suggest mass outside the grid above HEAT_TAIL_TOL.
     """
-    if s <= 0.0:
-        raise ValueError(f"time s must be positive, got {s}")
-    spec = f.spec
-    n, nu, dim = S.n, S.nu, spec.dim
+    spec, n, nu = f.spec, S.n, S.nu
     _check_dim(spec, n)
     const, log_fac, rates = _log_rho_parts(s, S, L)
     pref = float((2.0 * np.pi) ** (0.5 * S.m) * np.exp(const + np.sum(log_fac)))
     mu = np.where(np.arange(n) < nu, S.mu, 0.0)  # below-tolerance eigenvalues as exact zeros
-    nodes = _directions(spec)
-    axw = spec.weights()
+    nodes, axw = _directions(spec), spec.weights()
     weights = [np.outer(axw[2 * j], axw[2 * j + 1]) for j in range(n)]
     v = f.values
-    faces = [(slice(None),) * ax + (end,) for ax in range(dim)
+    faces = [(slice(None),) * ax + (end,) for ax in range(spec.dim)
              for end in (slice(0, 1), slice(-1, None))]
     faces = [(i, np.abs(v[i])) for i in faces]  # |f| on the 2 dim faces, once per call
     out = []
@@ -391,18 +384,19 @@ def semigroup_check(
 ) -> float:
     """Relative defect of kernel composition against the kernel at s1 + s2.
 
-    Computes | int H(s1, z, w) H(s2, w, zt) dw - H(s1+s2, z, zt) | relative
-    to |H(s1+s2, z, zt)| by tensor quadrature over w.  This exercises the
-    oscillatory phase nontrivially.  ``phase_sign`` other than -1 corrupts
-    the kernels inside the composition integral (the reference stays
-    physical), the deliberate negative control.
+    heat_apply applies H(s1) at z to H(s2, w, zt), sampled from
+    weighted_heat_kernel_batch by sample_on_grid, and the result is compared
+    with H(s1 + s2, z, zt).  heat_apply's phase is taken in the eigenbasis, the
+    batch's in original coordinates, so a fault in either shows (the batch's
+    (2 pi)^{m/2} cancels).  ``phase_sign`` other than -1 corrupts the sampled
+    kernel alone, the deliberate negative control.
 
-    Without ``quad`` the cube covers z, zt and the radius where the integrand's
-    Gaussian, of rate A_j = a_j(s1) + a_j(s2) along adapted direction j, falls to
-    1e-12.  The points per axis grow until the aliasing_bounds b_i of the pairs
-    (x_i, y_i), at rate 1 / (4 max A) and the phase frequency 2 (Im d_i, Re d_i),
-    d = Phi_lambda (z - zt), give prod_i (1 + b_i) - 1 <= 1e-12, from the guess
-    where 2 pi / step clears max_i 2 |d_i| by the transform's width at 1e-12.
+    Without ``quad`` the adapted cube covers z, zt and the radius where the
+    integrand's Gaussian, of rate A_j = a_j(s1) + a_j(s2) in direction j, falls
+    to 1e-12.  Its points per axis are the fewest, from a guess, whose
+    aliasing_bounds b_i of the pairs (x_i, y_i), at rate 1 / (4 max A) and phase
+    frequency 2 (Im d_i, Re d_i), d = 2 mu V^H (z - zt) (mu = 0 below the rank),
+    give prod_i (1 + b_i) - 1 <= 1e-12.
     """
     if s1 <= 0.0 or s2 <= 0.0:
         raise ValueError("both times must be positive")
@@ -410,16 +404,17 @@ def semigroup_check(
     if quad is None:
         rates, tol = _log_rho_parts(np.array([s1, s2]), S, L)[2].sum(axis=0), 1e-12
         half = max(np.linalg.norm(z), np.linalg.norm(zt)) + np.sqrt(-np.log(tol) / rates.min())
-        d = 2.0 * phi_lambda_matrix(Q, S.lam) @ (z - zt)
+        d = 2.0 * np.where(np.arange(S.n) < S.nu, S.mu, 0.0) * (S.V.conj().T @ (z - zt))
         guess = int(half * (np.abs(d).max() + 2.0 * np.sqrt(-np.log(tol) * rates.max())) / np.pi) + 1
         points = next(p for p in count(max(8, guess)) if np.expm1(np.sum(np.log1p(aliasing_bound(
             GridSpec.cube(half, 2, p), 0.25 / rates.max(), 1.0, d.imag, d.real)))) <= tol)
         quad = GridSpec.cube(half, 2 * S.n, points)
-    pts, wts = tensor_nodes(quad, 2 * S.n)
-    w = pts[:, 0::2] + 1j * pts[:, 1::2]
-    k1 = weighted_heat_kernel_batch(s1, z, w, Q, S, L, phase_sign=phase_sign)
-    k2 = weighted_heat_kernel_batch(s2, w, zt, Q, S, L, phase_sign=phase_sign)
-    value = np.sum(wts * k1 * k2)
+
+    def second(*xy):  # H(s2, w, zt) at w = x + i y
+        w = np.stack([x + 1j * y for x, y in zip(xy[0::2], xy[1::2])], axis=-1)
+        return weighted_heat_kernel_batch(s2, w, zt, Q, S, L, phase_sign=phase_sign)
+
+    value = heat_apply(sample_on_grid(second, quad, S), s1, S, L, out_points=[z])[0]
     ref = weighted_heat_kernel(s1 + s2, z, zt, Q, S, L)
     return float(abs(value - ref) / abs(ref))
 

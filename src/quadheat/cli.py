@@ -437,11 +437,12 @@ def _check_mehler(cfg: JobConfig, tol: float) -> tuple:
     grid = np.linspace(-4.0, 4.0, 5)
     a = np.repeat(grid[:, None, None], S.nu, axis=-1)  # a_j = grid[k] on axis 0
     b = a.reshape(1, 5, S.nu)  # b_j = grid[l] on axis 1
-    complement = FormIndex([j for j in range(1, S.n + 1) if not cfg.L.contains(j)])
-    for L in (cfg.L, complement):
-        for s in terms:  # s = 0.1 first, so a series over PSI_MAX_ORDER raises before any runs
-            p = UTildeParams(s, a, b, S, L)
-            worst = max(worst, float(np.max(np.abs(u_tilde_closed(p) - u_tilde_series(p, terms[s])))))
+    eps_mu = float(np.sum(epsilon(cfg.L, S) * np.abs(S.mu[:S.nu])))
+    for s in terms:  # s = 0.1 first, so a series over PSI_MAX_ORDER raises before any runs
+        p = UTildeParams(s, a, b, S, cfg.L)
+        err = float(np.max(np.abs(u_tilde_closed(p) - u_tilde_series(p, terms[s]))))
+        # L's complement flips every eps_j, scaling both sides by prod_j exp(-2 s |mu_j|)^eps_j
+        worst = max(worst, err, err * np.exp(-2.0 * s * eps_mu))
     used = ", ".join(f"{N} terms at s={s}" for s, N in terms.items())
     needed = ", ".join(f"{N - SERIES_MARGIN} at s={s}" for s, N in terms.items())
     return worst, f"series truncated at {used}; a 1e-12 tail needs {needed} (margin {SERIES_MARGIN})"
@@ -453,10 +454,9 @@ def _check_inversion(cfg: JobConfig, tol: float) -> tuple:
         raise NumericsError("inversion check needs nu >= 1")
     worst, notes = 0.0, []
     samples = np.array([(0.3, -0.2), (0.0, 0.0), (-0.7, 0.5)])
-    xp = np.repeat(samples[:, :1], S.nu, axis=1)
-    yp = np.repeat(samples[:, 1:], S.nu, axis=1)
+    xp, yp = (np.repeat(samples[:, k : k + 1], S.nu, axis=1) for k in (0, 1))
     for s in (0.3, 0.7):
-        want = np.array([rho_hat_eta(s, x, y, None, S, cfg.L) for x, y in zip(xp, yp)])
+        want = rho_hat_eta(s, xp, yp, None, S, cfg.L)
         got, (specs, tails, aliasing, budget) = rho_via_inversion(s, xp, yp, None, S, cfg.L, tol=tol,
                                                                   return_budget=True)
         worst = max(worst, float(np.max(np.abs(got - want))), float(np.max(np.abs(got.imag))))

@@ -153,19 +153,27 @@ def rho_hat(q: KernelQuery) -> float:
     return float(rho_hat_adapted(q.s, c, q.spectral, q.L))
 
 
-def rho_hat_eta(s: float, xp, yp, eta, S: SpectralData, L: FormIndex) -> float:
+def _samples(xp, yp, nu: int) -> tuple:
+    """(single, xp, yp) for samples of shape (nu,) (single) or (K, nu), as (K, nu) arrays."""
+    single = np.ndim(xp) <= 1
+    xp, yp = np.atleast_2d(np.asarray(xp, dtype=float), np.asarray(yp, dtype=float))
+    if xp.ndim != 2 or xp.shape[1] != nu or yp.shape != xp.shape:
+        raise ValueError(f"xp and yp must have shape (nu,) or (K, nu) with nu={nu}")
+    return single, xp, yp
+
+
+def rho_hat_eta(s: float, xp, yp, eta, S: SpectralData, L: FormIndex):
     """Kernel with the kernel-block directions resolved in frequency.
 
     (2 pi)^{-(m/2+n)} exp(-s |eta|^2 / 4) times the rank-block factors at
-    (xp, yp).  ``eta`` has length n - nu; None means eta = 0.
+    (xp, yp): a float for shape (nu,), K values for shape (K, nu).  ``eta``
+    has length n - nu; None means eta = 0.
     """
-    nu = S.nu
-    xp, yp = (np.asarray(v, dtype=float).reshape(-1) for v in (xp, yp))
-    if xp.shape != (nu,) or yp.shape != (nu,):
-        raise ValueError(f"xp and yp must have length nu={nu}")
+    single, xp, yp = _samples(xp, yp, S.nu)
     const, log_fac, rates = _log_rho_parts(s, S, L)
-    log_rho = const - 0.25 * s * eta_norm_sq(eta, S)
-    return float(np.exp(log_rho + np.sum(log_fac[:nu] - rates[:nu] * (xp**2 + yp**2))))
+    rank = np.sum(log_fac[: S.nu] - rates[: S.nu] * (xp**2 + yp**2), axis=-1)
+    values = np.exp(const - 0.25 * s * eta_norm_sq(eta, S) + rank)
+    return float(values[0]) if single else values
 
 
 def weighted_heat_kernel_batch(
@@ -276,10 +284,7 @@ def rho_via_inversion(
     nu = S.nu
     if nu < 1:
         raise ValueError("inversion needs nu >= 1")
-    single = np.ndim(xp) <= 1
-    xp, yp = np.atleast_2d(np.asarray(xp, dtype=float), np.asarray(yp, dtype=float))
-    if xp.ndim != 2 or xp.shape[1] != nu or yp.shape != xp.shape:
-        raise ValueError(f"xp and yp must have shape (nu,) or (K, nu) with nu={nu}")
+    single, xp, yp = _samples(xp, yp, nu)
     budget = inversion_budget(s, xp, yp, eta, S, L, quad, tol)
     twist_sign, ab_sign = phase_signs
     eps = epsilon(L, S)

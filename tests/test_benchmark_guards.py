@@ -58,10 +58,11 @@ def test_traced_heat_apply_counts_every_output_point(tmp_path):
         assert traced_main(["verify", "--config", str(verify), "--out", str(tmp_path / "v.json")]) == 0
     finally:
         tracer.uninstall()
-    # evolve: 2 times x 2 points; the initial_condition check: 3 times x 1 point
-    assert tracer.counts["boxop.heat_apply.out_points"] == 2 * 2 + 3
-    # the semigroup check's one tensor_nodes(spec, d) call, on its sized 25 x 25 box
-    assert tracer.counts["quadrature.nodes"] == 25**2
+    # evolve: 2 times x 2 points; the initial_condition check: 3 times x 1 point (its
+    # grids refine from 19 to 77 and 303 points per axis); the semigroup check: one
+    # point, on its sized 25 x 25 box
+    assert tracer.counts["boxop.heat_apply.out_points"] == 2 * 2 + 3 + 1
+    assert tracer.counts["boxop.heat_apply.nodes"] == 2 * 2 * 41**2 + 19**2 + 77**2 + 303**2 + 25**2
 
 
 def test_traced_verify_counts_series_and_inversion_calls(tmp_path):
@@ -96,9 +97,9 @@ def test_traced_euclidean_and_evenness_make_one_kernel_call_each(tmp_path, workl
 
 
 def test_traced_mehler_sums_few_terms_past_the_useful_ones(tmp_path):
-    # The check's four series (two times x (L, its complement)) each stop
-    # SERIES_MARGIN terms past default_series_terms.  A fixed 300 terms summed
-    # 1200 against 378 useful here (useful_terms_frac 0.39 on verify-suite).
+    # The check's two series (one per time; L's complement is an exact factor)
+    # each stop SERIES_MARGIN terms past default_series_terms.  A fixed 300 terms
+    # summed 1200 against 378 useful here (useful_terms_frac 0.39 on verify-suite).
     tracer = load_perfbench("tracing")["Tracer"]()
     verify = tmp_path / "verify.json"
     verify.write_text(json.dumps({"quadric": {"n": 1, "m": 1, "A": [[[1.0, 0.0]]]},
@@ -109,8 +110,8 @@ def test_traced_mehler_sums_few_terms_past_the_useful_ones(tmp_path):
     finally:
         tracer.uninstall()
     counts = tracer.counts
-    assert counts["hermite.series.calls"] == 4
-    assert counts["hermite.series.terms"] <= counts["hermite.series.useful_terms"] + 4 * SERIES_MARGIN
+    assert counts["hermite.series.calls"] == 2
+    assert counts["hermite.series.terms"] <= counts["hermite.series.useful_terms"] + 2 * SERIES_MARGIN
 
 
 def test_evolve_n2_job_passes_its_closed_form_check(tmp_path, capsys):

@@ -26,7 +26,7 @@ from quadheat import (
     weighted_heat_kernel,
     weighted_heat_kernel_batch,
 )
-from quadheat import boxop
+from quadheat import boxop, cli, kernel
 from quadheat.boxop import _BLOCK_ROWS, _block_maxima, sample_on_grid, write_atomic
 from quadheat.cli import parse_initial_expression
 
@@ -456,6 +456,51 @@ class TestSemigroupCheck:
         err = semigroup_check(0.4, 0.4, [0.3 + 0.1j], [-0.2 + 0.5j], heis_q,
                               heis_spectral, L_IN, self.QUAD, phase_sign=+1.0)
         assert err >= 1e-2
+
+    @staticmethod
+    def _geometry(name, heis_q, heis_spectral):
+        """Q, S, L, z, zt of the verify semigroup check on Heisenberg n = 1 or full-rank n = 2."""
+        z, zt = [0.3 + 0.1j, -0.1 + 0.2j], [-0.2 + 0.5j, 0.4 - 0.1j]
+        if name == "heisenberg_n1":
+            return heis_q, heis_spectral, L_IN, z[:1], zt[:1]
+        return (*_n2_geometry("full_rank"), FormIndex([1, 2]), z, zt)
+
+    @pytest.mark.parametrize("fault", [None, "batch_phase_conjugated", "heat_apply_conjugated"])
+    @pytest.mark.parametrize("name", ["heisenberg_n1", "full_rank_n2"])
+    def test_sized_grid_catches_a_conjugated_phase(self, monkeypatch, heis_q, heis_spectral, name, fault):
+        # The composition crosses heat_apply's eigenbasis phase with the batch kernel's
+        # original-coordinate phase, so conjugating either one alone shows; a consistently
+        # conjugated batch (the reference too) is caught because heat_apply's is not.
+        if fault == "batch_phase_conjugated":
+            batch = kernel.weighted_heat_kernel_batch
+
+            def conjugated_batch(s, z, Zt, Q, S, L, phase_sign=-1.0):
+                return batch(s, z, Zt, Q, S, L, phase_sign=-phase_sign)
+
+            for module in (kernel, boxop, cli):
+                monkeypatch.setattr(module, "weighted_heat_kernel_batch", conjugated_batch)
+        elif fault == "heat_apply_conjugated":
+            apply = boxop.heat_apply
+
+            def conjugated_apply(f, s, S, L, out_points):
+                return [np.conj(v) for v in apply(GridFunction(f.spec, np.conj(f.values)), s, S, L,
+                                                  out_points=out_points)]
+
+            for module in (boxop, cli):
+                monkeypatch.setattr(module, "heat_apply", conjugated_apply)
+        Q, S, L, z, zt = self._geometry(name, heis_q, heis_spectral)
+        err = semigroup_check(0.4, 0.4, z, zt, Q, S, L)
+        assert err <= 1e-12 if fault is None else err >= 1e-2
+
+    @pytest.mark.parametrize("s", [0.0, -0.3])
+    def test_refuses_nonpositive_times(self, heis_q, heis_spectral, s):
+        # heat_apply's refusal is _log_rho_parts', raised before any grid-sized work
+        gf = GridFunction(GridSpec.cube(3.0, 2, 21), np.ones((21, 21)))
+        with pytest.raises(ValueError, match="time s must be positive"):
+            heat_apply(gf, s, heis_spectral, L_IN, out_points=[np.zeros(1, complex)])
+        for s1, s2 in ((s, 0.4), (0.4, s)):
+            with pytest.raises(ValueError, match="times must be positive"):
+                semigroup_check(s1, s2, [0.3 + 0.1j], [-0.2 + 0.5j], heis_q, heis_spectral, L_IN)
 
 
 class TestInitialCondition:

@@ -466,12 +466,30 @@ class TestFactorisedInversion:
         with pytest.raises(ValueError, match="n - nu"):
             call(S, [0.1, 0.2, 0.3])
 
+    @pytest.mark.parametrize("name,S,eta", _inversion_geometries())
+    def test_rho_hat_eta_rows_equal_single_calls(self, name, S, eta):
+        # the inversion check makes one rho_hat_eta call per time over all its samples
+        xp, yp = _sample_duals(S.nu)
+        for s in (0.3, 0.7):
+            batch = rho_hat_eta(s, xp, yp, eta, S, FormIndex([1]))
+            assert batch.shape == (len(xp),)
+            for k, (x, y) in enumerate(zip(xp, yp)):
+                single = rho_hat_eta(s, x, y, eta, S, FormIndex([1]))
+                assert isinstance(single, float) and batch[k] == single, (name, s, k)
+
     def test_sample_shape_checked(self):
         S = _inversion_geometries()[2][1]
         with pytest.raises(ValueError, match="shape"):
             rho_via_inversion(0.3, np.zeros((3, 2)), np.zeros((2, 2)), None, S, L_IN)
         with pytest.raises(ValueError, match="shape"):
             rho_via_inversion(0.3, [0.0], [0.0], None, S, L_IN)
+
+    def test_rho_hat_eta_sample_shape_checked(self):
+        S = _inversion_geometries()[2][1]
+        for xp, yp in ((np.zeros((3, 2)), np.zeros((2, 2))), ([0.0], [0.0]),
+                       (np.zeros((1, 1, 2)), np.zeros((1, 1, 2)))):
+            with pytest.raises(ValueError, match="shape"):
+                rho_hat_eta(0.3, xp, yp, None, S, L_IN)
 
 
 @st.composite

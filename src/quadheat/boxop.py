@@ -26,6 +26,9 @@ one convolution engine (evolve and the initial-condition and semigroup checks
 integrate through it), evaluates the weighted kernel on the grid's adapted
 coordinates, kernel and phase one factor per direction, and contracts those
 factors with the field under trapezoid weights.
+
+write_grid_csv is the one grid CSV writer (scan, GridFunction.save_csv): it
+takes each distinct row tail formatted once and a per-node key into them.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import count, product
+from itertools import count
 
 import numpy as np
 
@@ -69,8 +72,13 @@ class GridFunction:
         object.__setattr__(self, "values", v)
 
     def save_csv(self, path: str) -> None:
-        """Header row of coordinate names plus re,im; one node per row."""
-        write_grid_csv(path, self.spec, {"re": np.real(self.values), "im": np.imag(self.values)})
+        """Header row of coordinate names plus re,im; one node per row.  Each distinct
+        (re, im) bit pair, not value, is formatted once: -0.0 and NaN payloads keep their text."""
+        pairs = np.stack([np.real(self.values), np.imag(self.values)], axis=-1, dtype=float)
+        bits, key = np.unique(pairs.view(np.dtype((np.void, 16))), return_inverse=True)
+        re, im = (repr(c.tolist())[1:-1].split(", ") for c in bits.view(float).reshape(-1, 2).T)
+        write_grid_csv(path, self.spec, ["re", "im"], [f"{a},{b}" for a, b in zip(re, im)],
+                       key.reshape(self.spec.shape()))
 
     @classmethod
     def load_csv(cls, path: str, spec: GridSpec) -> "GridFunction":
@@ -105,29 +113,30 @@ def write_atomic(path: str, chunks) -> None:
             os.unlink(tmp)
 
 
-def write_grid_csv(path: str, spec: GridSpec, columns: dict, comments=()) -> None:
-    """Atomic CSV: ``comments`` lines, a header, then per node (in ``flat_points``
-    order) its coordinates and one cell per ``columns`` array of per-node floats.
+def write_grid_csv(path: str, spec: GridSpec, names, tails, key, comments=()) -> None:
+    """Atomic CSV: ``comments`` lines, a header of the coordinate names and
+    ``names``, then per node (in ``flat_points`` order) its coordinates and
+    ``tails[key[node]]``, its cells after the coordinates joined by commas.
 
-    Cells are shortest round-trip reprs.  Each axis is formatted once, and each
-    column's distinct bit patterns (not values, so -0.0 and NaN payloads keep
-    their own) once by one list repr; each block of axis 0 indexes those strings.
+    ``key`` is an integer array broadcastable to the grid.  Each axis is
+    formatted once.  The file is streamed one block of axis 0 at a time, each
+    block one join of its rows' pieces, laid side by side by slice assignment.
     """
-    names = [f"{'x' if k % 2 == 0 else 'y'}{k // 2 + 1}" for k in range(spec.dim)]
     axes = [repr(a.tolist())[1:-1].split(", ") for a in spec.axes()]
-    # Coordinate cells of axes 1..dim-1, shared by every block; none on a 1-D grid.
-    rest = [[",".join(t) for t in product(*axes[1:])]] if spec.dim > 1 else []
-    texts, blocks = [], []
-    for c in columns.values():
-        bits, inverse = np.unique(np.asarray(c, dtype=float).view(np.uint64), return_inverse=True)
-        texts.append(np.array(repr(bits.view(float).tolist())[1:-1].split(", "), dtype=object))
-        blocks.append(inverse.astype(np.int32).reshape(spec.points, -1))  # NODE_BUDGET < 2**31
+    rest = [""]  # the cells of axes 1..dim-1, each with its comma, of every row in a block
+    for cells in axes[1:]:
+        rest = [r + c + "," for r in rest for c in cells]
+    tails = np.asarray(tails, dtype=object)
 
     def rows():
-        yield "".join(f"{c}\n" for c in comments) + ",".join(names + list(columns)) + "\n"
-        for x0, *index in zip(axes[0], *blocks):
-            cells = [t[i].tolist() for t, i in zip(texts, index)]
-            yield f"{x0}," + f"\n{x0},".join(map(",".join, zip(*rest, *cells))) + "\n"
+        coords = [f"{'x' if k % 2 == 0 else 'y'}{k // 2 + 1}" for k in range(spec.dim)]
+        yield "".join(f"{c}\n" for c in comments) + ",".join(coords + list(names)) + "\n"
+        pieces = ["\n"] * (4 * len(rest))  # per row: axis 0, the other axes, the tail, "\n"
+        pieces[1::4] = rest
+        for x0, block in zip(axes[0], np.broadcast_to(key, spec.shape()).reshape(spec.points, -1)):
+            pieces[0::4] = [f"{x0},"] * len(rest)
+            pieces[2::4] = tails[block].tolist()
+            yield "".join(pieces)
 
     write_atomic(path, rows())
 

@@ -358,13 +358,25 @@ def cmd_scan(cfg: JobConfig, out_path: str | None) -> int:
     s = cfg.s_values[0]
     S = cfg.spectral
     eps = epsilon(cfg.L, S)
-    # |c_j|^2 per node in flat_points order, without the N x 2n node array.
-    sq = np.stack(np.broadcast_arrays(*spec.squared_radii()), axis=-1).reshape(-1, S.n)
-    log_rho = log_rho_hat(s, sq, S, cfg.L)
-    del sq
-    values = np.exp(log_rho)
-    # Where the value underflows to 0.0, log10_abs is the finite log-space value.
-    logs = np.log10(values, out=np.divide(log_rho, np.log(10.0), out=log_rho), where=values > 0.0)
+    # The kernel depends on a node only through |c_j|^2 = x_j^2 + y_j^2: it is evaluated and formatted
+    # once per tuple of their distinct bit patterns (a row of ``table``), keyed by mixed radix.
+    radii, key = [], 0
+    for sq in spec.squared_radii():
+        bits, inverse = np.unique(sq.view(np.uint64), return_inverse=True)
+        radii.append(bits.view(float))
+        key = key * bits.size + inverse.reshape(sq.shape)
+    table = np.stack(np.meshgrid(*radii, indexing="ij"), axis=-1).reshape(-1, S.n)
+    with np.errstate(all="ignore"):  # a non-finite cell is reported below
+        log_rho = log_rho_hat(s, table, S, cfg.L)
+        values = np.exp(log_rho)
+        # Where the value underflows to 0.0, log10_abs is the finite log-space value.
+        logs = np.log10(values, out=log_rho / np.log(10.0), where=values > 0.0)
+    bad = ~(np.isfinite(values) & np.isfinite(logs))
+    if bad.any():
+        i = np.unravel_index(int(np.argmax(bad[key])), key.shape)
+        cells = f"re {float(values[key[i]])!r}, log10_abs {float(logs[key[i]])!r}"
+        raise NumericsError(f"kernel {cells} at s={s!r}, grid node "
+                            f"{[float(a[j]) for a, j in zip(spec.axes(), i)]} is not finite")
     comments = [
         f"# config_sha256={config_digest(cfg.raw)}",
         f"# lambda={[float(x) for x in cfg.lam]}",
@@ -373,8 +385,9 @@ def cmd_scan(cfg: JobConfig, out_path: str | None) -> int:
         f"# eps={[int(e) for e in eps]}",
         f"# s={repr(s)}",
     ]
-    columns = {"re": values, "im": np.zeros_like(values), "log10_abs": logs}
-    write_grid_csv(out_path, spec, columns, comments)
+    re, lg = (repr(c.tolist())[1:-1].split(", ") for c in (values, logs))
+    tails = [f"{v},0.0,{g}" for v, g in zip(re, lg)]  # the kernel is real: im is 0.0
+    write_grid_csv(out_path, spec, ["re", "im", "log10_abs"], tails, key, comments)
     return EXIT_OK
 
 

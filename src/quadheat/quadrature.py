@@ -6,8 +6,8 @@ convolution, the semigroup composition box and the Fourier-inversion boxes
 all use it.  Integrands here are smooth with Gaussian decay, where the
 trapezoid rule converges spectrally; their decay rate describes the
 integrand, not the grid, so it is an argument of the a priori bounds that
-callers use to refuse under-resolved requests: tail_bound on the mass outside
-the box and aliasing_bound on the rule's aliasing error.
+callers use to refuse under-resolved requests: tail_bound on what truncating
+the rule to the box drops and aliasing_bound on the rule's aliasing error.
 
 Reductions sum node values with numpy's pairwise summation in a fixed order,
 so repeated runs are bit-stable.
@@ -114,17 +114,24 @@ def integrate_with_estimate(f, spec: GridSpec, d: int, rate: float) -> tuple[com
 
 
 def tail_bound(spec: GridSpec, rate: float, boundary_max: float) -> float:
-    """Conservative mass bound outside the box for an integrand decaying like
-    exp(-rate |x|^2).
+    """Bound on what truncating the trapezoid rule to the box drops from an
+    integrand of modulus at most boundary_max prod_i exp(-rate x_i^2).
 
-    ``boundary_max`` is the magnitude scale of the integrand (its overall
-    max); the bound is boundary_max * spec.face_area() * exp(-rate R^2) with
-    R the smallest half-width.
+    Per axis of half-width R and step h, f = exp(-rate a^2) loses h f(R) / 2
+    and h f(R + k h), k >= 1, on each side: at most t = 2 h f(R) (1/2 + q_1 /
+    (1 - q_2)), as f(R + h) = q_1 f(R), q_1 = exp(-rate h (2R + h)), and each
+    later ratio is at most q_2 = exp(-rate h (2R + 3h)).  With m the rule's
+    own sum of f on the axis, the bound is boundary_max (prod (m + t) - prod m).
     """
     if not rate > 0.0:
         raise ValueError(f"decay rate must be positive, got {rate}")
-    R = min(spec.half_widths)
-    return boundary_max * spec.face_area() * np.exp(-rate * R * R)
+    dropped, kept = 0.0, 1.0  # prod (m + t) - prod m and prod m over the axes so far
+    for x, w, R, h in zip(spec.axes(), spec.weights(), spec.half_widths, spec.spacing):
+        m = float(np.sum(w * np.exp(-rate * x * x)))
+        beyond = np.exp(-rate * h * (2.0 * R + h)) / -np.expm1(-rate * h * (2.0 * R + 3.0 * h))
+        t = 2.0 * h * np.exp(-rate * R * R) * (0.5 + beyond)
+        dropped, kept = dropped * (m + t) + t * kept, kept * m
+    return boundary_max * float(dropped)
 
 
 def aliasing_bound(spec: GridSpec, rate: float, scale: float, x, y) -> np.ndarray:

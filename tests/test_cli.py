@@ -53,6 +53,15 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     return str(path), cfg
 
 
+def rotated_form_json(mu, seed):
+    """n = len(mu), m = 1 form U diag(mu) U^H with a seeded unitary U."""
+    rng = np.random.default_rng(seed)
+    n = len(mu)
+    U, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    A = U @ np.diag(mu).astype(complex) @ U.conj().T
+    return {"n": n, "m": 1, "A": [[[float(x.real), float(x.imag)] for x in A.ravel()]]}
+
+
 # Expression trees over the n = 2 variables: a leaf is a variable or a literal,
 # a node is (op, child) for "neg" and "exp" or (op, left, right) for + - * / ^.
 _VARIABLES = ["x1", "y1", "x2", "y2"]
@@ -312,25 +321,75 @@ class TestScan:
             want = 2 * (2 * np.pi) ** -1.5 / s * np.exp(-(x * x + y * y) / s)
             assert abs(re - want) <= 1e-14 * want
 
-    @pytest.mark.parametrize("quadric,lam,half_widths,points", [
-        (FULL_RANK_N2, [1.0, 1.0], [1.0, 2.0, 0.5, 3.0], 9),
-        (HEIS, [1.0], [1.0, 1.0], 11),
+    @pytest.mark.parametrize("quadric,lam,L,half_widths,points", [
+        pytest.param(FULL_RANK_N2, [1.0, 1.0], [1], [1.0, 2.0, 0.5, 3.0], 9,
+                     id="quadric0-lam0-half_widths0-9"),
+        pytest.param(HEIS, [1.0], [1], [1.0, 1.0], 11, id="quadric1-lam1-half_widths1-11"),
+        # an even point count, where linspace is not bitwise symmetric
+        pytest.param(rotated_form_json([1.0, -0.5, 0.75], 5), [1.0], [2], [1.0, 0.7, 1.3, 0.9, 1.1, 0.6], 8,
+                     id="n3_unequal_widths_even_points"),
+        pytest.param(rotated_form_json([1.0, 0.0], 3), [1.0], [1], [1.0, 2.0, 0.5, 3.0], 9,
+                     id="rank1_n2"),  # nu < n: the kernel block takes 1/s
+        pytest.param(FULL_RANK_N2, [1.0, 1.0], [], [1.0, 2.0, 0.5, 3.0], 9, id="L_empty"),
+        pytest.param(FULL_RANK_N2, [1.0, 1.0], [1, 2], [1.0, 2.0, 0.5, 3.0], 9, id="L_full"),
+        pytest.param(HEIS, [1.0], [1], [40.0, 40.0], 41, id="far_field_underflow"),
     ])
-    def test_bytes_match_per_row_repr(self, tmp_path, quadric, lam, half_widths, points):
-        path, _ = write_config(tmp_path, quadric=quadric, **{"lambda": lam}, s=0.5,
+    def test_bytes_match_per_row_repr(self, tmp_path, quadric, lam, L, half_widths, points):
+        path, _ = write_config(tmp_path, quadric=quadric, **{"lambda": lam}, L=L, s=0.5,
                                grid={"half_widths": half_widths, "points": points})
         out = tmp_path / "scan.csv"
         assert main(["scan", "--config", path, "--out", str(out)]) == 0
         cfg = load_config(path)
-        assert cfg.spectral.nu == cfg.quadric.n
         pts = GridSpec(half_widths, points).flat_points()
-        vals = rho_hat_adapted(0.5, pts[:, 0::2] + 1j * pts[:, 1::2], cfg.spectral, cfg.L)
-        names = ["x1", "y1", "x2", "y2"][: len(half_widths)]
-        want = [",".join(names + ["re", "im", "log10_abs"])]
-        want += [per_row_cells(c, v, 0.0, np.log10(v)) for c, v in zip(pts, vals)]
+        # every row of the small grids; 20000 seeded rows of the n = 3 one (8^6 nodes)
+        rows = np.arange(len(pts)) if len(pts) <= 20000 else np.sort(
+            np.random.default_rng(11).choice(len(pts), 20000, replace=False))
+        c = pts[rows, 0::2] + 1j * pts[rows, 1::2]
+        log_rho = kernel.log_rho_hat(0.5, c.real**2 + c.imag**2, cfg.spectral, cfg.L)
+        vals = rho_hat_adapted(0.5, c, cfg.spectral, cfg.L)
+        names = ["x1", "y1", "x2", "y2", "x3", "y3"][: len(half_widths)]
+        want = [per_row_cells(p, v, 0.0, np.log10(v) if v > 0.0 else lg / np.log(10.0))
+                for p, v, lg in zip(pts[rows], vals, log_rho)]
         lines = out.read_text().split("\n")
         assert [l[:2] for l in lines[:6]] == ["# "] * 6
-        assert lines[6:] == want + [""]
+        assert lines[6] == ",".join(names + ["re", "im", "log10_abs"])
+        assert len(lines) == 7 + len(pts) + 1 and lines[-1] == ""
+        assert [lines[7 + i] for i in rows] == want
+        if half_widths[0] == 40.0:
+            assert 0 < sum(v == 0.0 for v in vals) < len(vals)
+
+    def test_kernel_runs_once_per_tuple_of_distinct_radii(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(s, sq, S, L):
+            calls.append(np.shape(sq))
+            return kernel.log_rho_hat(s, sq, S, L)
+
+        monkeypatch.setattr(cli, "log_rho_hat", spy)
+        for quadric, lam, half_widths, points in [
+            (FULL_RANK_N2, [1.0, 1.0], [1.0, 2.0, 0.5, 3.0], 9),
+            (rotated_form_json([1.0, -0.5, 0.75], 5), [1.0], [1.0, 0.7, 1.3, 0.9, 1.1, 0.6], 8),
+        ]:
+            path, _ = write_config(tmp_path, quadric=quadric, **{"lambda": lam}, s=0.5,
+                                   grid={"half_widths": half_widths, "points": points})
+            calls.clear()
+            assert main(["scan", "--config", path, "--out", str(tmp_path / "scan.csv")]) == 0
+            # K_j: distinct bit patterns of x_j^2 + y_j^2 on direction j's own plane
+            axes = GridSpec(half_widths, points).axes()
+            K = [np.unique((x[:, None] ** 2 + y[None, :] ** 2).view(np.uint64)).size
+                 for x, y in zip(axes[0::2], axes[1::2])]
+            assert calls == [(math.prod(K), len(K))]
+            assert math.prod(K) < points ** len(half_widths)
+
+    def test_overflow_exits_1_naming_time_and_node(self, tmp_path, capsys):
+        # log rho_hat at the origin is about 2 log(2 / s) = 920 at s = 1e-200: exp overflows there
+        path, _ = write_config(tmp_path, quadric=FULL_RANK_N2, **{"lambda": [1.0, 1.0]}, s=1e-200,
+                               grid={"half_widths": [3.0] * 4, "points": 17})
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--config", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "not finite" in err and "s=1e-200" in err and "grid node [0.0, 0.0, 0.0, 0.0]" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_far_field_writes_finite_log_without_warning(self, tmp_path):
         s = 0.5
@@ -795,15 +854,6 @@ def strict_json(text):
         raise ValueError(f"non-standard JSON token {token}")
 
     return json.loads(text, parse_constant=reject)
-
-
-def rotated_form_json(mu, seed):
-    """n = len(mu), m = 1 form U diag(mu) U^H with a seeded unitary U."""
-    rng = np.random.default_rng(seed)
-    n = len(mu)
-    U, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    A = U @ np.diag(mu).astype(complex) @ U.conj().T
-    return {"n": n, "m": 1, "A": [[[float(x.real), float(x.imag)] for x in A.ravel()]]}
 
 
 def n12_form_json():

@@ -89,8 +89,26 @@ class TestTrapezoidWeights:
 
 class TestTailBound:
     def test_direct_formula(self):
-        want = 2 * 2 * 12.0 * math.exp(-36.0)
-        assert tail_bound(GridSpec.cube(6.0, 2, 16), 1.0, 1.0) == pytest.approx(want)
+        # exp(-a^2) on 16 nodes over [-6, 6]: the rule's own sum m and the discrete tail t per axis
+        h = 12.0 / 15
+        m = math.fsum(h * (0.5 if k in (0, 15) else 1.0) * math.exp(-((k * h - 6.0) ** 2)) for k in range(16))
+        t = 2 * h * math.exp(-36.0) * (0.5 + math.exp(-h * (12.0 + h)) / (1 - math.exp(-h * (12.0 + 3 * h))))
+        want = t * (2 * m + t)  # (m + t)^2 - m^2
+        assert tail_bound(GridSpec.cube(6.0, 2, 16), 1.0, 1.0) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("points", [8, 9, 16, 17, 33])
+    @pytest.mark.parametrize("rate", [0.1, 1.0, 10.0])
+    def test_bounds_the_rules_discrete_tail(self, points, rate):
+        # What truncating the rule for exp(-rate a^2) to [-R, R] drops, summed directly per axis:
+        # h (f(R) + 2 sum_{k >= 1} f(R + k h)), the half weight at each end and every node beyond.
+        for R in np.geomspace(0.05, 5.0, 15):
+            spec = GridSpec.cube(R, 1, points)
+            h = spec.spacing[0]
+            beyond = R + h * np.arange(1, math.ceil(30.0 / math.sqrt(rate) / h) + 2)
+            tail = h * (math.exp(-rate * R * R) + 2.0 * math.fsum(np.exp(-rate * beyond**2)))
+            m = math.fsum(spec.weights()[0] * np.exp(-rate * spec.axes()[0] ** 2))
+            assert tail_bound(spec, rate, 1.0) >= tail * (1 - 1e-12)
+            assert tail_bound(GridSpec.cube(R, 2, points), rate, 1.0) >= tail * (2 * m + tail) * (1 - 1e-12)
 
     def test_face_area(self):
         assert GridSpec.cube(6.0, 2, 16).face_area() == pytest.approx(4 * 12.0)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import hashlib
 import json
 import operator
@@ -603,6 +604,7 @@ def cmd_verify(cfg: JobConfig, out_path: str | None, tol_override: float | None)
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # built on the first main call, then reused: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quadheat",

@@ -1,24 +1,23 @@
 """Hermite functions, Mehler summation, and the transform-side solution.
 
-The normalized Hermite functions psi_l come from one generator of the stable
-three-term recurrence, which psi and the truncated Mehler series share; the
-series runs it once, over x and y stacked and every direction at once.  The
-functions' generating function in closed form (Mehler) collapses the
-transform-side series for the heat evolution into a product of Gaussians,
-giving both a truncated-series evaluator and a closed-form evaluator whose
-agreement is one of the independent oracles for the kernel formulas.  The
-per-direction factor of that product is written once, in mehler_factor,
-which takes all directions in one call and which kernel.rho_via_inversion
-also integrates; eta_norm_sq is the one check of the kernel-block dual eta.
-
-Series evaluation requires s > 0 (at s = 0 the series only converges
-distributionally).
+The normalized Hermite functions psi_l are the rows of one table of the
+stable three-term recurrence, _psi_table, shared by psi and the truncated
+Mehler series; the series fills it once over x and y side by side, (N + 1)
+(x.size + y.size) doubles for all directions, and contracts it as sum_l w^l
+psi_l(x) psi_l(y).  Mehler's closed form of that generating function collapses
+the transform-side series for the heat evolution into a product of Gaussians,
+so a truncated-series and a closed-form evaluator agree as one of the
+independent oracles for the kernel formulas.  The per-direction factor of the
+product is written once, in mehler_factor, which takes all directions in one
+call and which kernel.rho_via_inversion also integrates; eta_norm_sq is the
+one check of the kernel-block dual eta.  Series evaluation requires s > 0 (at
+s = 0 the series only converges distributionally).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import count, islice
 
 import numpy as np
 
@@ -30,25 +29,26 @@ PSI_MAX_ORDER = 10_000
 SERIES_TOL = 1e-12
 
 
-def _hermite_functions(x):
-    """psi_0(x), psi_1(x), ... without end, by the three-term recurrence
-
-    psi_0 = pi^{-1/4} exp(-x^2/2), psi_{-1} = 0,
-    psi_{k+1} = sqrt(2/(k+1)) x psi_k - sqrt(k/(k+1)) psi_{k-1}.
-    """
-    p_prev, p = 0.0, np.pi ** (-0.25) * np.exp(-0.5 * x * x)
-    for k in count():
-        yield p
-        p, p_prev = np.sqrt(2.0 / (k + 1)) * x * p - np.sqrt(k / (k + 1)) * p_prev, p
+def _psi_table(x, N: int) -> np.ndarray:
+    """Rows psi_0(x), ..., psi_N(x) of a flat x: psi_0 = pi^{-1/4} exp(-x^2/2), psi_{-1} = 0 and
+    psi_k = sqrt(2/k) x psi_{k-1} - sqrt((k-1)/k) psi_{k-2}, in place on rows that start as sqrt(2/k) x."""
+    t = np.empty((N + 1, x.size))
+    t[0] = np.pi ** (-0.25) * np.exp(-0.5 * x * x)
+    t[1:] = np.sqrt(2.0 / np.arange(1, N + 1))[:, None] * x
+    t[1:2] *= t[:1]
+    for k, row in enumerate(t[2:], 2):
+        row *= t[k - 1]
+        row -= math.sqrt((k - 1) / k) * t[k - 2]
+    return t
 
 
 def psi(l: int, x):
-    """Value of the l-th normalized Hermite function; scalar or array x."""
+    """Value of the l-th normalized Hermite function; scalar or array x (row l of _psi_table)."""
     if l < 0:
         raise ValueError(f"order must be nonnegative, got {l}")
     if l > PSI_MAX_ORDER:
         raise ValueError(f"order {l} exceeds guard {PSI_MAX_ORDER}")
-    p = next(islice(_hermite_functions(np.asarray(x, dtype=float)), l, None))
+    p = _psi_table(np.asarray(x, dtype=float).ravel(), l)[l].reshape(np.shape(x))
     return p if p.shape else float(p)
 
 
@@ -77,13 +77,14 @@ def mehler_closed(w, x, y):
 
 
 def _mehler_series(w, x, y, N: int):
-    """Truncation of the Mehler sum at l = N inclusive, elementwise over
-    broadcasting w, x, y: N + 1 steps of one recurrence over x and y stacked."""
-    xy = np.stack(np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
-    total, wl = 0j, 1.0
-    for px, py in islice(_hermite_functions(xy), N + 1):
-        total, wl = total + wl * px * py, wl * w
-    return total
+    """Truncation of the Mehler sum at l = N inclusive, elementwise over broadcasting
+    w, x, y: one _psi_table over x and y, contracted against w^0, ..., w^N."""
+    x, y, w = np.asarray(x, dtype=float), np.asarray(y, dtype=float), np.asarray(w, dtype=complex)
+    t = _psi_table(np.concatenate([x.ravel(), y.ravel()]), N)
+    wl = np.full((N + 1, *w.shape), w)
+    wl[0] = 1.0
+    return np.einsum("l...,l...,l...->...", np.cumprod(wl, axis=0), t[:, : x.size].reshape(N + 1, *x.shape),
+                     t[:, x.size :].reshape(N + 1, *y.shape))
 
 
 def mehler_factor(s: float, a, b, mu, eps, factor=mehler_closed):

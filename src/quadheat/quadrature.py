@@ -16,6 +16,7 @@ so repeated runs are bit-stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,12 +53,18 @@ class GridSpec:
     def spacing(self) -> tuple:
         return tuple(2.0 * h / (self.points - 1) for h in self.half_widths)
 
+    @cached_property  # each axis's nodes, built once per grid; read-only, as every caller shares them
+    def _axes(self) -> tuple:
+        nodes = np.linspace(np.negative(self.half_widths), self.half_widths, self.points, axis=-1)
+        nodes.flags.writeable = False
+        return tuple(nodes)
+
     def axes(self) -> list:
-        return [np.linspace(-h, h, self.points) for h in self.half_widths]
+        return list(self._axes)
 
     def weights(self) -> list:
         """Trapezoid weights per axis: the step x[1] - x[0] of its nodes, halved at the ends."""
-        out = [np.full(self.points, x[1] - x[0]) for x in self.axes()]
+        out = [np.full(self.points, x[1] - x[0]) for x in self._axes]
         for w in out:
             w[[0, -1]] *= 0.5
         return out
@@ -74,7 +81,7 @@ class GridSpec:
         """Axis coordinates shaped to broadcast along their own axis."""
         shape = [1] * self.dim
         shape[ax] = self.points
-        return self.axes()[ax].reshape(shape)
+        return self._axes[ax].reshape(shape)
 
     def squared_radii(self) -> list:
         """x_j^2 + y_j^2 of each axis pair (2j, 2j + 1), shaped to broadcast."""

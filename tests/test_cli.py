@@ -458,6 +458,16 @@ class TestVerify:
         path, _ = write_config(tmp_path, checks=["nonsense"])
         assert main(["verify", "--config", path]) == 2
 
+    def test_one_parser_serves_calls_with_their_own_arguments(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_verify", lambda cfg, out, tol: seen.append((out, tol)) or 0)
+        path, _ = write_config(tmp_path)
+        out = str(tmp_path / "report.json")
+        assert main(["verify", "--config", path, "--tol", "1e-3"]) == 0
+        assert main(["verify", "--config", path, "--out", out]) == 0
+        assert seen == [(None, 1e-3), (out, None)]
+        assert cli.build_parser() is cli.build_parser()
+
     def test_report_written_to_file(self, tmp_path):
         path, _ = write_config(tmp_path, checks=["evenness"])
         out = tmp_path / "report.json"
@@ -927,6 +937,14 @@ class TestEvalBatched:
 N2_CHECKS = ["mehler", "inversion", "pde_residual", "euclidean", "evenness"]
 
 
+def _table_without_second_term(x, N):
+    """hermite._psi_table with its recurrence cut to psi_k = sqrt(2/k) x psi_{k-1}."""
+    rows = [np.pi ** -0.25 * np.exp(-0.5 * x * x)]
+    for k in range(1, N + 1):
+        rows.append(np.sqrt(2.0 / k) * x * rows[-1])
+    return np.array(rows)
+
+
 class TestVerifyEveryGeometry:
     @pytest.mark.parametrize("quadric,lam,L,checks", [
         (HEIS, [1.0], [1], ["mehler", "inversion", "pde_residual", "semigroup",
@@ -981,6 +999,23 @@ class TestVerifyEveryGeometry:
         assert main(["verify", "--config", path]) == 1
         entry = strict_json(capsys.readouterr().out)["checks"][0]
         assert entry["error"] > 100.0 * entry["tolerance"]
+
+    @pytest.mark.parametrize("name,fault", [
+        # the closed form without its (1 - w^2)^{-1/2} prefactor; u_tilde_closed reaches it
+        # through _product's global lookup, not through mehler_factor's default argument
+        ("mehler_closed", lambda w, x, y: np.pi ** -0.5 * np.exp(
+            -0.5 * ((1 + w * w) / (1 - w * w)) * (x * x + y * y) + 2 * w * x * y / (1 - w * w))),
+        ("_psi_table", _table_without_second_term),
+    ], ids=["closed_without_prefactor", "table_without_second_term"])
+    @pytest.mark.parametrize("quadric,lam,L", [(HEIS, [1.0], [1]), (FULL_RANK_N2, [1.0, 1.0], [1, 2])],
+                             ids=["heisenberg_n1", "full_rank_n2"])
+    def test_mehler_fails_a_faulty_hermite_side(self, tmp_path, capsys, monkeypatch, name, fault,
+                                                quadric, lam, L):
+        monkeypatch.setattr(hermite, name, fault)
+        path, _ = write_config(tmp_path, quadric=quadric, L=L, checks=["mehler"], **{"lambda": lam})
+        assert main(["verify", "--config", path]) == 1
+        entry = strict_json(capsys.readouterr().out)["checks"][0]
+        assert entry["tolerance"] == 1e-9 and entry["error"] >= 1e-3
 
     def test_messages_report_error_budgets(self, tmp_path, capsys):
         path, _ = write_config(tmp_path, quadric=FULL_RANK_N2, L=[1, 2], checks=["mehler", "inversion"],

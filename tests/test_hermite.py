@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from quadheat import (
     u_tilde_closed,
     u_tilde_series,
 )
-from quadheat.hermite import PSI_MAX_ORDER
+from quadheat.hermite import PSI_MAX_ORDER, _psi_table
 
 
 def spectral_for_mu(mu):
@@ -72,6 +74,35 @@ class TestPsi:
                 ft = np.sum(np.exp(-1j * x * xi) * pvals) * h / np.sqrt(2.0 * np.pi)
                 want = (-1j) ** l * psi(l, x)
                 assert abs(ft - want) <= 1e-8
+
+
+TABLE_XS = [0.0, 1e-3, -1e-3, 2.5, -2.5, 20.0, -20.0]
+
+
+def scalar_recurrence(x: float, N: int) -> list:
+    """psi_0(x), ..., psi_N(x) one point at a time in Python floats and math.sqrt.  psi_0
+    takes numpy's exp, which may differ from math.exp in the last bit (here at x = 1e-3, 2.5)."""
+    out = [math.pi ** -0.25 * float(np.exp(-0.5 * np.float64(x) * x))]
+    for k in range(1, N + 1):
+        prev = out[-2] if k > 1 else 0.0
+        out.append(math.sqrt(2.0 / k) * x * out[-1] - math.sqrt((k - 1) / k) * prev)
+    return out
+
+
+class TestPsiTable:
+    @pytest.mark.parametrize("N", [0, 1, 2, 300])
+    def test_rows_match_a_scalar_recurrence_bitwise(self, N):
+        table = _psi_table(np.array(TABLE_XS), N)
+        want = np.array([scalar_recurrence(x, N) for x in TABLE_XS]).T
+        assert table.shape == (N + 1, len(TABLE_XS)) and table.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("l", [0, 1, 2, 7, 300])
+    def test_psi_on_an_array_equals_its_scalar_calls_bitwise(self, l):
+        xs = np.array(TABLE_XS).reshape(7, 1)
+        vals = psi(l, xs)
+        assert vals.shape == (7, 1)
+        assert vals.tobytes() == np.array([psi(l, x) for x in TABLE_XS]).tobytes()
+        assert vals.tobytes() == np.array([scalar_recurrence(x, l)[l] for x in TABLE_XS]).tobytes()
 
 
 class TestPsiScaled:

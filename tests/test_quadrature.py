@@ -79,6 +79,18 @@ class TestTrapezoidWeights:
             h = x[1] - x[0]
             assert w[0] == w[-1] == 0.5 * h and np.all(w[1:-1] == h)
 
+    def test_axes_are_built_once_and_read_only(self):
+        spec = GridSpec((2.0, 3.0), 9)
+        axes = spec.axes()
+        assert all(a is b for a, b in zip(axes, spec.axes()))
+        assert all(np.array_equal(a, np.linspace(-h, h, 9)) for a, h in zip(axes, spec.half_widths))
+        with pytest.raises(ValueError, match="read-only"):
+            axes[0][0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            spec.axis_coordinate(1)[..., 0] = 0.0
+        spec.weights()[0][0] = 0.0  # weights are each caller's own
+        assert spec.weights()[0][0] == 0.25  # half the step 0.5
+
     def test_tensor_weights_are_axis_products(self):
         spec = GridSpec((1.0, 2.0), 8)
         pts, wts = tensor_nodes(spec, 2)

@@ -24,8 +24,8 @@ Gaussians and heat_apply's per-direction rates and peak come from
 kernel._log_rho_parts, the one assembly of the closed form.  heat_apply, the
 one convolution engine (evolve and the initial-condition and semigroup checks
 integrate through it), evaluates the weighted kernel on the grid's adapted
-coordinates, kernel and phase one factor per direction, and contracts those
-factors with the field under trapezoid weights.
+coordinates as one factor per direction, the outer product of a weighted
+Gaussian-times-phase vector per axis, and contracts those with the field.
 
 write_grid_csv is the one grid CSV writer (scan, GridFunction.save_csv): it
 takes each distinct row tail formatted once and a per-node key into them.
@@ -141,12 +141,6 @@ def write_grid_csv(path: str, spec: GridSpec, names, tails, key, comments=()) ->
     write_atomic(path, rows())
 
 
-def _directions(spec: GridSpec) -> list:
-    """Complex coordinate x_j + i y_j per direction, broadcast over its two axes."""
-    return [spec.axis_coordinate(2 * j) + 1j * spec.axis_coordinate(2 * j + 1)
-            for j in range(spec.dim // 2)]
-
-
 _SLAB_NODES = 2**15  # nodes per slab of sample_on_grid, so f's temporaries stay in cache
 
 
@@ -157,12 +151,13 @@ def sample_on_grid(f, spec: GridSpec, S: SpectralData) -> GridFunction:
     imaginary parts of z, in the grid's axis order, as 2n real arrays over one
     slab of rows of axis 0 (about _SLAB_NODES nodes), and is called once per
     slab; its result is broadcast to the slab.  The output takes the dtype of
-    the first slab's result.  Each coordinate is a sum over j of Re or Im of
-    V[k, j] (x_j + i y_j), one P x P term per direction built once, so the
-    only N-sized array is the output field.
+    the first slab's result.  Each coordinate x_k = sum_j (Re V[k, j] x_j - Im V[k, j] y_j)
+    or y_k = sum_j (Im V[k, j] x_j + Re V[k, j] y_j) sums one real P x P term per direction,
+    a broadcast of its two axis vectors, so the only N-sized array is the output field.
     """
-    terms = [[np.ascontiguousarray(part(v * c)) for v, c in zip(row, _directions(spec))]
-             for row in S.V for part in (np.real, np.imag)]
+    real_v = np.kron(S.V.real, np.eye(2)) + np.kron(S.V.imag, [[0.0, -1.0], [1.0, 0.0]])
+    terms = [[r[k] * spec.axis_coordinate(k) + r[k + 1] * spec.axis_coordinate(k + 1)
+              for k in range(0, spec.dim, 2)] for r in real_v]
     rows, out = max(1, _SLAB_NODES // spec.points ** (spec.dim - 1)), None
     for slab in (slice(i, i + rows) for i in range(0, spec.points, rows)):
         value = f(*(reduce(np.add, [t[0][slab]] + t[1:]) for t in terms))
@@ -337,6 +332,16 @@ def pde_residual_richardson(s: float, S: SpectralData, L: FormIndex, grid: GridS
     return _normalized_max([fine[0][:2] + ops[0], ops[1]]), _normalized_max(fine)
 
 
+def _axis_vectors(spec: GridSpec, c: np.ndarray, rates: np.ndarray, mu: np.ndarray) -> tuple:
+    """heat_apply's vectors at the adapted output point c, for axis k of direction j = k // 2:
+    the Gaussian exp(-a_j (x - c_k)^2), broadcast along axis k, and the 1-D kernel vector, that
+    times w_k exp(-+2i mu_j x cbar_k); c_k, cbar_k = Re c_j, Im c_j on x-axes (-), else swapped (+)."""
+    own, other = (np.stack(p, axis=-1).ravel() for p in ((c.real, c.imag), (-c.imag, c.real)))
+    g = [np.exp(-rates[k // 2] * (spec.axis_coordinate(k) - own[k]) ** 2) for k in range(spec.dim)]
+    return g, [r.ravel() * w * np.exp(2j * mu[k // 2] * other[k] * x)
+               for k, (r, w, x) in enumerate(zip(g, spec.weights(), spec.axes()))]
+
+
 def heat_apply(
     f: GridFunction, s: float, S: SpectralData, L: FormIndex, out_points,
 ) -> list:
@@ -350,19 +355,18 @@ def heat_apply(
     with the rates a_j and, in log space, the peak ``pref`` both taken from
     kernel._log_rho_parts, so no factor exceeds 1 in modulus; the phase is
     lambda . Im phi(z, V w) in the eigenbasis, so ``S`` carries the form.
-    Per output point, one P x P factor per direction (times its axes'
-    trapezoid weights) is contracted with ``f``: O(N) time and no N-sized
-    temporary: a real ``f`` takes its first contraction as two real products,
-    so it is never copied to complex.  Raises NumericsError when the boundary
+    Per output point, each direction's factor (times its axes' trapezoid
+    weights) is the outer product of one vector per axis (_axis_vectors): 2P
+    exps, not P^2.  Contracted with ``f`` direction by direction, the last as
+    x . (f y), it takes O(N) time and no N-sized temporary, and a real ``f``
+    is never copied to complex.  Raises NumericsError when the boundary
     values of kernel x data suggest mass outside the grid above HEAT_TAIL_TOL.
     """
-    spec, n, nu = f.spec, S.n, S.nu
+    spec, n = f.spec, S.n
     _check_dim(spec, n)
     const, log_fac, rates = _log_rho_parts(s, S, L)
     pref = float((2.0 * np.pi) ** (0.5 * S.m) * np.exp(const + np.sum(log_fac)))
-    mu = np.where(np.arange(n) < nu, S.mu, 0.0)  # below-tolerance eigenvalues as exact zeros
-    nodes, axw = _directions(spec), spec.weights()
-    weights = [np.outer(axw[2 * j], axw[2 * j + 1]) for j in range(n)]
+    mu = np.where(np.arange(n) < S.nu, S.mu, 0.0)  # below-tolerance eigenvalues as exact zeros
     v = f.values
     faces = [(slice(None),) * ax + (end,) for ax in range(spec.dim)
              for end in (slice(0, 1), slice(-1, None))]
@@ -370,20 +374,20 @@ def heat_apply(
     out = []
     for z in out_points:
         c = S.V.conj().T @ np.asarray(z, dtype=complex).reshape(-1)
-        mods = [np.exp(-rates[j] * np.abs(c[j] - nodes[j]) ** 2) for j in range(n)]
-        edge = max(float(reduce(np.multiply, [m[i] for m in mods], a).max()) for i, a in faces)
+        g, vecs = _axis_vectors(spec, c, rates, mu)
+        edge = max(float(reduce(np.multiply, [x[i] * y[i] for x, y in zip(g[0::2], g[1::2])], a).max())
+                   for i, a in faces)
         tail = pref * edge * spec.face_area()
         if tail > HEAT_TAIL_TOL:
             raise NumericsError(f"boundary tail estimate {tail:.3e} exceeds "
                                 f"{HEAT_TAIL_TOL:.3e}; enlarge the grid box")
         acc = v  # contract direction j against the leading axes (2j, 2j + 1)
-        for j in range(n):
-            phase = np.exp(-2j * mu[j] * (np.conj(nodes[j]) * c[j]).imag)
-            k = (mods[j] * phase).squeeze() * weights[j]
-            # to a scalar by einsum: a BLAS dot leaves OpenBLAS threads spinning after it
-            dot = partial(np.einsum, "ij,ij->") if acc.ndim == 2 else partial(np.tensordot, axes=2)
+        for x, y in zip(vecs[0::2], vecs[1::2]):
+            # the last to a vector, then a scalar, by einsum: a BLAS dot leaves OpenBLAS threads spinning
+            dot, k = ((partial(np.einsum, "j,ij->i"), y) if acc.ndim == 2
+                      else (partial(np.tensordot, axes=2), np.multiply.outer(x, y)))
             acc = dot(k, acc) if np.iscomplexobj(acc) else dot(k.real, acc) + 1j * dot(k.imag, acc)
-        out.append(complex(pref * acc))
+        out.append(complex(pref * np.einsum("i,i->", vecs[-2], acc)))
     return out
 
 

@@ -265,16 +265,25 @@ class TestHeatApplyFactorised:
 
     def reference(self, spec, f, Q, S, L, z, phase_sign=-1.0):
         # Nodes c in adapted coordinates are the points V c; trapezoid weights
-        # are built here, independently of the library.
+        # are built here, independently of the library, over the 2n axes.
         x = np.linspace(-spec.half_widths[0], spec.half_widths[0], spec.points)
         w1 = np.full(spec.points, x[1] - x[0])
         w1[0] = w1[-1] = 0.5 * (x[1] - x[0])
-        grids = np.meshgrid(x, x, x, x, indexing="ij")
-        c = np.stack([grids[0] + 1j * grids[1], grids[2] + 1j * grids[3]], axis=-1)
-        weights = np.einsum("a,b,c,d->abcd", w1, w1, w1, w1)
+        grids = np.meshgrid(*[x] * spec.dim, indexing="ij")
+        c = np.stack([grids[k] + 1j * grids[k + 1] for k in range(0, spec.dim, 2)], axis=-1)
+        weights = np.prod(np.meshgrid(*[w1] * spec.dim, indexing="ij"), axis=0)
         kern = weighted_heat_kernel_batch(self.S_TIME, z, c @ S.V.T, Q, S, L,
                                           phase_sign=phase_sign)
         return complex(np.sum(weights * kern * f))
+
+    def assert_matches(self, spec, f, Q, S, L, out):
+        got = heat_apply(GridFunction(spec, f), self.S_TIME, S, L, out)
+        for z, value in zip(out, got):
+            want = self.reference(spec, f, Q, S, L, z)
+            assert abs(value - want) <= 1e-12 * abs(want)
+            # negative control: the conjugate phase gives a different integral
+            flipped = self.reference(spec, f, Q, S, L, z, phase_sign=+1.0)
+            assert abs(value - flipped) > 1e-3 * abs(want)
 
     @pytest.mark.parametrize("kind", ["full_rank", "rank1"])
     @pytest.mark.parametrize("L", [[], [1], [1, 2]])
@@ -288,13 +297,25 @@ class TestHeatApplyFactorised:
             * (1.0 + 0.3 * x1 - 0.2j * y2 + 0.1 * x2 * y1),
             spec.shape(),
         )
-        got = heat_apply(GridFunction(spec, f), self.S_TIME, S, L, self.OUT)
-        for z, value in zip(self.OUT, got):
-            want = self.reference(spec, f, Q, S, L, z)
-            assert abs(value - want) <= 1e-12 * abs(want)
-            # negative control: the conjugate phase gives a different integral
-            flipped = self.reference(spec, f, Q, S, L, z, phase_sign=+1.0)
-            assert abs(value - flipped) > 1e-3 * abs(want)
+        self.assert_matches(spec, f, Q, S, L, self.OUT)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("kind,L,grid", [
+        ("heisenberg", [], (4.0, 41)), ("heisenberg", [1], (4.0, 41)),
+        ("rank1_n3", [], (5.0, 8)), ("rank1_n3", [1, 3], (5.0, 8)),  # 8^6 nodes
+    ], ids=["heisenberg-L0", "heisenberg-L1", "rank1_n3-L0", "rank1_n3-L13"])
+    def test_matches_point_kernel_at_n1_and_n3(self, kind, L, grid, dtype):
+        # Off-origin output points and data with no symmetry in x_k -> -x_k or
+        # between axes; a real field takes heat_apply's two-real-products path.
+        Q, S = _form_and_spectral(kind)
+        spec = GridSpec.cube(grid[0], 2 * S.n, grid[1])
+        xy = [spec.axis_coordinate(k) for k in range(spec.dim)]
+        f = np.broadcast_to(np.exp(-0.5 * sum(a**2 for a in xy))
+                            * (1.0 + 0.3 * xy[0] - 0.2 * xy[-1] + 0.1 * xy[-2] * xy[1]
+                               + (0.25j * xy[-1] if dtype is complex else 0.0)), spec.shape())
+        out = [np.array([0.3 + 0.2j, -0.25 + 0.1j, 0.1 - 0.35j][: S.n]),
+               np.array([-0.4 + 0.05j, 0.15 - 0.3j, 0.2 + 0.2j][: S.n])]
+        self.assert_matches(spec, f, Q, S, FormIndex(L), out)
 
     @pytest.mark.parametrize("axis", range(4))
     @pytest.mark.parametrize("end", [0, -1])
@@ -318,16 +339,22 @@ class TestHeatApplyFactorised:
                 assert np.isfinite(heat_apply(gf, 1.0, S, L_IN, origin)[0])
 
 
-def _geometry(kind):
-    """Heisenberg n = 1, the n = 2 geometries of _n2_geometry, or a rank-1 n = 3 v v^H."""
+def _form_and_spectral(kind):
+    """Q and S of Heisenberg n = 1, the n = 2 geometries of _n2_geometry, or a rank-1 n = 3 v v^H."""
     if kind == "heisenberg":
-        return decompose_form(QuadricForm(1, 1, [np.eye(1)]), [1.0])
+        Q = QuadricForm(1, 1, [np.eye(1)])
+        return Q, decompose_form(Q, [1.0])
     if kind == "rank1_n3":
         rng = np.random.default_rng(20240816)
         v = rng.normal(size=3) + 1j * rng.normal(size=3)
         v /= np.linalg.norm(v)
-        return decompose_form(QuadricForm(3, 1, [np.outer(v, v.conj())]), [1.0])
-    return _n2_geometry(kind)[1]
+        Q = QuadricForm(3, 1, [np.outer(v, v.conj())])
+        return Q, decompose_form(Q, [1.0])
+    return _n2_geometry(kind)
+
+
+def _geometry(kind):
+    return _form_and_spectral(kind)[1]
 
 
 class TestSampleOnGrid:
@@ -436,6 +463,18 @@ class TestRealFieldHeatApply:
         gf = GridFunction(spec, np.exp(-(x1**2 + y1**2 + x2**2 + y2**2)))
         peak, _ = _traced_peak(lambda: heat_apply(gf, 0.5, S, L_IN, self.OUT))
         assert peak <= 6 * gf.values.size
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_memory_at_n1(self, dtype):
+        # A factor built from P^2 complex exps peaks at 6.1 P x P complex arrays;
+        # from per-axis vectors, n = 1 needs no P x P array at all.
+        spec = GridSpec.cube(3.0, 2, 303)
+        x, y = spec.axis_coordinate(0), spec.axis_coordinate(1)
+        f = np.exp(-(x**2 + y**2)) * (1.0 + 0.3 * x + (0.2j * y if dtype is complex else 0.0))
+        out = [np.array([0.2 - 0.1j]), np.array([-0.3 + 0.25j])]
+        peak, _ = _traced_peak(lambda: heat_apply(GridFunction(spec, f), 0.05, _geometry("heisenberg"),
+                                                   L_IN, out))
+        assert peak <= 3 * 16 * f.size
 
 
 class TestSemigroupCheck:

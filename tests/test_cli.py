@@ -974,6 +974,31 @@ class TestVerifyEveryGeometry:
             error = strict_json(capsys.readouterr().out)["checks"][0]["error"]
             assert error <= 1e-12 if phase_sign < 0 else error >= 1e-2
 
+    @pytest.mark.parametrize("fault", [False, True], ids=["unfaulted", "y_phase_flipped"])
+    @pytest.mark.parametrize("quadric,lam,L", [(HEIS, [1.0], [1]), (FULL_RANK_N2, [1.0, 1.0], [1, 2])],
+                             ids=["heisenberg_n1", "full_rank_n2"])
+    def test_default_verify_fails_a_flipped_y_axis_phase(self, tmp_path, capsys, monkeypatch,
+                                                         quadric, lam, L, fault):
+        # heat_apply's y-axis phase vectors alone conjugated, exp(-2i mu y Re c): semigroup
+        # fails it.  initial_condition does not, as it evaluates at the origin, where c = 0.
+        if fault:
+            vectors = boxop._axis_vectors
+
+            def flipped(*args):
+                g, vecs = vectors(*args)
+                return g, [np.conj(v) if k % 2 else v for k, v in enumerate(vecs)]
+
+            monkeypatch.setattr(boxop, "_axis_vectors", flipped)
+        path, _ = write_config(tmp_path, quadric=quadric, L=L, **{"lambda": lam})
+        rc = main(["verify", "--config", path])
+        checks = {c["name"]: c for c in strict_json(capsys.readouterr().out)["checks"]}
+        # at n = 2 initial_condition refuses (error null) with or without the fault
+        failed = [name for name, c in checks.items() if c["error"] is not None and not c["pass"]]
+        if fault:
+            assert rc == 1 and failed == ["semigroup"] and checks["semigroup"]["error"] >= 1e-2
+        else:
+            assert failed == [] and checks["semigroup"]["error"] <= 1e-12
+
     def test_semigroup_refuses_n3_naming_the_cause(self, tmp_path, capsys):
         path, _ = write_config(tmp_path, quadric=rotated_form_json([1.0, -0.5, 0.75], 5), L=[2],
                                checks=["semigroup"])

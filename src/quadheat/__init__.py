@@ -23,7 +23,6 @@ from .hermite import (
     UTildeParams,
     mehler_closed,
     mehler_factor,
-    psi,
     u_tilde_closed,
     u_tilde_series,
 )

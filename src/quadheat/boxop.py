@@ -12,7 +12,7 @@ Grids live in adapted coordinates with axes interleaved as
 with the rotation term the real-coordinate expansion of 2i mu Im{z d/dz}
 under Im A = (A - conj A)/(2i).  All derivatives are second-order central
 differences; a boundary layer of width one is marked invalid (NaN).
-Eigenvalues below the rank tolerance are treated as exact zeros.  The
+Eigenvalues below the rank tolerance are the exact zeros spectral stores.  The
 operator is a sum of parts B_j on the axes of direction j, each a sum of
 terms phase * X (x) Y of three-point maps along axes 2j and 2j + 1
 (_direction_maps).  apply_box_ll_lambda applies them to arbitrary fields,
@@ -42,7 +42,8 @@ import numpy as np
 
 from .errors import NumericsError
 from .forms import FormIndex
-# rho_hat_adapted and tensor_nodes stay in this namespace for callers that instrument them.
+# rho_hat_adapted, weighted_heat_kernel and tensor_nodes stay in this namespace for callers that
+# instrument them.
 from .kernel import (  # noqa: F401
     _log_rho_parts,
     rho_hat_adapted,
@@ -155,6 +156,7 @@ def sample_on_grid(f, spec: GridSpec, S: SpectralData) -> GridFunction:
     or y_k = sum_j (Im V[k, j] x_j + Re V[k, j] y_j) sums one real P x P term per direction,
     a broadcast of its two axis vectors, so the only N-sized array is the output field.
     """
+    _check_dim(spec, S.n)
     real_v = np.kron(S.V.real, np.eye(2)) + np.kron(S.V.imag, [[0.0, -1.0], [1.0, 0.0]])
     terms = [[r[k] * spec.axis_coordinate(k) + r[k + 1] * spec.axis_coordinate(k + 1)
               for k in range(0, spec.dim, 2)] for r in real_v]
@@ -188,7 +190,7 @@ def _direction_maps(spec: GridSpec, j: int, S: SpectralData, L: FormIndex) -> li
     (x_j, y_j), the drift i mu_j (y_j d/dx_j - x_j d/dy_j) and mu_j^2 (x_j^2 + y_j^2)
     -+ mu_j (- for j + 1 in L).  The operator is sum_j B_j.
     """
-    (hx, hy), mu = spec.spacing[2 * j : 2 * j + 2], (S.mu[j] if j < S.nu else 0.0)
+    (hx, hy), mu = spec.spacing[2 * j : 2 * j + 2], S.mu[j]
     x, y = (spec.axes()[ax][1:-1] for ax in (2 * j, 2 * j + 1))
     shift = mu if L.contains(j + 1) else -mu
     maps = [(1.0, (-0.25 / hx**2, 0.0, mu**2 * x**2 - shift), None),
@@ -362,11 +364,10 @@ def heat_apply(
     is never copied to complex.  Raises NumericsError when the boundary
     values of kernel x data suggest mass outside the grid above HEAT_TAIL_TOL.
     """
-    spec, n = f.spec, S.n
-    _check_dim(spec, n)
+    spec = f.spec
+    _check_dim(spec, S.n)
     const, log_fac, rates = _log_rho_parts(s, S, L)
     pref = float((2.0 * np.pi) ** (0.5 * S.m) * np.exp(const + np.sum(log_fac)))
-    mu = np.where(np.arange(n) < S.nu, S.mu, 0.0)  # below-tolerance eigenvalues as exact zeros
     v = f.values
     faces = [(slice(None),) * ax + (end,) for ax in range(spec.dim)
              for end in (slice(0, 1), slice(-1, None))]
@@ -374,7 +375,7 @@ def heat_apply(
     out = []
     for z in out_points:
         c = S.V.conj().T @ np.asarray(z, dtype=complex).reshape(-1)
-        g, vecs = _axis_vectors(spec, c, rates, mu)
+        g, vecs = _axis_vectors(spec, c, rates, S.mu)
         edge = max(float(reduce(np.multiply, [x[i] * y[i] for x, y in zip(g[0::2], g[1::2])], a).max())
                    for i, a in faces)
         tail = pref * edge * spec.face_area()
@@ -408,7 +409,7 @@ def semigroup_check(
     integrand's Gaussian, of rate A_j = a_j(s1) + a_j(s2) in direction j, falls
     to 1e-12.  Its points per axis are the fewest, from a guess, whose
     aliasing_bounds b_i of the pairs (x_i, y_i), at rate 1 / (4 max A) and phase
-    frequency 2 (Im d_i, Re d_i), d = 2 mu V^H (z - zt) (mu = 0 below the rank),
+    frequency 2 (Im d_i, Re d_i), d = 2 mu V^H (z - zt),
     give prod_i (1 + b_i) - 1 <= 1e-12.
     """
     if s1 <= 0.0 or s2 <= 0.0:
@@ -417,7 +418,7 @@ def semigroup_check(
     if quad is None:
         rates, tol = _log_rho_parts(np.array([s1, s2]), S, L)[2].sum(axis=0), 1e-12
         half = max(np.linalg.norm(z), np.linalg.norm(zt)) + np.sqrt(-np.log(tol) / rates.min())
-        d = 2.0 * np.where(np.arange(S.n) < S.nu, S.mu, 0.0) * (S.V.conj().T @ (z - zt))
+        d = 2.0 * S.mu * (S.V.conj().T @ (z - zt))
         guess = int(half * (np.abs(d).max() + 2.0 * np.sqrt(-np.log(tol) * rates.max())) / np.pi) + 1
         points = next(p for p in count(max(8, guess)) if np.expm1(np.sum(np.log1p(aliasing_bound(
             GridSpec.cube(half, 2, p), 0.25 / rates.max(), 1.0, d.imag, d.real)))) <= tol)
@@ -428,32 +429,23 @@ def semigroup_check(
         return weighted_heat_kernel_batch(s2, w, zt, Q, S, L, phase_sign=phase_sign)
 
     value = heat_apply(sample_on_grid(second, quad, S), s1, S, L, out_points=[z])[0]
-    ref = weighted_heat_kernel(s1 + s2, z, zt, Q, S, L)
+    ref = weighted_heat_kernel_batch(s1 + s2, z, zt, Q, S, L)
     return float(abs(value - ref) / abs(ref))
 
 
-def initial_condition_check(
-    f, s_list, S: SpectralData, L: FormIndex,
-    box_half_width: float = 3.0, base_points: int = 19,
-) -> list:
+def initial_condition_check(f, s_list, S: SpectralData, L: FormIndex) -> list:
     """Errors |H{f}(s, 0) - f(0)| along a decreasing list of times.
 
     ``f(x1, y1, ..., xn, yn)`` takes real coordinates as in sample_on_grid
-    and must have Gaussian decay.  Grids refine as s shrinks (points ~
-    s^-0.6) so the kernel stays resolved; with well-chosen parameters the
-    errors decrease monotonically along the list.
+    and must have Gaussian decay.  The box has half-width 3; its points per
+    axis, odd and at least 19, grow like s^-0.6 from 19 at the first time, so
+    the kernel stays resolved and the errors decrease along the list.
     """
-    n = S.n
-    s_ref = float(s_list[0])
-    errors = []
+    n, s_ref, errors = S.n, float(s_list[0]), []
     origin = np.zeros(n, dtype=complex)
     f0 = complex(np.ravel(f(*np.zeros(2 * n)))[0])
     for s in s_list:
-        pts_per_axis = int(np.ceil(base_points * (s_ref / float(s)) ** 0.6))
-        pts_per_axis = max(base_points, pts_per_axis)
-        if pts_per_axis % 2 == 0:
-            pts_per_axis += 1
-        gf = sample_on_grid(f, GridSpec.cube(box_half_width, 2 * n, pts_per_axis), S)
-        val = heat_apply(gf, float(s), S, L, out_points=[origin])[0]
-        errors.append(abs(val - f0))
+        points = max(19, int(np.ceil(19 * (s_ref / float(s)) ** 0.6)))
+        gf = sample_on_grid(f, GridSpec.cube(3.0, 2 * n, points + 1 - points % 2), S)
+        errors.append(abs(heat_apply(gf, float(s), S, L, out_points=[origin])[0] - f0))
     return errors

@@ -246,8 +246,6 @@ def load_config(path: str) -> JobConfig:
     try:
         entries = raw.get("L", [])
         json_numbers(entries, (-1,))
-        if len(set(entries)) != len(entries):
-            raise ValueError(f"repeated index in {entries}")
         form = FormIndex(entries)
         if quadric is not None:
             form.validate_against(quadric.n)
@@ -471,8 +469,7 @@ def _check_inversion(cfg: JobConfig, tol: float) -> tuple:
     xp, yp = (np.repeat(samples[:, k : k + 1], S.nu, axis=1) for k in (0, 1))
     for s in (0.3, 0.7):
         want = rho_hat_eta(s, xp, yp, None, S, cfg.L)
-        got, (specs, tails, aliasing, budget) = rho_via_inversion(s, xp, yp, None, S, cfg.L, tol=tol,
-                                                                  return_budget=True)
+        got, (specs, tails, aliasing, budget) = rho_via_inversion(s, xp, yp, None, S, cfg.L, tol=tol)
         worst = max(worst, float(np.max(np.abs(got - want))), float(np.max(np.abs(got.imag))))
         notes.append(f"s={s}: nodes {', '.join(f'{q.points}x{q.points}' for q in specs)}, aliasing "
                      f"{', '.join(f'{a:.1e}' for a in aliasing)}, tails {', '.join(f'{t:.1e}' for t in tails)}"

@@ -1,17 +1,18 @@
 """Hermite functions, Mehler summation, and the transform-side solution.
 
 The normalized Hermite functions psi_l are the rows of one table of the
-stable three-term recurrence, _psi_table, shared by psi and the truncated
-Mehler series; the series fills it once over x and y side by side, (N + 1)
-(x.size + y.size) doubles for all directions, and contracts it as sum_l w^l
-psi_l(x) psi_l(y).  Mehler's closed form of that generating function collapses
+stable three-term recurrence, _psi_table.  The truncated Mehler series fills
+it once over x and y side by side, (N + 1) (x.size + y.size) doubles for all
+directions, and contracts it as sum_l w^l psi_l(x) psi_l(y).  Mehler's closed form of that generating function collapses
 the transform-side series for the heat evolution into a product of Gaussians,
 so a truncated-series and a closed-form evaluator agree as one of the
 independent oracles for the kernel formulas.  The per-direction factor of the
 product is written once, in mehler_factor, which takes all directions in one
 call and which kernel.rho_via_inversion also integrates; eta_norm_sq is the
-one check of the kernel-block dual eta.  Series evaluation requires s > 0 (at
-s = 0 the series only converges distributionally).
+one check of the kernel-block dual eta.  mehler_closed, mehler_factor and the
+u_tilde evaluators work elementwise over arrays and return arrays, 0-d for
+one pair.  Series evaluation requires s > 0 (at s = 0 the series only
+converges distributionally).
 """
 
 from __future__ import annotations
@@ -42,16 +43,6 @@ def _psi_table(x, N: int) -> np.ndarray:
     return t
 
 
-def psi(l: int, x):
-    """Value of the l-th normalized Hermite function; scalar or array x (row l of _psi_table)."""
-    if l < 0:
-        raise ValueError(f"order must be nonnegative, got {l}")
-    if l > PSI_MAX_ORDER:
-        raise ValueError(f"order {l} exceeds guard {PSI_MAX_ORDER}")
-    p = _psi_table(np.asarray(x, dtype=float).ravel(), l)[l].reshape(np.shape(x))
-    return p if p.shape else float(p)
-
-
 def mehler_closed(w, x, y):
     """Closed form of sum_l w^l psi_l(x) psi_l(y) for |w| < 1, elementwise over w, x, y.
 
@@ -65,15 +56,8 @@ def mehler_closed(w, x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     one_minus = 1.0 - w * w
-    val = (
-        np.pi ** (-0.5)
-        / np.sqrt(one_minus)
-        * np.exp(
-            -0.5 * ((1.0 + w * w) / one_minus) * (x * x + y * y)
-            + 2.0 * w * x * y / one_minus
-        )
-    )
-    return val if np.ndim(val) else complex(val)
+    return np.pi ** (-0.5) / np.sqrt(one_minus) * np.exp(
+        -0.5 * ((1.0 + w * w) / one_minus) * (x * x + y * y) + 2.0 * w * x * y / one_minus)
 
 
 def _mehler_series(w, x, y, N: int):
@@ -152,12 +136,10 @@ class UTildeParams:
 
 def _product(p: UTildeParams, factor):
     """prefactor * prod_j mehler_factor(s, a_j, b_j, mu_j, eps_j, factor) over
-    the leading axes of a, b, from one mehler_factor call for all directions;
-    a complex for one (a, b) pair."""
+    the leading axes of a, b, from one mehler_factor call for all directions."""
     S = p.spectral
     f = mehler_factor(p.s, p.a, p.b, S.mu[: S.nu], epsilon(p.L, S), factor)
-    val = p.prefactor() * np.prod(f, axis=-1)
-    return complex(val) if np.ndim(val) == 0 else val
+    return p.prefactor() * np.prod(f, axis=-1)
 
 
 def u_tilde_closed(p: UTildeParams):

@@ -8,8 +8,9 @@ and, for each nonzero eigenvalue mu_j, the factor
       * exp(-|mu_j| coth(|mu_j| s) (x_j^2 + y_j^2)).
 
 mu / sinh(s mu) and mu coth(mu s) are even in mu, so all factor arithmetic
-runs on |mu|.  The product is assembled in log space in one place,
-_log_rho_parts (constant, per-direction log-prefactors and rates), which
+runs on |mu|; the kernel directions' mu are the exact zeros of spectral's rank
+cut, so their rate is mu_coth's 1/s.  The product is assembled in log space in
+one place, _log_rho_parts (constant, per-direction log-prefactors and rates), which
 rho_hat_eta and boxop's grid factors also use; log_rho_hat sums it over
 squared adapted magnitudes and rho_hat_adapted exponentiates that once, so
 products of up to 16 exp(+-s|mu|)/sinh factors cannot overflow.  Factors take
@@ -22,7 +23,8 @@ weighted_heat_kernel_batch evaluates with the original form
 
 rho_via_inversion reproduces the closed form from the transform-side
 solution by inverse Fourier integration and is the package's strongest
-independent oracle.  The integral factorises into one 2-D trapezoid integral
+independent oracle.  It and rho_hat_eta, the closed form it checks, take K
+samples of shape (K, nu) and return K values.  The integral factorises into one 2-D trapezoid integral
 per rank direction, so it runs at every rank (full-rank n = 2 included), on a
 box from the direction's decay rate and a step from its aliasing bound (32 to
 45 points per axis at tol 1e-6); inversion_budget sums the tail and aliasing
@@ -110,7 +112,7 @@ def _log_rho_parts(s, S: SpectralData, L: FormIndex):
     """
     n, nu = S.n, S.nu
     s = np.asarray(s, dtype=float)[..., None]  # times on the leading axes, directions on the last
-    rates = mu_coth(s, np.where(np.arange(n) < nu, S.mu, 0.0))  # raises for s <= 0
+    rates = mu_coth(s, S.mu)  # raises for s <= 0
     euclid = np.broadcast_to(np.log(2.0) - np.log(s), s.shape[:-1] + (n - nu,))
     log_fac = np.concatenate([log_mu_sinh_factor(s, S.mu[:nu], epsilon(L, S)), euclid], axis=-1)
     return -(0.5 * S.m + n) * np.log(2.0 * np.pi), log_fac, rates
@@ -154,26 +156,24 @@ def rho_hat(q: KernelQuery) -> float:
 
 
 def _samples(xp, yp, nu: int) -> tuple:
-    """(single, xp, yp) for samples of shape (nu,) (single) or (K, nu), as (K, nu) arrays."""
-    single = np.ndim(xp) <= 1
-    xp, yp = np.atleast_2d(np.asarray(xp, dtype=float), np.asarray(yp, dtype=float))
+    """xp, yp as float arrays, checked to have shape (K, nu)."""
+    xp, yp = np.asarray(xp, dtype=float), np.asarray(yp, dtype=float)
     if xp.ndim != 2 or xp.shape[1] != nu or yp.shape != xp.shape:
-        raise ValueError(f"xp and yp must have shape (nu,) or (K, nu) with nu={nu}")
-    return single, xp, yp
+        raise ValueError(f"xp and yp must have shape (K, nu) with nu={nu}")
+    return xp, yp
 
 
 def rho_hat_eta(s: float, xp, yp, eta, S: SpectralData, L: FormIndex):
     """Kernel with the kernel-block directions resolved in frequency.
 
     (2 pi)^{-(m/2+n)} exp(-s |eta|^2 / 4) times the rank-block factors at
-    (xp, yp): a float for shape (nu,), K values for shape (K, nu).  ``eta``
-    has length n - nu; None means eta = 0.
+    the K samples (xp, yp) of shape (K, nu): K values.  ``eta`` has length
+    n - nu; None means eta = 0.
     """
-    single, xp, yp = _samples(xp, yp, S.nu)
+    xp, yp = _samples(xp, yp, S.nu)
     const, log_fac, rates = _log_rho_parts(s, S, L)
     rank = np.sum(log_fac[: S.nu] - rates[: S.nu] * (xp**2 + yp**2), axis=-1)
-    values = np.exp(const - 0.25 * s * eta_norm_sq(eta, S) + rank)
-    return float(values[0]) if single else values
+    return np.exp(const - 0.25 * s * eta_norm_sq(eta, S) + rank)
 
 
 def weighted_heat_kernel_batch(
@@ -263,7 +263,6 @@ def inversion_budget(s: float, xp, yp, eta, S: SpectralData, L: FormIndex,
 def rho_via_inversion(
     s: float, xp, yp, eta, S: SpectralData, L: FormIndex,
     quad: GridSpec | None = None, tol: float = 1e-6, phase_signs: tuple = (-1.0, -1.0),
-    return_budget: bool = False,
 ):
     """Numerical inverse Fourier transform of the transform-side solution.
 
@@ -273,10 +272,10 @@ def rho_via_inversion(
     the P x P grid inversion_budget gives it (a 2-D GridSpec ``quad`` replaces
     every grid), G_j = w_a w_b^T o exp(-i a b / (4 mu_j)) o mehler_factor(s, a,
     b, mu_j, eps_j).  Times exp(-2i sum mu_j x_j y_j) and the normalization, it is
-    an independent oracle for rho_hat_eta at one point (``xp``, ``yp`` of shape
-    (nu,)) or at K (shape (K, nu)).  inversion_budget raises NumericsError before
-    any integration when the budget exceeds ``tol``; ``return_budget`` also returns
-    its (grids, tails, aliasing, budget).  ``phase_signs`` (twist, a.b phase;
+    an independent oracle for rho_hat_eta at the K samples ``xp``, ``yp`` of shape
+    (K, nu).  inversion_budget raises NumericsError before any integration when
+    the budget exceeds ``tol``.  Returns the K values and inversion_budget's
+    (grids, tails, aliasing, budget).  ``phase_signs`` (twist, a.b phase;
     physically -1) exist for ablation tests.
     """
     if s <= 0.0:
@@ -284,7 +283,7 @@ def rho_via_inversion(
     nu = S.nu
     if nu < 1:
         raise ValueError("inversion needs nu >= 1")
-    single, xp, yp = _samples(xp, yp, nu)
+    xp, yp = _samples(xp, yp, nu)
     budget = inversion_budget(s, xp, yp, eta, S, L, quad, tol)
     twist_sign, ab_sign = phase_signs
     eps = epsilon(L, S)
@@ -297,5 +296,4 @@ def rho_via_inversion(
         ey = wb * np.exp(1j * np.outer(yp[:, j], b))
         # einsum, not a BLAS product: OpenBLAS threads would spin on after it
         values = values * np.einsum("kp,pq,kq->k", ex, F, ey)
-    values = complex(values[0]) if single else values
-    return (values, budget) if return_budget else values
+    return values, budget

@@ -10,7 +10,8 @@ eigenvalue clusters included, so no further orthonormalization is done.
 
 Coordinates in the eigenbasis split into the rank block z' (nonzero
 eigenvalues, ``nu`` of them) and the kernel block z'' where the evolution is
-plain Euclidean.
+plain Euclidean.  The rank cut is made here and nowhere else: eigenvalues at or
+below the tolerance are stored as exact zeros, so every consumer reads ``mu``.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ DEFAULT_RANK_TOL_REL = 1e-10
 class SpectralData:
     """Eigenvalues, orthonormal eigenbasis, and rank at a fixed lambda.
 
-    ``mu[j]`` and column ``V[:, j]`` pair up; ``|mu[j]| > tol`` exactly for
-    ``j < nu``.  ``lam`` is the frequency vector the matrix came from (None
-    when decomposing a raw matrix).
+    ``mu[j]`` and column ``V[:, j]`` pair up; ``|mu[j]| > tol`` for ``j < nu``
+    and ``mu[j] == 0.0`` exactly for ``j >= nu``.  ``lam`` is the frequency
+    vector the matrix came from (None when decomposing a raw matrix).
     """
 
     mu: np.ndarray
@@ -88,9 +89,9 @@ def eigendecompose(A, lam=None) -> SpectralData:
     """Diagonalize a Hermitian matrix into canonical SpectralData.
 
     Eigenvalues with magnitude at most ``DEFAULT_RANK_TOL_REL * max(1, |A|_F)``
-    count as the kernel block.  eigh reads one triangle only, so a matrix whose
-    Hermitian defect ``|A - A^H|_F`` exceeds ``HERMITIAN_DEFECT_TOL * max(1, |A|_F)``
-    raises ValueError.  Raises NumericsError if LAPACK fails to converge.
+    count as the kernel block and are stored as 0.0.  eigh reads one triangle
+    only, so a matrix whose Hermitian defect ``|A - A^H|_F`` exceeds
+    ``HERMITIAN_DEFECT_TOL * max(1, |A|_F)`` raises ValueError.  Raises NumericsError if LAPACK fails to converge.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -108,6 +109,7 @@ def eigendecompose(A, lam=None) -> SpectralData:
     mu = mu_raw[order]
     V = _fix_phases(V_raw[:, order])
     nu = rank_nu(mu, tol)
+    mu[nu:] = 0.0
     lam_arr = None if lam is None else np.asarray(lam, dtype=float).reshape(-1).copy()
     return SpectralData(mu=mu, V=V, nu=nu, tol=float(tol), lam=lam_arr)
 

@@ -417,6 +417,16 @@ class TestSampleOnGrid:
         assert gf.values.shape == spec.shape()
         assert np.all(gf.values == 3.5)
 
+    @pytest.mark.parametrize("dim", [2, 6])
+    def test_grid_dimension_checked(self, dim):
+        # at n = 2 a 2-D grid would hand f coordinates from direction 1 alone, a 6-D one
+        # would index past V; both are refused before f is called
+        calls = []
+        with pytest.raises(ValueError, match=f"grid has {dim} axes, expected 2n = 4"):
+            sample_on_grid(lambda *xy: calls.append(xy) or 0.0, GridSpec.cube(1.0, dim, 9),
+                           _geometry("full_rank"))
+        assert calls == []
+
     def test_memory_per_node(self):
         # 48 B/node with 2n N-sized coordinates and the expression's own
         # temporaries over the whole grid; 10 with slabs, the output field's 8
@@ -565,9 +575,9 @@ class TestInitialCondition:
         def f(*xy):
             return np.exp(-sum(a**2 for a in xy))
 
-        errs = initial_condition_check(f, [0.5], heis_spectral, L_IN,
-                                       base_points=401, box_half_width=4.0)
-        assert errs[0] <= 1e-10
+        gf = sample_on_grid(f, GridSpec.cube(4.0, 2, 401), heis_spectral)
+        value = heat_apply(gf, 0.5, heis_spectral, L_IN, out_points=[np.zeros(1, complex)])[0]
+        assert abs(value - 1.0) <= 1e-10
 
 
 def _full_rank_mu_geometry():

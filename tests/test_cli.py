@@ -1,7 +1,14 @@
+import contextlib
+import hashlib
+import io
 import json
 import math
 import operator
+import os
+import re
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,7 +249,8 @@ class TestEval:
     def test_repeated_form_index_rejected(self, tmp_path, capsys):
         path, _ = write_config(tmp_path, L=[1, 1], points=[[[0.0, 0.0]]])
         assert main(["eval", "--config", path]) == 2
-        assert "'L'" in capsys.readouterr().err
+        err = capsys.readouterr().err  # FormIndex's own refusal, under the field's name
+        assert "'L'" in err and "strictly increasing" in err
 
     def test_no_points_give_empty_output(self, tmp_path, capsys):
         path, _ = write_config(tmp_path, points=[])
@@ -1288,3 +1296,120 @@ class TestIllShapedFields:
         assert main(["evolve", "--config", path, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "config field 'initial'" in err and "too deeply" in err and not out.exists()
+
+
+# The config fuzz starts from a valid config at n = 1 or 2 and replaces or omits up to
+# two of the command's fields; each field's replacements are valid values, wrong types
+# and shapes, and values out of range.
+_RANK1_N2 = {"n": 2, "m": 1, "A": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]}
+_FUZZ_BASE = {n: {"quadric": HEIS if n == 1 else _RANK1_N2, "lambda": [1.0], "L": [1], "s": 0.6,
+                  "points": [[[0.1, 0.2]] * n], "grid": {"half_widths": [5.0] * (2 * n), "points": 31 - 10 * n},
+                  "initial": "exp(-(x1^2+y1^2))", "out_points": [[[0.1, 0.0]] * n],
+                  "checks": ["mehler", "inversion", "euclidean", "evenness"]} for n in (1, 2)}
+_OMIT = object()
+_FUZZ_FIELDS = {
+    "quadric": [HEIS, _RANK1_N2, FULL_RANK_N2, "no_such_form.json", {"n": 1}, 3],
+    "lambda": [[1.0], [1.0, 1.0], [0.0], [float("nan")], ["a"], 1.0],
+    "L": [[1], [], [1, 2], [1, 1], [2, 1], [1.5], ["1"], [True], 5, [3]],
+    "s": [1.0, [0.3, 0.7], 0.0, -1.0, "x", [], 1e-300, [1e300]],
+    "points": [[[[0.1, 0.2]]], [[[0.1, 0.2], [0.0, -0.3]]], [], [[[0.1]]], "x", [[[1e300, 0.0]]]],
+    "point_tilde": [[[0.0, 0.1]], [[0.0, 0.1], [0.2, 0.0]], [1], None],
+    "grid": [{"half_widths": [3.0, 3.0], "points": 9}, {"half_widths": [2.0] * 4, "points": 9},
+             {"points": 9}, {"half_widths": [1.0, 1.0], "points": 8.5},
+             {"half_widths": [1e300, 1.0], "points": 9}, {"half_widths": [1.0, 1.0], "points": 10**6}, "grid"],
+    "initial": ["exp(-(x1^2+y1^2+x2^2+y2^2))", "x1 +", "1/x1", "exp(x1^2)", "y3", 5],
+    "initial_csv": ["no_such_field.csv", 3],
+    "out_points": [[[[0.1, 0.0]]], [[[0.0, 0.0], [0.1, 0.1]]], [], 3],
+    "checks": [["mehler"], ["pde_residual", "initial_condition"], ["nope"], "mehler", [1]],
+    "tolerances": [{"mehler": 1e-30}, {"mehler": -1.0}, {"nope": 1.0}, {"mehler": "a"}, []],
+    "debug": [{"phase_sign": 1.0}, {"phase_sign": "x"}, 3],
+}
+_FUZZ_COMMANDS = {
+    "eval": ["quadric", "lambda", "L", "s", "points", "point_tilde"],
+    "scan": ["quadric", "lambda", "L", "s", "grid"],
+    "verify": ["quadric", "lambda", "L", "checks", "tolerances", "debug"],
+    "evolve": ["quadric", "lambda", "L", "s", "grid", "initial", "initial_csv", "out_points"],
+}
+
+
+@st.composite
+def _fuzzed_jobs(draw):
+    """A command, its config and whether the output goes to a file (eval and verify may
+    write to stdout)."""
+    command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    fields = _FUZZ_COMMANDS[command]
+    cfg = {k: v for k, v in _FUZZ_BASE[draw(st.sampled_from([1, 2]))].items() if k in fields}
+    for name in draw(st.lists(st.sampled_from(fields), max_size=2)):
+        value = draw(st.sampled_from([_OMIT] + _FUZZ_FIELDS[name]))
+        if value is _OMIT:
+            cfg.pop(name, None)
+        else:
+            cfg[name] = value
+    return command, cfg, command in ("scan", "evolve") or draw(st.booleans())
+
+
+def _assert_strict_output(command: str, text: str) -> None:
+    """eval: JSON lines; verify: one JSON document; scan, evolve: CSV whose rows after the
+    comment lines and header each have the header's number of cells, all finite numbers."""
+    if command == "eval":
+        for line in text.splitlines():
+            strict_json(line)
+    elif command == "verify":
+        strict_json(text)
+    else:
+        lines = [line for line in text.splitlines() if not line.startswith("#")]
+        width = len(lines[0].split(","))
+        for row in lines[1:]:
+            cells = [float(c) for c in row.split(",")]
+            assert len(cells) == width and all(math.isfinite(c) for c in cells), row
+
+
+class TestConfigFuzz:
+    """Every command on fuzzed configs: exit 0, 1 or 2; no traceback; output strict JSON or
+    CSV; exit 2 leaves no output file; no temporary file is left."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(job=_fuzzed_jobs())
+    def test_every_command_has_one_of_three_outcomes(self, job):
+        command, cfg, to_file = job
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "out")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(cfg, fh)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                    np.errstate(all="ignore"):
+                rc = main([command, "--config", path] + (["--out", out] if to_file else []))
+            assert rc in (0, 1, 2)
+            assert "Traceback" not in stderr.getvalue()
+            assert sorted(os.listdir(tmp)) in (["cfg.json"], ["cfg.json", "out"])
+            written = Path(out).read_text(encoding="utf-8") if os.path.exists(out) else stdout.getvalue()
+            if rc == 2:
+                assert not os.path.exists(out) and stdout.getvalue() == ""
+            elif written:
+                _assert_strict_output(command, written)
+
+
+class TestRankCut:
+    """The rank cut changes the mu metadata of a rank-deficient form and no other byte."""
+
+    CFG = {"quadric": rotated_form_json([1.0, 0.0], 7), "lambda": [1.0], "L": [1], "s": [0.3, 1.1],
+           "points": [[[0.2, -0.1], [0.4, 0.3]], [[0.0, 0.0], [0.0, 0.0]], [[2.5, -1.0], [-1.5, 0.5]]]}
+    # sha256 of the outputs without their "mu" field and "# mu=" line, as written when mu kept
+    # eigh's rounding residue 8.326672684688674e-17 in place of the 0.0 of the rank cut
+    DIGESTS = {"eval": "ef7dd7e3fbf127d7837d248f5d1a319d69b190148f508ce2432a0dc70598fa23",
+               "eval_tilde": "250fd0f8493de980afeb789058aaf7f67c627beecd278b78a648aa36dca0c262",
+               "scan": "fbdc8ad85c5b1cd421533c80bd39dc501c4d46b7b3f127877d72784e0e8ce9fe"}
+
+    @pytest.mark.parametrize("job", ["eval", "eval_tilde", "scan"])
+    def test_outputs_differ_from_the_uncut_only_in_mu(self, tmp_path, job):
+        extra = {"eval": {}, "eval_tilde": {"point_tilde": [[0.1, -0.3], [0.0, 0.2]]},
+                 "scan": {"s": 0.6, "grid": {"half_widths": [2.0] * 4, "points": 9}}}[job]
+        path, _ = write_config(tmp_path, **{**self.CFG, **extra})
+        out = tmp_path / "out"
+        assert main([job.split("_")[0], "--config", path, "--out", str(out)]) == 0
+        text = out.read_text()
+        assert ('"mu": [1.0, 0.0], ' in text) if job != "scan" else ("# mu=[1.0, 0.0]\n" in text)
+        text = "".join(line for line in re.sub(r'"mu": \[[^\]]*\], ', "", text).splitlines(True)
+                       if not line.startswith("# mu="))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[job]

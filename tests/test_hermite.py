@@ -11,7 +11,6 @@ from quadheat import (
     decompose_form,
     mehler_closed,
     mehler_factor,
-    psi,
     u_tilde_closed,
     u_tilde_series,
 )
@@ -34,46 +33,42 @@ L_OUT = FormIndex([])
 
 
 class TestPsi:
+    """psi_l(x) is row l of _psi_table over the points x."""
+
     def test_values_at_zero(self):
-        assert psi(0, 0.0) == pytest.approx(np.pi ** (-0.25))
-        assert psi(0, 0.0) == pytest.approx(0.7511255444649425)
-        assert psi(1, 0.0) == 0.0
+        psi = _psi_table(np.zeros(1), 2)[:, 0]
+        assert psi[0] == pytest.approx(np.pi ** (-0.25))
+        assert psi[0] == pytest.approx(0.7511255444649425)
+        assert psi[1] == 0.0
         # two recurrence steps by hand: psi_2(0) = -psi_0(0)/sqrt(2)
-        assert psi(2, 0.0) == pytest.approx(-np.pi ** (-0.25) / np.sqrt(2.0))
+        assert psi[2] == pytest.approx(-np.pi ** (-0.25) / np.sqrt(2.0))
 
     def test_uniform_bound(self):
         # normalized Hermite functions stay below ~0.816; allow slack
-        x = np.linspace(-20.0, 20.0, 161)
-        p_prev = np.pi ** (-0.25) * np.exp(-0.5 * x * x)
-        p = np.sqrt(2.0) * x * p_prev
-        worst = max(np.max(np.abs(p_prev)), np.max(np.abs(p)))
-        for k in range(1, 500):
-            p, p_prev = np.sqrt(2.0 / (k + 1)) * x * p - np.sqrt(k / (k + 1)) * p_prev, p
-            worst = max(worst, np.max(np.abs(p)))
-        assert worst <= 1.1
+        assert np.max(np.abs(_psi_table(np.linspace(-20.0, 20.0, 161), 500))) <= 1.1
 
     def test_vectorized_matches_scalar(self):
         x = np.array([-1.5, 0.0, 2.25])
-        vals = psi(7, x)
+        vals = _psi_table(x, 7)[7]
         for xi, v in zip(x, vals):
-            assert psi(7, float(xi)) == v
+            assert _psi_table(np.array([xi]), 7)[7, 0] == v
 
-    def test_order_guard(self):
-        with pytest.raises(ValueError):
-            psi(10_001, 0.0)
-        with pytest.raises(ValueError):
-            psi(-1, 0.0)
+    def test_order_guard(self, heis_q):
+        # the Hermite order is bounded where the table is built, by u_tilde_series
+        p = UTildeParams(0.5, [0.1], [0.2], decompose_form(heis_q, [1.0]), L_IN)
+        with pytest.raises(NumericsError, match=f"over the {PSI_MAX_ORDER}-term limit"):
+            u_tilde_series(p, PSI_MAX_ORDER + 1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            u_tilde_series(p, -1)
 
     def test_fourier_self_duality(self):
         # (2 pi)^{-1/2} int e^{-i x xi} psi_l(xi) dxi = (-i)^l psi_l(x)
         xi = np.linspace(-12.0, 12.0, 4001)
         h = xi[1] - xi[0]
-        for l in range(11):
-            pvals = psi(l, xi)
-            for x in (0.3, -1.2, 2.5):
-                ft = np.sum(np.exp(-1j * x * xi) * pvals) * h / np.sqrt(2.0 * np.pi)
-                want = (-1j) ** l * psi(l, x)
-                assert abs(ft - want) <= 1e-8
+        x = np.array([0.3, -1.2, 2.5])
+        for l, (pvals, at_x) in enumerate(zip(_psi_table(xi, 10), _psi_table(x, 10))):
+            ft = np.exp(-1j * np.outer(x, xi)) @ pvals * h / np.sqrt(2.0 * np.pi)
+            assert np.max(np.abs(ft - (-1j) ** l * at_x)) <= 1e-8
 
 
 TABLE_XS = [0.0, 1e-3, -1e-3, 2.5, -2.5, 20.0, -20.0]
@@ -98,10 +93,9 @@ class TestPsiTable:
 
     @pytest.mark.parametrize("l", [0, 1, 2, 7, 300])
     def test_psi_on_an_array_equals_its_scalar_calls_bitwise(self, l):
-        xs = np.array(TABLE_XS).reshape(7, 1)
-        vals = psi(l, xs)
-        assert vals.shape == (7, 1)
-        assert vals.tobytes() == np.array([psi(l, x) for x in TABLE_XS]).tobytes()
+        # row l over all the points equals row l over each point alone
+        vals = _psi_table(np.array(TABLE_XS), l)[l]
+        assert vals.tobytes() == np.array([_psi_table(np.array([x]), l)[l, 0] for x in TABLE_XS]).tobytes()
         assert vals.tobytes() == np.array([scalar_recurrence(x, l)[l] for x in TABLE_XS]).tobytes()
 
 
@@ -110,7 +104,7 @@ class TestPsiScaled:
 
     def test_unit_norm(self):
         xi = np.linspace(-10.0, 10.0, 20001)
-        vals = psi(3, np.sqrt(2.5) * xi) * 2.5**0.25
+        vals = _psi_table(np.sqrt(2.5) * xi, 3)[3] * 2.5**0.25
         norm = np.trapezoid(vals**2, xi)
         assert norm == pytest.approx(1.0, abs=1e-8)
 
@@ -121,7 +115,7 @@ class TestPsiScaled:
             xi = np.linspace(-3.0, 3.0, 41)
 
             def f(x):
-                return psi(l, np.sqrt(mu) * x) * mu**0.25
+                return _psi_table(np.sqrt(mu) * x, l)[l] * mu**0.25
 
             d2 = (f(xi + h) - 2 * f(xi) + f(xi - h)) / h**2
             resid = -d2 + (mu * xi) ** 2 * f(xi) - (2 * l + 1) * mu * f(xi)
@@ -155,8 +149,7 @@ class TestMehlerClosed:
     @pytest.mark.parametrize("w", [0.3, -0.5, 0.8, 0.6j, -0.4 + 0.4j])
     def test_matches_truncated_series(self, w):
         xs = np.linspace(-4.0, 4.0, 5)
-        psis = [psi(l, xs) for l in range(301)]  # one array-valued call per order
-        series = sum((w**l) * p[:, None] * p[None, :] for l, p in enumerate(psis))
+        series = sum((w**l) * p[:, None] * p[None, :] for l, p in enumerate(_psi_table(xs, 300)))
         closed = mehler_closed(w, xs[:, None], xs[None, :])
         assert closed.shape == (5, 5) and np.max(np.abs(closed - series)) <= 1e-9
 
@@ -182,7 +175,7 @@ class TestUTilde:
         p = UTildeParams(0.5, [0.0], [0.0], S, L_OUT)
         got = u_tilde_series(p, 0)
         Sj = np.exp(-1.0)
-        want = (2 * np.pi) ** (-1.0) * Sj * psi(0, 0.0) ** 2
+        want = (2 * np.pi) ** (-1.0) * Sj * _psi_table(np.zeros(1), 0)[0, 0] ** 2
         assert got == pytest.approx(want, rel=1e-14)
 
     def test_series_matches_closed(self, heis_q):

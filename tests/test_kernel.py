@@ -263,16 +263,16 @@ class TestRhoHatEta:
         s = 0.8
         z = np.array([0.4 - 0.3j])
         want = rho_hat(KernelQuery(s, z, heis_spectral, L_IN))
-        got = rho_hat_eta(s, [0.4], [-0.3], None, heis_spectral, L_IN)
-        assert got == pytest.approx(want, rel=1e-14)
+        got = rho_hat_eta(s, [[0.4]], [[-0.3]], None, heis_spectral, L_IN)
+        assert got.shape == (1,) and got[0] == pytest.approx(want, rel=1e-14)
 
     def test_rank_zero(self):
         S = spectral_for_mu([0.0], lam=[0.0])
         s = 0.5
         eta = np.array([0.7 + 0.1j])
-        got = rho_hat_eta(s, [], [], eta, S, L_OUT)
+        got = rho_hat_eta(s, np.zeros((1, 0)), np.zeros((1, 0)), eta, S, L_OUT)
         want = (2 * np.pi) ** (-1.5) * np.exp(-0.25 * s * (0.7**2 + 0.1**2))
-        assert got == pytest.approx(want, rel=1e-14)
+        assert got[0] == pytest.approx(want, rel=1e-14)
 
     def test_fourier_transform_of_rho_hat(self):
         # transforming the kernel-block Gaussian pair reproduces rho_hat_eta
@@ -291,7 +291,7 @@ class TestRhoHatEta:
         ft = np.sum(
             vals * np.exp(-1j * (X2 * eta.real + Y2 * eta.imag))
         ) * h * h / (2 * np.pi)
-        want = rho_hat_eta(s, [xp], [yp], [eta], S, L_IN)
+        want = rho_hat_eta(s, [[xp]], [[yp]], [eta], S, L_IN)[0]
         assert abs(ft - want) <= 1e-6
         assert abs(ft.imag) <= 1e-9
 
@@ -340,18 +340,18 @@ class TestInversionOracle:
     ])
     def test_matches_closed_form(self, heis_q, lam, s, L):
         S = decompose_form(heis_q, [lam])
-        for x, y in ((0.3, -0.2), (0.0, 0.0)):
-            want = rho_hat_eta(s, [x], [y], None, S, L)
-            got = rho_via_inversion(s, [x], [y], None, S, L)
-            assert abs(got - want) <= 1e-6
-            assert abs(got.imag) <= 1e-8
+        xp, yp = [[0.3], [0.0]], [[-0.2], [0.0]]
+        want = rho_hat_eta(s, xp, yp, None, S, L)
+        got, _ = rho_via_inversion(s, xp, yp, None, S, L)
+        assert np.max(np.abs(got - want)) <= 1e-6
+        assert np.max(np.abs(got.imag)) <= 1e-8
 
     def test_origin_has_unit_twist(self, heis_q):
         # at (x, y) = (0, 0) the prefactor exp(-2i mu x y) is exactly 1
         S = decompose_form(heis_q, [1.0])
-        got = rho_via_inversion(0.5, [0.0], [0.0], None, S, L_IN)
-        want = rho_hat_eta(0.5, [0.0], [0.0], None, S, L_IN)
-        assert got.real == pytest.approx(want, rel=1e-9)
+        got, _ = rho_via_inversion(0.5, [[0.0]], [[0.0]], None, S, L_IN)
+        want = rho_hat_eta(0.5, [[0.0]], [[0.0]], None, S, L_IN)
+        assert got[0].real == pytest.approx(want[0], rel=1e-9)
 
     def test_quadspec_rule_sizes_box(self, heis_q):
         S = decompose_form(heis_q, [0.5])
@@ -366,7 +366,7 @@ class TestInversionOracle:
         S = decompose_form(heis_q, [0.5])
         tiny = GridSpec.cube(3.0, 2, 64)
         with pytest.raises(NumericsError, match="tail"):
-            rho_via_inversion(0.3, [0.0], [0.0], None, S, L_IN, quad=tiny)
+            rho_via_inversion(0.3, [[0.0]], [[0.0]], None, S, L_IN, quad=tiny)
 
     def test_requires_rank(self, heis_q):
         S0 = decompose_form(heis_q, [0.0])
@@ -410,8 +410,8 @@ class TestFactorisedInversion:
         xp, yp = _sample_duals(S.nu)
         for L in (FormIndex([1]), FormIndex([2]) if S.n > 1 else L_OUT):
             for s in (0.3, 0.7):
-                want = np.array([rho_hat_eta(s, x, y, eta, S, L) for x, y in zip(xp, yp)])
-                got = rho_via_inversion(s, xp, yp, eta, S, L)
+                want = rho_hat_eta(s, xp, yp, eta, S, L)
+                got, _ = rho_via_inversion(s, xp, yp, eta, S, L)
                 assert got.shape == (len(xp),)
                 assert np.max(np.abs(got - want)) <= 1e-6, (name, L, s)
                 assert np.max(np.abs(got.imag)) <= 1e-8, (name, L, s)
@@ -420,11 +420,11 @@ class TestFactorisedInversion:
     def test_batch_equals_single_calls(self, name, S, eta):
         xp, yp = _sample_duals(S.nu)
         L = FormIndex([1])
-        batch = rho_via_inversion(0.3, xp, yp, eta, S, L)
-        for k, (x, y) in enumerate(zip(xp, yp)):
-            single = rho_via_inversion(0.3, x, y, eta, S, L)
-            assert isinstance(single, complex)
-            assert abs(batch[k] - single) <= 1e-14
+        batch, _ = rho_via_inversion(0.3, xp, yp, eta, S, L)
+        for k in range(len(xp)):
+            single, _ = rho_via_inversion(0.3, xp[k : k + 1], yp[k : k + 1], eta, S, L)
+            assert single.shape == (1,)
+            assert abs(batch[k] - single[0]) <= 1e-14
 
     @pytest.mark.parametrize("signs", [(1.0, -1.0), (-1.0, 1.0)])
     @pytest.mark.parametrize("name,S,eta", _inversion_geometries()[1:3])
@@ -434,16 +434,16 @@ class TestFactorisedInversion:
         L = FormIndex([1])
         worst = 0.0
         for s in (0.3, 0.7):
-            want = np.array([rho_hat_eta(s, x, y, eta, S, L) for x, y in zip(xp, yp)])
-            got = rho_via_inversion(s, xp, yp, eta, S, L, phase_signs=signs)
+            want = rho_hat_eta(s, xp, yp, eta, S, L)
+            got, _ = rho_via_inversion(s, xp, yp, eta, S, L, phase_signs=signs)
             worst = max(worst, float(np.max(np.abs(got - want))))
         assert worst > 1e-3
 
     def test_budget_reported_per_direction(self):
         S = _inversion_geometries()[2][1]
         xp, yp = _sample_duals(2)
-        values = rho_via_inversion(0.3, xp, yp, None, S, FormIndex([1]))
-        _, tails, _, budget = inversion_budget(0.3, xp, yp, None, S, FormIndex([1]))
+        values, (_, tails, _, budget) = rho_via_inversion(0.3, xp, yp, None, S, FormIndex([1]))
+        assert budget == inversion_budget(0.3, xp, yp, None, S, FormIndex([1]))[3]
         assert values.shape == (4,) and len(tails) == 2
         assert 0.0 < budget <= 1e-6 and all(0.0 < t for t in tails)
         # each direction gets its own box from its own |mu_j|
@@ -454,12 +454,12 @@ class TestFactorisedInversion:
         S = _inversion_geometries()[2][1]
         tiny = GridSpec.cube(3.0, 2, 64)
         with pytest.raises(NumericsError, match="tail"):
-            rho_via_inversion(0.3, [0.0, 0.0], [0.0, 0.0], None, S, FormIndex([1]), quad=tiny)
+            rho_via_inversion(0.3, np.zeros((1, 2)), np.zeros((1, 2)), None, S, FormIndex([1]), quad=tiny)
 
     @pytest.mark.parametrize("call", [
         lambda S, eta: UTildeParams(0.5, [0.1], [0.2], S, L_IN, eta=eta),
-        lambda S, eta: rho_hat_eta(0.5, [0.1], [0.2], eta, S, L_IN),
-        lambda S, eta: rho_via_inversion(0.5, [0.1], [0.2], eta, S, L_IN),
+        lambda S, eta: rho_hat_eta(0.5, [[0.1]], [[0.2]], eta, S, L_IN),
+        lambda S, eta: rho_via_inversion(0.5, [[0.1]], [[0.2]], eta, S, L_IN),
     ], ids=["u_tilde_params", "rho_hat_eta", "rho_via_inversion"])
     def test_eta_length_checked(self, call):
         S = _inversion_geometries()[1][1]  # rank 1, n = 2: eta has length n - nu = 1
@@ -473,20 +473,21 @@ class TestFactorisedInversion:
         for s in (0.3, 0.7):
             batch = rho_hat_eta(s, xp, yp, eta, S, FormIndex([1]))
             assert batch.shape == (len(xp),)
-            for k, (x, y) in enumerate(zip(xp, yp)):
-                single = rho_hat_eta(s, x, y, eta, S, FormIndex([1]))
-                assert isinstance(single, float) and batch[k] == single, (name, s, k)
+            for k in range(len(xp)):
+                single = rho_hat_eta(s, xp[k : k + 1], yp[k : k + 1], eta, S, FormIndex([1]))
+                assert single.shape == (1,) and batch[k] == single[0], (name, s, k)
 
     def test_sample_shape_checked(self):
         S = _inversion_geometries()[2][1]
         with pytest.raises(ValueError, match="shape"):
             rho_via_inversion(0.3, np.zeros((3, 2)), np.zeros((2, 2)), None, S, L_IN)
-        with pytest.raises(ValueError, match="shape"):
-            rho_via_inversion(0.3, [0.0], [0.0], None, S, L_IN)
+        for xp, yp in (([0.0], [0.0]), (np.zeros(2), np.zeros(2))):  # one sample is a (1, nu) stack
+            with pytest.raises(ValueError, match="shape"):
+                rho_via_inversion(0.3, xp, yp, None, S, L_IN)
 
     def test_rho_hat_eta_sample_shape_checked(self):
         S = _inversion_geometries()[2][1]
-        for xp, yp in ((np.zeros((3, 2)), np.zeros((2, 2))), ([0.0], [0.0]),
+        for xp, yp in ((np.zeros((3, 2)), np.zeros((2, 2))), ([0.0], [0.0]), (np.zeros(2), np.zeros(2)),
                        (np.zeros((1, 1, 2)), np.zeros((1, 1, 2)))):
             with pytest.raises(ValueError, match="shape"):
                 rho_hat_eta(0.3, xp, yp, None, S, L_IN)
@@ -517,7 +518,7 @@ class TestInversionBudget:
         # 12 points used to return an error of 1.5e-3 under a budget of 4.5e-10
         quad = GridSpec.cube(18.0, 2, points)
         with pytest.raises(NumericsError, match="aliasing"):
-            rho_via_inversion(0.3, [0.7], [0.5], None, heis_spectral, L_IN, quad=quad)
+            rho_via_inversion(0.3, [[0.7]], [[0.5]], None, heis_spectral, L_IN, quad=quad)
 
     @pytest.mark.parametrize("name,S,eta", _inversion_geometries()[:3])
     def test_default_grids_stay_small(self, name, S, eta):
@@ -537,6 +538,6 @@ class TestInversionBudget:
             budget = inversion_budget(s, xp, yp, None, S, L, quad=quad)[3]
         except NumericsError:
             return
-        got = rho_via_inversion(s, xp, yp, None, S, L, quad=quad)
-        want = np.array([rho_hat_eta(s, x, y, None, S, L) for x, y in zip(xp, yp)])
+        got, _ = rho_via_inversion(s, xp, yp, None, S, L, quad=quad)
+        want = rho_hat_eta(s, xp, yp, None, S, L)
         assert np.max(np.abs(got - want)) <= budget + 1e-13

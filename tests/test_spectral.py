@@ -133,6 +133,23 @@ class TestRank:
         assert S.nu == 2
         np.testing.assert_allclose(S.mu, [5.0, 5.0])
 
+    def test_below_tolerance_eigenvalue_stored_as_exact_zero(self):
+        # rank 1, n = 2, in a rotated basis: eigh leaves a rounding residue in the zero direction
+        rng = np.random.default_rng(7)
+        U, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        A = U @ np.diag([1.0, 0.0]).astype(complex) @ U.conj().T
+        raw = np.linalg.eigh(A)[0]
+        S = eigendecompose(A)
+        assert 0.0 < np.min(np.abs(raw)) <= S.tol
+        assert S.nu == 1 and S.mu[0] == raw[np.argmax(np.abs(raw))]
+        assert S.mu[1:].tobytes() == np.zeros(1).tobytes()  # +0.0, not the residue
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_full_rank_eigenvalues_are_eighs_bitwise(self, rng, n):
+        A = random_hermitian(rng, n)
+        S = eigendecompose(A)
+        assert S.nu == n and np.sort(S.mu).tobytes() == np.linalg.eigh(A)[0].tobytes()
+
 
 class TestAdaptedCoordinates:
     """Adapted coordinates are c = V^H z, rank block c[:nu], kernel block c[nu:]."""

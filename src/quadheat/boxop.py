@@ -22,7 +22,7 @@ is 2 + 4n rank-one terms, reduced with no N-node array.
 Every grid is a quadrature.GridSpec.  sample_rho_hat, pde_residual's
 Gaussians and heat_apply's per-direction rates and peak come from
 kernel._log_rho_parts, the one assembly of the closed form.  heat_apply, the
-one convolution engine (evolve and the initial-condition and semigroup checks
+one convolution engine (evolve, the semigroup check and initial_condition_check
 integrate through it), evaluates the weighted kernel on the grid's adapted
 coordinates as one factor per direction, the outer product of a weighted
 Gaussian-times-phase vector per axis, and contracts those with the field.
@@ -51,7 +51,7 @@ from .kernel import (  # noqa: F401
     weighted_heat_kernel_batch,
 )
 from .quadric import QuadricForm
-from .quadrature import GridSpec, aliasing_bound, tensor_nodes  # noqa: F401
+from .quadrature import GridSpec, aliasing_bound, tail_bound, tensor_nodes  # noqa: F401
 from .spectral import SpectralData
 
 HEAT_TAIL_TOL = 1e-6
@@ -335,13 +335,12 @@ def pde_residual_richardson(s: float, S: SpectralData, L: FormIndex, grid: GridS
 
 
 def _axis_vectors(spec: GridSpec, c: np.ndarray, rates: np.ndarray, mu: np.ndarray) -> tuple:
-    """heat_apply's vectors at the adapted output point c, for axis k of direction j = k // 2:
-    the Gaussian exp(-a_j (x - c_k)^2), broadcast along axis k, and the 1-D kernel vector, that
-    times w_k exp(-+2i mu_j x cbar_k); c_k, cbar_k = Re c_j, Im c_j on x-axes (-), else swapped (+)."""
+    """heat_apply's per-axis centres and vectors at the adapted output point c: for axis k of
+    direction j = k // 2, the centre c_k and the 1-D kernel vector exp(-a_j (x - c_k)^2) w_k
+    exp(-+2i mu_j x cbar_k); c_k, cbar_k = Re c_j, Im c_j on x-axes (-), else swapped (+)."""
     own, other = (np.stack(p, axis=-1).ravel() for p in ((c.real, c.imag), (-c.imag, c.real)))
-    g = [np.exp(-rates[k // 2] * (spec.axis_coordinate(k) - own[k]) ** 2) for k in range(spec.dim)]
-    return g, [r.ravel() * w * np.exp(2j * mu[k // 2] * other[k] * x)
-               for k, (r, w, x) in enumerate(zip(g, spec.weights(), spec.axes()))]
+    return own, [np.exp(-rates[k // 2] * (x - own[k]) ** 2) * w * np.exp(2j * mu[k // 2] * other[k] * x)
+                 for k, (w, x) in enumerate(zip(spec.weights(), spec.axes()))]
 
 
 def heat_apply(
@@ -361,26 +360,30 @@ def heat_apply(
     weights) is the outer product of one vector per axis (_axis_vectors): 2P
     exps, not P^2.  Contracted with ``f`` direction by direction, the last as
     x . (f y), it takes O(N) time and no N-sized temporary, and a real ``f``
-    is never copied to complex.  Raises NumericsError when the boundary
-    values of kernel x data suggest mass outside the grid above HEAT_TAIL_TOL.
+    is never copied to complex.  Raises NumericsError when pref is not finite,
+    c is outside the box, or the tail may exceed HEAT_TAIL_TOL: pref times tail_bound of the
+    per-axis Gaussians at c, times max |f| on the faces, assumed to bound |f| beyond the box.
+    That bounds what the box's extent drops, not whether the grid resolves the kernel.
     """
     spec = f.spec
     _check_dim(spec, S.n)
     const, log_fac, rates = _log_rho_parts(s, S, L)
-    pref = float((2.0 * np.pi) ** (0.5 * S.m) * np.exp(const + np.sum(log_fac)))
+    with np.errstate(over="ignore"):  # an overflowed peak is refused here
+        pref = float((2.0 * np.pi) ** (0.5 * S.m) * np.exp(const + np.sum(log_fac)))
+    if not np.isfinite(pref):
+        raise NumericsError(f"kernel peak {pref} at s={s!r} is not finite")
     v = f.values
-    faces = [(slice(None),) * ax + (end,) for ax in range(spec.dim)
-             for end in (slice(0, 1), slice(-1, None))]
-    faces = [(i, np.abs(v[i])) for i in faces]  # |f| on the 2 dim faces, once per call
+    edge = float(np.max([np.abs(v[(slice(None),) * ax + (end,)]).max()  # |f| on the 2 dim faces
+                         for ax in range(spec.dim) for end in (0, -1)]))
     out = []
-    for z in out_points:
+    for i, z in enumerate(out_points):
         c = S.V.conj().T @ np.asarray(z, dtype=complex).reshape(-1)
-        g, vecs = _axis_vectors(spec, c, rates, S.mu)
-        edge = max(float(reduce(np.multiply, [x[i] * y[i] for x, y in zip(g[0::2], g[1::2])], a).max())
-                   for i, a in faces)
-        tail = pref * edge * spec.face_area()
-        if tail > HEAT_TAIL_TOL:
-            raise NumericsError(f"boundary tail estimate {tail:.3e} exceeds "
+        own, vecs = _axis_vectors(spec, c, rates, S.mu)
+        if not np.all(np.abs(own) <= spec.half_widths):
+            raise NumericsError(f"out_points[{i}] lies outside the grid box at adapted coordinates {own}")
+        tail = pref * tail_bound(spec, np.repeat(rates, 2), edge, own)
+        if not tail <= HEAT_TAIL_TOL:
+            raise NumericsError(f"boundary tail bound {tail:.3e} exceeds "
                                 f"{HEAT_TAIL_TOL:.3e}; enlarge the grid box")
         acc = v  # contract direction j against the leading axes (2j, 2j + 1)
         for x, y in zip(vecs[0::2], vecs[1::2]):

@@ -69,11 +69,6 @@ class GridSpec:
             w[[0, -1]] *= 0.5
         return out
 
-    def face_area(self) -> float:
-        """Total area of the box's 2 dim faces, 2 prod_k (2 R_k) sum_k 1 / (2 R_k)."""
-        sides = 2.0 * np.array(self.half_widths)
-        return float(2.0 * np.prod(sides) * np.sum(1.0 / sides))
-
     def shape(self) -> tuple:
         return (self.points,) * self.dim
 
@@ -120,23 +115,25 @@ def integrate_with_estimate(f, spec: GridSpec, d: int, rate: float) -> tuple[com
     return value, tail_bound(spec, rate, scale)
 
 
-def tail_bound(spec: GridSpec, rate: float, boundary_max: float) -> float:
+def tail_bound(spec: GridSpec, rate, boundary_max: float, centre=0.0) -> float:
     """Bound on what truncating the trapezoid rule to the box drops from an
-    integrand of modulus at most boundary_max prod_i exp(-rate x_i^2).
+    integrand of modulus at most boundary_max prod_i exp(-rate_i (x_i - c_i)^2).
 
-    Per axis of half-width R and step h, f = exp(-rate a^2) loses h f(R) / 2
-    and h f(R + k h), k >= 1, on each side: at most t = 2 h f(R) (1/2 + q_1 /
-    (1 - q_2)), as f(R + h) = q_1 f(R), q_1 = exp(-rate h (2R + h)), and each
-    later ratio is at most q_2 = exp(-rate h (2R + 3h)).  With m the rule's
-    own sum of f on the axis, the bound is boundary_max (prod (m + t) - prod m).
+    ``rate`` and ``centre`` are one value or one per axis, each c in [-R, R].  Per axis of step h,
+    f = exp(-rate (a - c)^2) loses h f(R) / 2 and h f(R + k h), k >= 1, on the side at distance
+    d = R -+ c from c: at most h f(R) (1/2 + q_1 / (1 - q_2)), as f(R + h) = q_1 f(R), q_1 =
+    exp(-rate h (2d + h)), and each later ratio is at most q_2 = exp(-rate h (2d + 3h)).  With t
+    the two sides' sum and m the rule's own sum of f, the bound is boundary_max (prod (m + t) - prod m).
     """
-    if not rate > 0.0:
-        raise ValueError(f"decay rate must be positive, got {rate}")
+    rates, centres = (np.broadcast_to(np.asarray(v, dtype=float), (spec.dim,)) for v in (rate, centre))
+    if not (np.all(rates > 0.0) and np.all(np.abs(centres) <= spec.half_widths)):
+        raise ValueError(f"need positive rates and centres in the box, got rate {rate}, centre {centre}")
     dropped, kept = 0.0, 1.0  # prod (m + t) - prod m and prod m over the axes so far
-    for x, w, R, h in zip(spec.axes(), spec.weights(), spec.half_widths, spec.spacing):
-        m = float(np.sum(w * np.exp(-rate * x * x)))
-        beyond = np.exp(-rate * h * (2.0 * R + h)) / -np.expm1(-rate * h * (2.0 * R + 3.0 * h))
-        t = 2.0 * h * np.exp(-rate * R * R) * (0.5 + beyond)
+    for x, w, R, h, a, c in zip(spec.axes(), spec.weights(), spec.half_widths, spec.spacing, rates, centres):
+        m = float(np.sum(w * np.exp(-a * (x - c) * (x - c))))
+        d = np.array([R - c, R + c])
+        beyond = np.exp(-a * h * (2.0 * d + h)) / -np.expm1(-a * h * (2.0 * d + 3.0 * h))
+        t = float(np.mean(2.0 * h * np.exp(-a * d * d) * (0.5 + beyond)))  # the two sides' sum
         dropped, kept = dropped * (m + t) + t * kept, kept * m
     return boundary_max * float(dropped)
 

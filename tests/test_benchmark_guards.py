@@ -51,18 +51,16 @@ def test_traced_heat_apply_counts_every_output_point(tmp_path):
         "out_points": [[[0.0, 0.0]], [[0.2, -0.1]]]}))
     verify = tmp_path / "verify.json"
     verify.write_text(json.dumps({"quadric": heis, "lambda": [1.0], "L": [1],
-                                  "checks": ["initial_condition", "semigroup"]}))
+                                  "checks": ["semigroup"]}))
     traced_main = tracer.install(0)
     try:
         assert traced_main(["evolve", "--config", str(evolve), "--out", str(tmp_path / "e.csv")]) == 0
         assert traced_main(["verify", "--config", str(verify), "--out", str(tmp_path / "v.json")]) == 0
     finally:
         tracer.uninstall()
-    # evolve: 2 times x 2 points; the initial_condition check: 3 times x 1 point (its
-    # grids refine from 19 to 77 and 303 points per axis); the semigroup check: one
-    # point, on its sized 25 x 25 box
-    assert tracer.counts["boxop.heat_apply.out_points"] == 2 * 2 + 3 + 1
-    assert tracer.counts["boxop.heat_apply.nodes"] == 2 * 2 * 41**2 + 19**2 + 77**2 + 303**2 + 25**2
+    # evolve: 2 times x 2 points; the semigroup check: one point, on its sized 25 x 25 box
+    assert tracer.counts["boxop.heat_apply.out_points"] == 2 * 2 + 1
+    assert tracer.counts["boxop.heat_apply.nodes"] == 2 * 2 * 41**2 + 25**2
 
 
 def test_traced_verify_counts_series_and_inversion_calls(tmp_path):

@@ -239,6 +239,20 @@ class TestHeatApply:
         with pytest.raises(NumericsError, match="tail"):
             heat_apply(gf, 1.0, heis_spectral, L_IN, [np.zeros(1, complex)])
 
+    def test_refuses_an_output_point_outside_the_box(self, heis_spectral):
+        spec = GridSpec.cube(2.0, 2, 21)
+        gf = GridFunction(spec, np.zeros(spec.shape()))
+        assert heat_apply(gf, 0.3, heis_spectral, L_IN, [np.array([2.0 - 2.0j])]) == [0.0]  # a corner
+        with pytest.raises(NumericsError, match=r"out_points\[1\].*outside the grid box"):
+            heat_apply(gf, 0.3, heis_spectral, L_IN, [np.zeros(1, complex), np.array([0.5 + 2.01j])])
+
+    def test_refuses_a_kernel_peak_that_overflows(self):
+        # rank-1 n = 2: the peak grows like (2/s)^2, past the largest double at s = 1e-300
+        S = _geometry("rank1")
+        gf = GridFunction(GridSpec.cube(5.0, 4, 11), np.zeros((11,) * 4))
+        with pytest.raises(NumericsError, match="kernel peak inf at s=1e-300"):
+            heat_apply(gf, 1e-300, S, L_IN, [np.zeros(2, complex)])
+
 
 def _n2_geometry(kind):
     """A non-commuting full-rank n = 2, m = 2 geometry or a rank-1 v v^H one."""
@@ -777,7 +791,7 @@ class TestPdeResidualRichardson:
 def test_heat_apply_leaves_no_blas_thread_spinning(heis_spectral):
     # A BLAS dot down to the scalar left OpenBLAS workers spinning for about
     # 0.12 CPU-s after each n = 1 call, taking the second core from whatever ran next.
-    spec = GridSpec.cube(3.0, 2, 303)  # the initial_condition check's finest grid
+    spec = GridSpec.cube(3.0, 2, 303)  # initial_condition_check's finest grid
     real = sample_on_grid(lambda x, y: np.exp(-(x**2 + y**2)), spec, heis_spectral)
     for gf in (real, GridFunction(spec, real.values * (1.0 + 0.5j))):
         time.sleep(0.3)  # outlast a spin left by earlier tests

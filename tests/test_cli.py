@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadheat import (
@@ -549,6 +549,23 @@ class TestEvolve:
             assert main(["evolve", "--config", path, "--out", str(outs[-1])]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
+    @pytest.mark.parametrize("fields,cause", [
+        # rank-1 n = 2 at s = 1e-300: the kernel peak (2/s)^2 overflows
+        ({"quadric": {"n": 2, "m": 1, "A": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]},
+          "s": 1e-300, "L": [1], "grid": {"half_widths": [5.0] * 4, "points": 11},
+          "out_points": [[[0.1, 0.0], [0.1, 0.0]]]}, "kernel peak inf at s=1e-300 is not finite"),
+        # data near the largest double at the origin, 0 on the faces: the sum overflows
+        ({"s": 1.0, "initial": "exp(709 - x1^2 - y1^2)", "grid": {"half_widths": [100.0] * 2, "points": 9},
+          "out_points": [[[0.0, 0.0]]]}, "at s=1.0, out_points[0] is not finite"),
+    ], ids=["peak_overflows", "value_overflows"])
+    def test_nonfinite_result_exits_1(self, tmp_path, capsys, fields, cause):
+        path, _ = self.evolve_config(tmp_path, **fields)
+        out = tmp_path / "x.csv"
+        with np.errstate(all="ignore"):
+            assert main(["evolve", "--config", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert cause in err and "Traceback" not in err and not out.exists()
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path, _ = self.evolve_config(tmp_path, initial="exp(-(x1^2+q^2))")
         assert main(["evolve", "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
@@ -955,8 +972,7 @@ def _table_without_second_term(x, N):
 
 class TestVerifyEveryGeometry:
     @pytest.mark.parametrize("quadric,lam,L,checks", [
-        (HEIS, [1.0], [1], ["mehler", "inversion", "pde_residual", "semigroup",
-                            "initial_condition", "euclidean", "evenness"]),
+        (HEIS, [1.0], [1], ["mehler", "inversion", "pde_residual", "semigroup", "euclidean", "evenness"]),
         (rotated_form_json([1.0, 0.0], 3), [1.0], [1], N2_CHECKS),
         (FULL_RANK_N2, [1.0, 1.0], [1, 2], N2_CHECKS + ["semigroup"]),
         (rotated_form_json([1.0, -0.5, 0.75], 5), [1.0], [2], N2_CHECKS),
@@ -970,6 +986,17 @@ class TestVerifyEveryGeometry:
         assert report["all_pass"] and all(c["error"] <= c["tolerance"] for c in report["checks"])
         # runtime_s has microsecond resolution, so even the one-call checks read above 0
         assert all(c["runtime_s"] > 0.0 for c in report["checks"])
+
+    @pytest.mark.parametrize("quadric,lam,L", [(FULL_RANK_N2, [1.0, 1.0], [1, 2]),
+                                               (rotated_form_json([1.0, 0.0], 3), [1.0], [1])],
+                             ids=["full_rank_n2", "rank1_n2"])
+    def test_default_checks_pass_at_n2(self, tmp_path, capsys, quadric, lam, L):
+        # no "checks" field: every default check runs at n = 2, and none refuses
+        path, _ = write_config(tmp_path, quadric=quadric, L=L, **{"lambda": lam})
+        assert main(["verify", "--config", path]) == 0
+        report = strict_json(capsys.readouterr().out)
+        assert [c["name"] for c in report["checks"]] == list(cli.DEFAULT_TOLERANCES)
+        assert report["all_pass"] and all(c["error"] is not None for c in report["checks"])
 
     @pytest.mark.parametrize("quadric,lam,L", [(HEIS, [1.0], [1]), (FULL_RANK_N2, [1.0, 1.0], [1, 2])],
                              ids=["heisenberg_n1", "full_rank_n2"])
@@ -988,7 +1015,7 @@ class TestVerifyEveryGeometry:
     def test_default_verify_fails_a_flipped_y_axis_phase(self, tmp_path, capsys, monkeypatch,
                                                          quadric, lam, L, fault):
         # heat_apply's y-axis phase vectors alone conjugated, exp(-2i mu y Re c): semigroup
-        # fails it.  initial_condition does not, as it evaluates at the origin, where c = 0.
+        # fails it, and no other default check does.
         if fault:
             vectors = boxop._axis_vectors
 
@@ -1000,7 +1027,6 @@ class TestVerifyEveryGeometry:
         path, _ = write_config(tmp_path, quadric=quadric, L=L, **{"lambda": lam})
         rc = main(["verify", "--config", path])
         checks = {c["name"]: c for c in strict_json(capsys.readouterr().out)["checks"]}
-        # at n = 2 initial_condition refuses (error null) with or without the fault
         failed = [name for name, c in checks.items() if c["error"] is not None and not c["pass"]]
         if fault:
             assert rc == 1 and failed == ["semigroup"] and checks["semigroup"]["error"] >= 1e-2
@@ -1320,7 +1346,7 @@ _FUZZ_FIELDS = {
     "initial": ["exp(-(x1^2+y1^2+x2^2+y2^2))", "x1 +", "1/x1", "exp(x1^2)", "y3", 5],
     "initial_csv": ["no_such_field.csv", 3],
     "out_points": [[[[0.1, 0.0]]], [[[0.0, 0.0], [0.1, 0.1]]], [], 3],
-    "checks": [["mehler"], ["pde_residual", "initial_condition"], ["nope"], "mehler", [1]],
+    "checks": [["mehler"], ["pde_residual", "semigroup"], ["nope"], "mehler", [1]],
     "tolerances": [{"mehler": 1e-30}, {"mehler": -1.0}, {"nope": 1.0}, {"mehler": "a"}, []],
     "debug": [{"phase_sign": 1.0}, {"phase_sign": "x"}, 3],
 }
@@ -1370,6 +1396,9 @@ class TestConfigFuzz:
 
     @settings(max_examples=200, deadline=None)
     @given(job=_fuzzed_jobs())
+    # rank-1 n = 2 evolve at s = 1e-300 once wrote nan with exit 0: the kernel peak overflowed
+    @example(job=("evolve", {**{k: v for k, v in _FUZZ_BASE[2].items() if k in _FUZZ_COMMANDS["evolve"]},
+                             "s": 1e-300}, True))
     def test_every_command_has_one_of_three_outcomes(self, job):
         command, cfg, to_file = job
         with tempfile.TemporaryDirectory() as tmp:

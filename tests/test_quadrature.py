@@ -123,9 +123,36 @@ class TestTailBound:
             assert tail_bound(spec, rate, 1.0) >= tail * (1 - 1e-12)
             assert tail_bound(GridSpec.cube(R, 2, points), rate, 1.0) >= tail * (2 * m + tail) * (1 - 1e-12)
 
-    def test_face_area(self):
-        assert GridSpec.cube(6.0, 2, 16).face_area() == pytest.approx(4 * 12.0)
-        assert GridSpec((1.0, 2.0, 3.0), 8).face_area() == pytest.approx(2 * (8 + 12 + 24))
+    def test_per_axis_rates_and_centres_bound_the_extended_rule(self):
+        # Random boxes, one rate and one centre per axis, some centres on the boundary: on each
+        # axis the rule extended with step h beyond [-R, R] drops the half weight at each end and
+        # every node beyond, summed here term by term; the product over the axes drops
+        # prod (m + t) - prod m, with m the rule's own sum.
+        rng = np.random.default_rng(20261020)
+        for _ in range(300):
+            dim = int(rng.integers(1, 4))
+            spec = GridSpec(rng.uniform(0.1, 4.0, dim), int(rng.integers(8, 40)))
+            R = np.array(spec.half_widths)
+            rates = np.exp(rng.uniform(np.log(0.05), np.log(20.0), dim))
+            centres = np.where(rng.random(dim) < 0.3, R * rng.choice([-1.0, 1.0], dim), rng.uniform(-R, R))
+            dropped, kept = 0.0, 1.0
+            for x, w, h, a, c in zip(spec.axes(), spec.weights(), spec.spacing, rates, centres):
+                beyond = h * np.arange(1, math.ceil(40.0 / math.sqrt(a) / h) + 2)
+                ends = np.concatenate([[x[0], x[-1]], x[0] - beyond, x[-1] + beyond])
+                t = h * math.fsum(np.exp(-a * (ends - c) ** 2) * np.r_[0.5, 0.5, np.ones(2 * beyond.size)])
+                m = math.fsum(w * np.exp(-a * (x - c) ** 2))
+                dropped, kept = dropped * (m + t) + t * kept, kept * m
+            assert tail_bound(spec, rates, 2.5, centres) >= 2.5 * dropped * (1 - 1e-12)
+        # one rate and a zero centre broadcast to every axis: the same bits
+        spec = GridSpec((1.0, 2.0, 3.0), 9)
+        assert tail_bound(spec, [0.7] * 3, 1.0, [0.0] * 3) == tail_bound(spec, 0.7, 1.0)
+
+    def test_refuses_a_centre_outside_the_box(self):
+        spec = GridSpec((1.0, 2.0), 9)
+        assert tail_bound(spec, 1.0, 1.0, [1.0, -2.0]) > 0.0  # on the boundary: allowed
+        for centre in ([1.0 + 1e-12, 0.0], [0.0, -2.5], [math.nan, 0.0]):
+            with pytest.raises(ValueError, match="centres in the box"):
+                tail_bound(spec, 1.0, 1.0, centre)
 
     def test_monotone_in_half_width(self):
         small = tail_bound(GridSpec.cube(3.0, 2, 16), 1.0, 1.0)

@@ -19,13 +19,12 @@ terms phase * X (x) Y of three-point maps along axes 2j and 2j + 1
 and pde_residual to rho_hat's one Gaussian per axis, so its residual field
 is 2 + 4n rank-one terms, reduced with no N-node array.
 
-Every grid is a quadrature.GridSpec.  sample_rho_hat, pde_residual's
-Gaussians and heat_apply's per-direction rates and peak come from
-kernel._log_rho_parts, the one assembly of the closed form.  heat_apply, the
-one convolution engine (evolve, the semigroup check and initial_condition_check
-integrate through it), evaluates the weighted kernel on the grid's adapted
-coordinates as one factor per direction, the outer product of a weighted
-Gaussian-times-phase vector per axis, and contracts those with the field.
+Every grid is a quadrature.GridSpec.  sample_rho_hat, pde_residual's Gaussians and
+heat_apply's per-direction rates and peak come from kernel._log_rho_parts, the one assembly
+of the closed form.  heat_apply, the one convolution engine (evolve, the semigroup check and
+initial_condition_check integrate through it), contracts the field with the weighted kernel,
+a Gaussian-times-phase vector per adapted axis, for all output points together.  It and
+sample_on_grid call BLAS only through _gemm, real products that stay on the calling thread.
 
 write_grid_csv is the one grid CSV writer (scan, GridFunction.save_csv): it
 takes each distinct row tail formatted once and a per-node key into them.
@@ -143,28 +142,43 @@ def write_grid_csv(path: str, spec: GridSpec, names, tails, key, comments=()) ->
 
 
 _SLAB_NODES = 2**15  # nodes per slab of sample_on_grid, so f's temporaries stay in cache
+# Largest M * N * K of one real product: OpenBLAS 0.3.31 (2-vCPU Xeon) ran dgemm on the calling
+_GEMM_SIZE = 2**18  # thread up to 7.9e5, and woke its spinning workers from 1.05e6 (zgemm from 6.6e4)
+
+
+def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.matmul(a, b) of real stacks in column blocks of b, each M * N * K <= _GEMM_SIZE if M * K is."""
+    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1]))
+    cols = max(1, _GEMM_SIZE // (a.shape[-2] * a.shape[-1]))
+    for c in range(0, b.shape[-1], cols):
+        np.matmul(a, b[..., c : c + cols], out=out[..., c : c + cols])
+    return out
 
 
 def sample_on_grid(f, spec: GridSpec, S: SpectralData) -> GridFunction:
     """Data ``f`` at every node c of an adapted grid, taken at the point z = V c.
 
-    ``f(x1, y1, ..., xn, yn)`` must be elementwise: it gets the real and
-    imaginary parts of z, in the grid's axis order, as 2n real arrays over one
-    slab of rows of axis 0 (about _SLAB_NODES nodes), and is called once per
-    slab; its result is broadcast to the slab.  The output takes the dtype of
-    the first slab's result.  Each coordinate x_k = sum_j (Re V[k, j] x_j - Im V[k, j] y_j)
-    or y_k = sum_j (Im V[k, j] x_j + Re V[k, j] y_j) sums one real P x P term per direction,
-    a broadcast of its two axis vectors, so the only N-sized array is the output field.
+    ``f(x1, y1, ..., xn, yn)`` must be elementwise: it gets the real and imaginary parts of z,
+    in the grid's axis order, as 2n real arrays over one slab of rows of axis 0 (about
+    _SLAB_NODES nodes), and is called once per slab; its result is broadcast to the slab.  The
+    output takes the dtype of the first slab's result.  Each coordinate x_k = sum_j (Re V[k, j]
+    x_j - Im V[k, j] y_j) or y_k = sum_j (Im V[k, j] x_j + Re V[k, j] y_j) sums one real P x P
+    term per direction: f gets views of it at n = 1, and at n >= 2 one rank-2 product per slab
+    (_gemm) of direction 0's term and the others' sum.  The only N-sized array is the output.
     """
     _check_dim(spec, S.n)
     real_v = np.kron(S.V.real, np.eye(2)) + np.kron(S.V.imag, [[0.0, -1.0], [1.0, 0.0]])
     terms = [[r[k] * spec.axis_coordinate(k) + r[k + 1] * spec.axis_coordinate(k + 1)
               for k in range(0, spec.dim, 2)] for r in real_v]
-    rows, out = max(1, _SLAB_NODES // spec.points ** (spec.dim - 1)), None
-    for slab in (slice(i, i + rows) for i in range(0, spec.points, rows)):
-        value = f(*(reduce(np.add, [t[0][slab]] + t[1:]) for t in terms))
+    P, rows, out = spec.points, max(1, _SLAB_NODES // spec.points ** (spec.dim - 1)), None
+    if S.n > 1:  # per coordinate [head, 1] and [1; tail], direction 0's term and the others' sum
+        heads = np.stack(np.broadcast_arrays([t[0].ravel() for t in terms], 1.0), axis=-1)
+        tails = np.stack(np.broadcast_arrays(1.0, [reduce(np.add, t[1:]).ravel() for t in terms]), axis=1)
+    for i in range(0, P, rows):
+        value = f(*([t[0][i : i + rows] for t in terms] if S.n == 1 else _gemm(
+            heads[:, i * P : (i + rows) * P], tails).reshape((len(terms), -1) + spec.shape()[1:])))
         out = np.empty(spec.shape(), np.result_type(value)) if out is None else out
-        out[slab] = value
+        out[i : i + rows] = value
     return GridFunction(spec, out)
 
 
@@ -356,14 +370,15 @@ def heat_apply(
     with the rates a_j and, in log space, the peak ``pref`` both taken from
     kernel._log_rho_parts, so no factor exceeds 1 in modulus; the phase is
     lambda . Im phi(z, V w) in the eigenbasis, so ``S`` carries the form.
-    Per output point, each direction's factor (times its axes' trapezoid
-    weights) is the outer product of one vector per axis (_axis_vectors): 2P
-    exps, not P^2.  Contracted with ``f`` direction by direction, the last as
-    x . (f y), it takes O(N) time and no N-sized temporary, and a real ``f``
-    is never copied to complex.  Raises NumericsError when pref is not finite,
-    c is outside the box, or the tail may exceed HEAT_TAIL_TOL: pref times tail_bound of the
-    per-axis Gaussians at c, times max |f| on the faces, assumed to bound |f| beyond the box.
-    That bounds what the box's extent drops, not whether the grid resolves the kernel.
+    Per output point, each direction's factor (times its axes' trapezoid weights) is the outer
+    product of one vector per axis (_axis_vectors): 2P exps, not P^2.  One pass over ``f``
+    contracts up to P // 2 + 1 points: axis 0 by one real product (_gemm) with the stacked Re
+    and Im of their axis-0 vectors, a complex ``f`` read as (re, im) pairs, and the other axes by
+    einsum, so its one temporary is at most about ``f``'s size and a real ``f`` is never copied.
+    Raises NumericsError when pref is not finite, c is outside the box, or the tail may exceed
+    HEAT_TAIL_TOL: pref times tail_bound of the per-axis Gaussians at c, times max |f| on the
+    faces, assumed to bound |f| beyond the box.  That bounds what the box's extent drops, not
+    whether the grid resolves the kernel.
     """
     spec = f.spec
     _check_dim(spec, S.n)
@@ -375,23 +390,23 @@ def heat_apply(
     v = f.values
     edge = float(np.max([np.abs(v[(slice(None),) * ax + (end,)]).max()  # |f| on the 2 dim faces
                          for ax in range(spec.dim) for end in (0, -1)]))
-    out = []
-    for i, z in enumerate(out_points):
-        c = S.V.conj().T @ np.asarray(z, dtype=complex).reshape(-1)
-        own, vecs = _axis_vectors(spec, c, rates, S.mu)
+    vecs = [_axis_vectors(spec, S.V.conj().T @ np.ravel(z), rates, S.mu) for z in out_points]  # at c = V^H z
+    for i, (own, _) in enumerate(vecs):
         if not np.all(np.abs(own) <= spec.half_widths):
             raise NumericsError(f"out_points[{i}] lies outside the grid box at adapted coordinates {own}")
-        tail = pref * tail_bound(spec, np.repeat(rates, 2), edge, own)
-        if not tail <= HEAT_TAIL_TOL:
+        if not (tail := pref * tail_bound(spec, np.repeat(rates, 2), edge, own)) <= HEAT_TAIL_TOL:
             raise NumericsError(f"boundary tail bound {tail:.3e} exceeds "
                                 f"{HEAT_TAIL_TOL:.3e}; enlarge the grid box")
-        acc = v  # contract direction j against the leading axes (2j, 2j + 1)
-        for x, y in zip(vecs[0::2], vecs[1::2]):
-            # the last to a vector, then a scalar, by einsum: a BLAS dot leaves OpenBLAS threads spinning
-            dot, k = ((partial(np.einsum, "j,ij->i"), y) if acc.ndim == 2
-                      else (partial(np.tensordot, axes=2), np.multiply.outer(x, y)))
-            acc = dot(k, acc) if np.iscomplexobj(acc) else dot(k.real, acc) + 1j * dot(k.imag, acc)
-        out.append(complex(pref * np.einsum("i,i->", vecs[-2], acc)))
+    P, out, field = spec.points, [], np.ascontiguousarray(v, np.result_type(v, float))
+    per = max(1, min(P // 2 + 1, _GEMM_SIZE // (64 * P)))  # points per pass: w at most about f's size,
+    for g in range(0, len(vecs), per):  # and each product's a at most 1/32 of _GEMM_SIZE
+        x, y, *rest = (np.array(k) for k in zip(*(vec for _, vec in vecs[g : g + per])))  # each (points, P)
+        w = _gemm(np.concatenate([x.real, x.imag]), field.reshape(P, -1).view(float))  # f as (re, im) pairs
+        # axis 1 by Re y and Im y apart: an einsum of complex y with real w is 4x slower
+        re, im = np.einsum("cqj,dqjr->cdqr", [y.real, y.imag], w.reshape(2, len(x), P, -1)).view(field.dtype)
+        xre, xim = (re + 1j * im).reshape((2, len(x)) + (P,) * len(rest))  # rows Re x, Im x
+        ops = [a for k, r in enumerate(rest, 1) for a in (r, [0, k])]
+        out += [complex(pref * a) for a in np.einsum(xre + 1j * xim, [*range(len(rest) + 1)], *ops, [0])]
     return out
 
 

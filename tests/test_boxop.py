@@ -501,6 +501,32 @@ class TestRealFieldHeatApply:
         assert peak <= 3 * 16 * f.size
 
 
+class TestOutputPoints:
+    """heat_apply stacks its output points; each value is what the point gets alone."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("kind,points", [("heisenberg", 41), ("full_rank", 13), ("rank1_n3", 8)])
+    def test_each_point_as_if_alone(self, kind, points, dtype):
+        # 9 points: more than one pass over the field at 13^4 and 8^6 (points // 2 + 1 per pass)
+        S = _geometry(kind)
+        spec = GridSpec.cube(4.0, 2 * S.n, points)
+        xy = [spec.axis_coordinate(k) for k in range(spec.dim)]
+        f = (np.exp(-0.5 * sum(a**2 for a in xy)) * (1.0 + 0.3 * xy[0] - 0.2 * xy[-1])
+             + (0.25j * xy[1] * np.exp(-sum(a**2 for a in xy)) if dtype is complex else 0.0))
+        gf = GridFunction(spec, np.broadcast_to(f, spec.shape()))
+        rng = np.random.default_rng(points)
+        out = list(0.4 * (rng.uniform(-1, 1, (9, S.n)) + 1j * rng.uniform(-1, 1, (9, S.n))))
+        together = heat_apply(gf, 0.5, S, L_IN, out)
+        assert len(together) == len(out)
+        for z, value in zip(out, together):
+            alone = heat_apply(gf, 0.5, S, L_IN, [z])[0]
+            assert abs(value - alone) <= 1e-15 * abs(alone)
+
+    def test_no_points(self):
+        gf = GridFunction(GridSpec.cube(4.0, 4, 9), np.ones((9,) * 4))
+        assert heat_apply(gf, 0.5, _geometry("full_rank"), L_IN, []) == []
+
+
 class TestSemigroupCheck:
     QUAD = GridSpec.cube(6.0, 2, 400)
 
@@ -788,17 +814,29 @@ class TestPdeResidualRichardson:
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="OpenBLAS runs one thread on one CPU")
-def test_heat_apply_leaves_no_blas_thread_spinning(heis_spectral):
-    # A BLAS dot down to the scalar left OpenBLAS workers spinning for about
-    # 0.12 CPU-s after each n = 1 call, taking the second core from whatever ran next.
-    spec = GridSpec.cube(3.0, 2, 303)  # initial_condition_check's finest grid
-    real = sample_on_grid(lambda x, y: np.exp(-(x**2 + y**2)), spec, heis_spectral)
-    for gf in (real, GridFunction(spec, real.values * (1.0 + 0.5j))):
-        time.sleep(0.3)  # outlast a spin left by earlier tests
-        heat_apply(gf, 1e-3, heis_spectral, L_IN, [np.zeros(1, complex)])
+def test_heat_apply_leaves_no_blas_thread_spinning():
+    # OpenBLAS picks its thread count per call from the product's size, and a worker it wakes
+    # spins for about 0.12 CPU-s after the call, taking the second core from whatever runs next.
+    # A BLAS dot down to the scalar did so at n = 1 and a tensordot at n >= 2.  Unsized real
+    # products did so in heat_apply on every n >= 2 shape here, and in sampling on 14^6 (not 13^6).
+    def idle_cpu():  # process CPU over a short sleep: about 0 unless a worker spins
         t0 = time.process_time()
-        time.sleep(0.3)
-        assert time.process_time() - t0 < 0.02
+        time.sleep(0.1)
+        return time.process_time() - t0
+
+    rng = np.random.default_rng(27)
+    time.sleep(0.3)  # outlast a spin left by earlier tests
+    for kind, points, counts in (("heisenberg", 303, (2,)), ("full_rank", 33, (2, 8)),
+                                 ("full_rank", 41, (8,)), ("rank1_n3", 14, (2,))):
+        S = _geometry(kind)
+        spec = GridSpec.cube(4.0, 2 * S.n, points)
+        real = sample_on_grid(lambda *xy: np.exp(-sum(a**2 for a in xy)), spec, S)
+        assert idle_cpu() < 0.02, (kind, points, "sample_on_grid")
+        for gf in (real, GridFunction(spec, real.values * (1.0 + 0.5j))):
+            for count in counts:
+                out = list(0.3 * (rng.uniform(-1, 1, (count, S.n)) + 1j * rng.uniform(-1, 1, (count, S.n))))
+                heat_apply(gf, 0.5, S, L_IN, out)
+                assert idle_cpu() < 0.02, (kind, points, count, gf.values.dtype)
 
 
 class TestRankDeficient:

@@ -534,6 +534,12 @@ class TestEvolve:
         for a, b, c in zip(out["f"], out["g"], out["sum"]):
             assert c == pytest.approx(a + b, abs=1e-12)
 
+    def test_no_output_points_writes_the_header_alone(self, tmp_path):
+        path, _ = self.evolve_config(tmp_path, out_points=[])
+        out = tmp_path / "none.csv"
+        assert main(["evolve", "--config", path, "--out", str(out)]) == 0
+        assert [l for l in out.read_text().splitlines() if not l.startswith("#")] == ["s,point_index,re,im"]
+
     def test_output_bytes_do_not_depend_on_slabs(self, tmp_path, monkeypatch):
         # sample_on_grid calls the expression once per slab of axis 0; the
         # evolved values are the same bytes for one slab and for several.

@@ -43,6 +43,6 @@ from .kernel import (
 )
 from .quadrature import GridSpec, aliasing_bound, integrate_with_estimate, tail_bound
 from .quadric import QuadricForm, heisenberg, phi_lambda_matrix
-from .spectral import SpectralData, decompose_form, eigendecompose, rank_nu
+from .spectral import SpectralData, decompose_form, eigendecompose
 
 __version__ = "0.1.0"

@@ -249,11 +249,13 @@ def apply_box_ll_lambda(f: GridFunction, S: SpectralData, L: FormIndex) -> GridF
 _BLOCK_ROWS = 16  # rows per block of pde_residual's max-norm
 
 
-def _block_maxima(parts: list) -> tuple:
-    """Max over the nodes of |sum_t rows[t] (x) cols[t]|^2 summed over the
-    (rows, cols) stacks in ``parts``, and of |the first stack's terms 0 and 1|,
-    _BLOCK_ROWS rows at a time.  Each term sum is one np.matmul (OpenBLAS, on the
-    calling thread at these sizes) or, for one term, np.einsum, 3x faster there."""
+def _normalized_max(terms) -> float:
+    """sqrt of the max over the nodes of |sum_t row_t (x) col_t|^2 summed over the
+    parts of ``terms`` (lists of (row, col) pairs), over the max of |the first
+    part's terms 0 and 1|, the time difference; _BLOCK_ROWS rows at a time.  Each
+    part's term sum is one np.matmul (OpenBLAS, on the calling thread at these
+    sizes) or, for one term, np.einsum, 3x faster there."""
+    parts = [tuple(np.array(v) for v in zip(*t)) for t in terms if t]  # (rows, cols) stacks
     n_rows, n_cols = parts[0][0].shape[1], parts[0][1].shape[1]
     acc = np.empty((len(parts) + 1, min(_BLOCK_ROWS, n_rows), n_cols))  # the parts, scratch
     top = top_dt = 0.0
@@ -265,7 +267,7 @@ def _block_maxima(parts: list) -> tuple:
             term_sum = np.matmul if len(rows) > 1 else partial(np.einsum, "it,tj->ij")
             term_sum(rows[:, b].T, cols, out=a[p])
         top = max(top, np.einsum("pij,pij->ij", a, a, out=q).max())
-    return top, top_dt
+    return float(np.sqrt(top) / top_dt)
 
 
 def _residual_terms(s: float, S: SpectralData, L: FormIndex, grid: GridSpec, hs: float) -> tuple:
@@ -306,11 +308,6 @@ def _residual_terms(s: float, S: SpectralData, L: FormIndex, grid: GridSpec, hs:
     return terms
 
 
-def _normalized_max(terms) -> float:  # sqrt max |field|^2 over max |time difference|
-    top, top_dt = _block_maxima([tuple(np.array(v) for v in zip(*t)) for t in terms if t])
-    return float(np.sqrt(top) / top_dt)
-
-
 def pde_residual(
     s: float, S: SpectralData, L: FormIndex, grid: GridSpec, hs: float
 ) -> float:
@@ -323,7 +320,7 @@ def pde_residual(
     of their two axes alone, so with C(s) divided out the residual field is a
     sum of 2 + 4n outer products of 1-D vectors: a matrix from the first n
     axes (rows) to the last n, where a direction on one side sums its terms
-    into one.  _block_maxima reduces it by blocks of rows, so no N-node array
+    into one.  _normalized_max reduces it by blocks of rows, so no N-node array
     exists: 11-23 ms wall and 1.3 MB on a 2-vCPU Xeon at n = 1 on 2001^2 and
     n = 2 on 49^4 (the acceptance tests' grids), on the calling thread alone.
     """

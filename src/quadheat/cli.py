@@ -72,6 +72,9 @@ DEFAULT_TOLERANCES = {
     "evenness": 1e-12,
 }
 SERIES_MARGIN = 10  # terms the mehler check sums past each time's default_series_terms
+# The top-level fields of the README's config schema, and initial_csv; any other field exits 2.
+CONFIG_FIELDS = ("quadric", "lambda", "L", "s", "points", "point_tilde", "grid", "initial",
+                 "initial_csv", "out_points", "checks", "tolerances", "debug")
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +221,7 @@ def load_config(path: str) -> JobConfig:
     if not isinstance(raw, dict):
         raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
 
-    errors = []
+    errors = [f"config field '{key}': unknown field" for key in raw if key not in CONFIG_FIELDS]
     quadric = None
     qspec = raw.get("quadric")
     if qspec is None:
@@ -347,9 +350,7 @@ def _grid_from_config(cfg: JobConfig) -> GridSpec:
     return spec
 
 
-def cmd_scan(cfg: JobConfig, out_path: str | None) -> int:
-    if out_path is None:
-        raise ValueError("scan requires --out PATH for its CSV output")
+def cmd_scan(cfg: JobConfig, out_path: str) -> int:
     if len(cfg.s_values) != 1:
         raise ValueError("config field 's': scan expects a single time value")
     spec = _grid_from_config(cfg)
@@ -389,9 +390,7 @@ def cmd_scan(cfg: JobConfig, out_path: str | None) -> int:
     return EXIT_OK
 
 
-def cmd_evolve(cfg: JobConfig, out_path: str | None) -> int:
-    if out_path is None:
-        raise ValueError("evolve requires --out PATH for its CSV output")
+def cmd_evolve(cfg: JobConfig, out_path: str) -> int:
     n = cfg.quadric.n
     spec = _grid_from_config(cfg)
     expr = cfg.raw.get("initial")
@@ -505,7 +504,11 @@ def _check_euclidean(cfg: JobConfig, tol: float) -> tuple:
     z = rng.normal(size=(200, n)) + 1j * rng.normal(size=(200, n))
     got = rho_hat_adapted(s, z @ np.conj(S0.V), S0, cfg.L)
     want = 2.0**n * (2.0 * np.pi) ** (-(0.5 * m + n)) * s ** (-n) * np.exp(-np.sum(np.abs(z) ** 2, axis=1) / s)
-    return float(np.max(np.abs(got - want) / want)), ""
+    # the two-point kernel at lambda = 0 is (2 pi)^{m/2} rho_hat: eight draws referee its factor
+    two_point = weighted_heat_kernel_batch(s[:8], z[:8], np.zeros(n), cfg.quadric, S0, cfg.L)
+    err = max(np.max(np.abs(got - want) / want),
+              np.max(np.abs(two_point / (2.0 * np.pi) ** (0.5 * m) - want[:8]) / want[:8]))
+    return float(err), ""
 
 
 def _check_evenness(cfg: JobConfig, tol: float) -> tuple:
@@ -532,7 +535,7 @@ CHECK_FUNCTIONS = {
 }
 
 
-def run_verification(cfg: JobConfig, tol_override: float | None = None) -> dict:
+def run_verification(cfg: JobConfig) -> dict:
     """Run the configured checks and assemble the report dict; a check that
     cannot run (NumericsError or ValueError) is a failed entry with error null."""
     names = cfg.raw.get("checks", list(DEFAULT_TOLERANCES))
@@ -551,9 +554,7 @@ def run_verification(cfg: JobConfig, tol_override: float | None = None) -> dict:
     if not isinstance(debug, dict):
         raise ValueError(f"config field 'debug': expected an object, got {debug!r}")
     _finite_array(debug.get("phase_sign", -1.0), "debug.phase_sign", ())
-    tolerances = dict(DEFAULT_TOLERANCES)
-    tolerances.update(overrides)
-    tols = [float(tol_override if tol_override is not None else tolerances[name]) for name in names]
+    tols = [float(overrides.get(name, DEFAULT_TOLERANCES[name])) for name in names]
     if not all(0.0 < tol < np.inf for tol in tols):
         raise ValueError("config field 'tolerances': must be positive and finite, got "
                          f"{dict(zip(names, tols))}")
@@ -577,8 +578,8 @@ def run_verification(cfg: JobConfig, tol_override: float | None = None) -> dict:
     }
 
 
-def cmd_verify(cfg: JobConfig, out_path: str | None, tol_override: float | None) -> int:
-    report = run_verification(cfg, tol_override)
+def cmd_verify(cfg: JobConfig, out_path: str | None) -> int:
+    report = run_verification(cfg)
     text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     if out_path:
         write_atomic(out_path, [text])
@@ -601,8 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None, help="output file path")
     parser.add_argument("--threads", type=int, default=1,
                         help="accepted and checked to be at least 1; has no effect")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="override every verification tolerance")
     return parser
 
 
@@ -611,18 +610,17 @@ def main(argv=None) -> int:
     if args.threads < 1:
         sys.stderr.write("error: --threads must be at least 1\n")
         return EXIT_INVALID
-    if args.tol is not None and not 0.0 < args.tol < float("inf"):
-        sys.stderr.write(f"error: --tol must be a positive finite number, got {args.tol}\n")
-        return EXIT_INVALID
     try:
         cfg = load_config(args.config)
+        if args.out is None and args.command in ("scan", "evolve"):
+            raise ValueError(f"{args.command} requires --out PATH for its CSV output")
         if args.command == "eval":
             return cmd_eval(cfg, args.out)
         if args.command == "scan":
             return cmd_scan(cfg, args.out)
         if args.command == "evolve":
             return cmd_evolve(cfg, args.out)
-        return cmd_verify(cfg, args.out, args.tol)
+        return cmd_verify(cfg, args.out)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID

@@ -177,15 +177,15 @@ def rho_hat_eta(s: float, xp, yp, eta, S: SpectralData, L: FormIndex):
 
 
 def weighted_heat_kernel_batch(
-    s: float, z, Zt, Q: QuadricForm, S: SpectralData, L: FormIndex,
+    s, z, Zt, Q: QuadricForm, S: SpectralData, L: FormIndex,
     phase_sign: float = -1.0,
 ) -> np.ndarray:
     """Two-point weighted kernel over batches of first and second points.
 
     ``z`` and ``Zt`` have shapes (..., n) that broadcast against each other,
-    so either may be a single point.  ``phase_sign`` exists for ablation tests;
-    the physical kernel uses the default -1 in exp(2i phase_sign lambda .
-    Im phi(z, zt)).
+    so either may be a single point, and ``s`` against their leading axes.
+    ``phase_sign`` exists for ablation tests; the physical kernel uses the
+    default -1 in exp(2i phase_sign lambda . Im phi(z, zt)).
     """
     z, Zt = np.asarray(z, dtype=complex), np.asarray(Zt, dtype=complex)
     mag = (2.0 * np.pi) ** (0.5 * S.m) * rho_hat_adapted(s, (z - Zt) @ np.conj(S.V), S, L)
@@ -207,23 +207,23 @@ def weighted_heat_kernel(
     return complex(weighted_heat_kernel_batch(s, z, zt[None, :], Q, S, L)[0])
 
 
-def inversion_rate(s: float, S: SpectralData, direction: int) -> float:
-    """Gaussian decay rate in (a_j, b_j) of the inversion integrand of rank
-    direction j = ``direction``; it sizes that direction's box and its tail."""
-    if not 0 <= direction < S.nu:
-        raise ValueError(f"direction {direction} is not a rank direction (nu={S.nu})")
-    am = abs(float(S.mu[direction]))
+def inversion_rate(s, mu):
+    """tanh(2|mu| s) / (8|mu|), the Gaussian decay rate in (a_j, b_j) of the inversion integrand
+    of eigenvalue mu, which sizes its box and tail; elementwise, and mu = 0 raises ValueError."""
+    if np.any(np.asarray(mu) == 0.0):
+        raise ValueError("mu must be nonzero; the inversion integrates rank directions only")
+    am = np.abs(mu)
     return np.tanh(2.0 * am * s) / (8.0 * am)
 
 
-def inversion_quadspec(s: float, S: SpectralData, tol: float = 1e-6, direction: int = 0) -> GridSpec:
-    """Square box over the duals (a_j, b_j) of rank direction j = ``direction``,
+def inversion_quadspec(s: float, mu: float, tol: float) -> GridSpec:
+    """Square box over the duals (a_j, b_j) of the rank direction with eigenvalue mu,
     sized from t = min(tol, 1e-6): half-width R puts the integrand's Gaussian at
     the boundary below 1e-3 t; step pi / rho puts the copies of the integral I_j,
     2 rho apart, below 1e-6 t of its peak within rho, where |I_j| is 1e-6 t."""
     t = min(tol, 1e-6)
-    R = np.sqrt((np.log(1e3) - np.log(t)) / inversion_rate(s, S, direction))
-    rho = np.sqrt((np.log(1e6) - np.log(t)) / mu_coth(s, S.mu[direction]))
+    R = np.sqrt((np.log(1e3) - np.log(t)) / inversion_rate(s, mu))
+    rho = np.sqrt((np.log(1e6) - np.log(t)) / mu_coth(s, mu))
     return GridSpec.cube(float(R), 2, int(np.ceil(2.0 * R * rho / np.pi)) + 1)
 
 
@@ -245,8 +245,8 @@ def inversion_budget(s: float, xp, yp, eta, S: SpectralData, L: FormIndex,
     aliasing bounds and budget; raises NumericsError above ``tol``."""
     eps, specs, tails, mass, alias = epsilon(L, S), [], [], [], []
     for j in range(S.nu):
-        specs.append(quad if quad is not None else inversion_quadspec(s, S, tol=tol, direction=j))
-        rate, peak = inversion_rate(s, S, j), float(abs(mehler_factor(s, 0.0, 0.0, S.mu[j], eps[j])))
+        specs.append(quad if quad is not None else inversion_quadspec(s, S.mu[j], tol))
+        rate, peak = inversion_rate(s, S.mu[j]), float(abs(mehler_factor(s, 0.0, 0.0, S.mu[j], eps[j])))
         tails.append(float(tail_bound(specs[j], rate, peak)))
         mass.append(np.pi * peak / rate)
         alias.append(aliasing_bound(specs[j], mu_coth(s, S.mu[j]), mass[j], xp[:, j], yp[:, j]))

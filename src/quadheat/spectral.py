@@ -58,20 +58,13 @@ class SpectralData:
         return self.lam.shape[0]
 
 
-def rank_nu(mu, tol: float) -> int:
-    """Number of eigenvalues with |mu_j| > tol."""
-    mu = np.asarray(mu, dtype=float)
-    return int(np.count_nonzero(np.abs(mu) > tol))
-
-
-def _canonical_order(mu: np.ndarray, tol: float) -> np.ndarray:
-    """Permutation: nonzero block by descending |mu| (ties positive first,
-    then original index), zero block last in original index order."""
-    idx = np.arange(mu.shape[0])
-    nonzero = [j for j in idx if abs(mu[j]) > tol]
-    zero = [j for j in idx if abs(mu[j]) <= tol]
-    nonzero.sort(key=lambda j: (-abs(mu[j]), 0 if mu[j] > 0 else 1, j))
-    return np.array(nonzero + zero, dtype=int)
+def _canonical_order(mu: np.ndarray, tol: float) -> tuple:
+    """Permutation: nonzero block (|mu_j| > tol) by descending |mu| (ties positive
+    first, then original index), zero block last in original index order; and
+    the rank nu, the nonzero block's size."""
+    above = np.abs(mu) > tol
+    nonzero = sorted(np.flatnonzero(above), key=lambda j: (-abs(mu[j]), 0 if mu[j] > 0 else 1, j))
+    return np.array(nonzero + np.flatnonzero(~above).tolist(), dtype=int), len(nonzero)
 
 
 def _fix_phases(V: np.ndarray) -> np.ndarray:
@@ -105,10 +98,9 @@ def eigendecompose(A, lam=None) -> SpectralData:
     except np.linalg.LinAlgError as exc:
         raise NumericsError(f"Hermitian eigensolver failed: {exc}") from exc
     tol = DEFAULT_RANK_TOL_REL * scale
-    order = _canonical_order(mu_raw, tol)
+    order, nu = _canonical_order(mu_raw, tol)
     mu = mu_raw[order]
     V = _fix_phases(V_raw[:, order])
-    nu = rank_nu(mu, tol)
     mu[nu:] = 0.0
     lam_arr = None if lam is None else np.asarray(lam, dtype=float).reshape(-1).copy()
     return SpectralData(mu=mu, V=V, nu=nu, tol=float(tol), lam=lam_arr)

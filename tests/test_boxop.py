@@ -27,7 +27,7 @@ from quadheat import (
     weighted_heat_kernel_batch,
 )
 from quadheat import boxop, cli, kernel
-from quadheat.boxop import _BLOCK_ROWS, _block_maxima, sample_on_grid, write_atomic
+from quadheat.boxop import _BLOCK_ROWS, _normalized_max, sample_on_grid, write_atomic
 from quadheat.cli import parse_initial_expression
 
 L_IN = FormIndex([1])
@@ -760,13 +760,12 @@ def test_block_maxima_reach_the_last_partial_block(rng, counts, part, t):
     # the terms of the real and the imaginary part: (4, 1) is rank-1 n=2, whose
     # one imaginary term takes einsum where longer parts take matmul.
     n_rows, n_cols = 2 * _BLOCK_ROWS + 3, 7
-    parts = [(rng.normal(size=(k, n_rows)), rng.normal(size=(k, n_cols))) for k in counts]
-    parts[part][0][t, -1] = 50.0
-    fields = [sum(np.outer(r, c) for r, c in zip(rows, cols)) for rows, cols in parts]
-    dt = sum(np.outer(r, c) for r, c in zip(parts[0][0][:2], parts[0][1][:2]))
-    top, top_dt = _block_maxima(parts)
-    assert top == pytest.approx(np.max(sum(f**2 for f in fields)), rel=1e-12)
-    assert top_dt == pytest.approx(np.max(np.abs(dt)), rel=1e-12)
+    terms = [[(rng.normal(size=n_rows), rng.normal(size=n_cols)) for _ in range(k)] for k in counts]
+    terms[part][t][0][-1] = 50.0
+    fields = [sum(np.outer(r, c) for r, c in part_terms) for part_terms in terms]
+    dt = sum(np.outer(r, c) for r, c in terms[0][:2])
+    want = np.sqrt(np.max(sum(f**2 for f in fields))) / np.max(np.abs(dt))
+    assert _normalized_max(terms) == pytest.approx(want, rel=1e-12)
 
 
 class TestPdeResidualMemory:

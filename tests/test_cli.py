@@ -424,6 +424,10 @@ class TestScan:
     def test_requires_out(self, tmp_path, capsys):
         path, _ = self.grid_config(tmp_path)
         assert main(["scan", "--config", path]) == 2
+        assert capsys.readouterr().err == "error: scan requires --out PATH for its CSV output\n"
+        path, _ = self.grid_config(tmp_path, L=[1.5])  # the config's own errors come first
+        assert main(["scan", "--config", path]) == 2
+        assert "config field 'L'" in capsys.readouterr().err
 
     def test_grid_axis_count_checked(self, tmp_path, capsys):
         path, _ = write_config(
@@ -468,12 +472,12 @@ class TestVerify:
 
     def test_one_parser_serves_calls_with_their_own_arguments(self, tmp_path, monkeypatch):
         seen = []
-        monkeypatch.setattr(cli, "cmd_verify", lambda cfg, out, tol: seen.append((out, tol)) or 0)
+        monkeypatch.setattr(cli, "cmd_verify", lambda cfg, out: seen.append(out) or 0)
         path, _ = write_config(tmp_path)
         out = str(tmp_path / "report.json")
-        assert main(["verify", "--config", path, "--tol", "1e-3"]) == 0
         assert main(["verify", "--config", path, "--out", out]) == 0
-        assert seen == [(None, 1e-3), (out, None)]
+        assert main(["verify", "--config", path]) == 0
+        assert seen == [out, None]
         assert cli.build_parser() is cli.build_parser()
 
     def test_report_written_to_file(self, tmp_path):
@@ -665,9 +669,13 @@ class TestEvolve:
         path, _ = self.evolve_config(tmp_path, initial_csv="whatever.csv")
         assert main(["evolve", "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
 
-    def test_missing_out_rejected(self, tmp_path):
+    def test_missing_out_rejected(self, tmp_path, capsys):
         path, _ = self.evolve_config(tmp_path)
         assert main(["evolve", "--config", path]) == 2
+        assert capsys.readouterr().err == "error: evolve requires --out PATH for its CSV output\n"
+        path, _ = self.evolve_config(tmp_path, L=[1.5])  # the config's own errors come first
+        assert main(["evolve", "--config", path]) == 2
+        assert "config field 'L'" in capsys.readouterr().err
 
 
 # Few values, so most cells repeat: 0.0 and -0.0 compare equal, the two NaNs equal nothing,
@@ -743,6 +751,40 @@ class TestConfigEdgeCases:
     def test_bad_threads(self, tmp_path):
         path, _ = write_config(tmp_path, points=[[[0.0, 0.0]]])
         assert main(["eval", "--config", path, "--threads", "0"]) == 2
+
+
+class TestUnknownFields:
+    # one config every command accepts; a misspelt "s" or "point_tilde" must not fall back to a default
+    FIELDS = {"points": [[[0.3, 0.1]]], "grid": {"half_widths": [3.0, 3.0], "points": 21},
+              "initial": "exp(-(x1^2+y1^2))", "out_points": [[[0.0, 0.0]]], "checks": ["euclidean"]}
+
+    @pytest.mark.parametrize("command", ["eval", "scan", "verify", "evolve"])
+    def test_unknown_field_exits_2_naming_it(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        path, _ = write_config(tmp_path, **self.FIELDS)
+        assert main([command, "--config", path, "--out", str(out)]) == 0
+        out.unlink()
+        path, _ = write_config(tmp_path, **self.FIELDS, S=2.0, point_tidle=[[0.1, 0.0]])
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "config field 'S': unknown field" in captured.err
+        assert "config field 'point_tidle': unknown field" in captured.err
+        assert captured.out == "" and not out.exists()
+
+
+class TestReadme:
+    """The README's usage line and config schema name exactly what the CLI accepts."""
+
+    TEXT = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+
+    def test_usage_line_lists_the_parser_options(self):
+        usage = next(line for line in self.TEXT.splitlines() if line.startswith("quadheat COMMAND"))
+        options = {o for a in cli.build_parser()._actions for o in a.option_strings}
+        assert set(re.findall(r"--[a-z]+", usage)) == options - {"-h", "--help"}
+
+    def test_schema_block_lists_the_config_fields(self):
+        block = self.TEXT.split("### Config schema", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+        assert set(json.loads(block)) | {"initial_csv"} == set(cli.CONFIG_FIELDS)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -1133,16 +1175,13 @@ class TestVerifyEveryGeometry:
 
 
 class TestVerifyInversion:
-    @pytest.mark.parametrize("route", ["--tol", "tolerances"])
-    @pytest.mark.parametrize("tol", [1e-6, 1.0, 1e3, 1e6])
-    def test_any_tolerance_passes(self, tmp_path, capsys, tol, route):
+    @pytest.mark.parametrize("tol", [pytest.param(t, id=f"{t}-tolerances") for t in [1e-6, 1.0, 1e3, 1e6]])
+    def test_any_tolerance_passes(self, tmp_path, capsys, tol):
         # 1e3 used to size a box of half-width 0 and larger values a NaN one
-        extra = {"tolerances": {"inversion": tol}} if route == "tolerances" else {}
-        path, _ = write_config(tmp_path, checks=["inversion"], **extra)
-        args = ["verify", "--config", path] + ([f"--tol={tol!r}"] if route == "--tol" else [])
+        path, _ = write_config(tmp_path, checks=["inversion"], tolerances={"inversion": tol})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(args) == 0
+            assert main(["verify", "--config", path]) == 0
         entry = strict_json(capsys.readouterr().out)["checks"][0]
         assert entry["pass"] and entry["tolerance"] == tol and entry["error"] <= 1e-9
 
@@ -1182,19 +1221,19 @@ class TestVerifyFailures:
         entry = strict_json(capsys.readouterr().out)["checks"][0]
         assert entry["pass"] is False and entry["error"] is None and "not finite" in entry["message"]
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
-    def test_tol_must_be_positive_finite(self, tmp_path, capsys, tol):
-        path, _ = write_config(tmp_path, checks=["euclidean"])
-        out = tmp_path / "report.json"
-        assert main(["verify", "--config", path, "--out", str(out), f"--tol={tol}"]) == 2
-        captured = capsys.readouterr()
-        assert "--tol" in captured.err and captured.out == "" and not out.exists()
-
     def test_config_tolerance_must_be_positive_finite(self, tmp_path, capsys):
         path, _ = write_config(tmp_path, checks=["euclidean"], tolerances={"euclidean": -1.0})
         assert main(["verify", "--config", path]) == 2
         captured = capsys.readouterr()
         assert "tolerances" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("tol", [NAN, INF, 0, -1])
+    def test_bad_tolerance_writes_no_report(self, tmp_path, capsys, tol):
+        path, _ = write_config(tmp_path, checks=["mehler", "euclidean"], tolerances={"euclidean": tol})
+        out = tmp_path / "report.json"
+        assert main(["verify", "--config", path, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "'tolerances'" in captured.err and captured.out == "" and not out.exists()
 
 
     def test_unknown_tolerance_key_rejected(self, tmp_path, capsys):

@@ -139,10 +139,9 @@ FAULTS = {
     "eps_flipped": (
         lambda mp: _rebind(mp, forms, "epsilon", lambda orig: lambda L, S: -orig(L, S)),
         _on(GEOMETRIES, "pde_residual"), {}),
-    "batch_without_2pi_m2": (  # eval with point_tilde is the one command left unrefereed
+    "batch_without_2pi_m2": (  # semigroup's ratio cancels the factor; euclidean compares it at lambda = 0
         _batch(lambda S, sign, call: call(sign) / (2.0 * np.pi) ** (0.5 * S.m)),
-        {}, dict.fromkeys(GEOMETRIES, "the factor cancels in semigroup's ratio, the one check "
-                                      "that calls the batch kernel")),
+        _on(GEOMETRIES, "euclidean"), {}),
     "batch_phase_conjugated": (
         _batch(lambda S, sign, call: call(-sign)),
         _on(N1, "semigroup"), {"n3": "semigroup refuses n >= 3"}),

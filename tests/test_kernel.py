@@ -355,12 +355,20 @@ class TestInversionOracle:
 
     def test_quadspec_rule_sizes_box(self, heis_q):
         S = decompose_form(heis_q, [0.5])
-        spec = inversion_quadspec(0.3, S, tol=1e-6)
+        spec = inversion_quadspec(0.3, S.mu[0], 1e-6)
         Sj = math.exp(-2 * 0.5 * 0.3)
         rate = 0.5 * ((1 - Sj**2) / (1 + Sj**2)) / (4 * 0.5)
-        assert inversion_rate(0.3, S, 0) == pytest.approx(rate)
+        assert inversion_rate(0.3, S.mu[0]) == pytest.approx(rate)
         assert spec.dim == 2 and spec.half_widths[0] == spec.half_widths[1]
         assert math.exp(-rate * spec.half_widths[0] ** 2) <= 1e-3 * 1e-6 * 1.0001
+
+    def test_rate_is_elementwise_and_refuses_mu_zero(self):
+        # the array call gives the per-direction calls' bits; a kernel direction has no box
+        mu = np.array([2.0, -0.5, 1e-9, -3.0, 0.25, 7.5, -1e-3, 1.0, -40.0])
+        assert inversion_rate(0.3, mu).tobytes() == np.array([inversion_rate(0.3, m) for m in mu]).tobytes()
+        for call in (lambda: inversion_rate(0.3, np.array([1.0, 0.0])), lambda: inversion_quadspec(0.3, 0.0, 1e-6)):
+            with pytest.raises(ValueError, match="nonzero"):
+                call()
 
     def test_under_resolved_request_refused(self, heis_q):
         S = decompose_form(heis_q, [0.5])
@@ -447,7 +455,7 @@ class TestFactorisedInversion:
         assert values.shape == (4,) and len(tails) == 2
         assert 0.0 < budget <= 1e-6 and all(0.0 < t for t in tails)
         # each direction gets its own box from its own |mu_j|
-        boxes = [inversion_quadspec(0.3, S, direction=j) for j in range(2)]
+        boxes = [inversion_quadspec(0.3, mu, 1e-6) for mu in S.mu[:2]]
         assert boxes[1].half_widths[0] < boxes[0].half_widths[0]
 
     def test_quad_override_applies_to_every_direction(self):
@@ -508,7 +516,7 @@ def _inversion_cases(draw):
     xp, yp = (np.array([[draw(coord) for _ in mu] for _ in range(K)]) for _ in range(2))
     quad = None
     if draw(st.booleans()):
-        quad = GridSpec.cube(inversion_quadspec(s, S).half_widths[0], 2, draw(st.integers(8, 64)))
+        quad = GridSpec.cube(inversion_quadspec(s, S.mu[0], 1e-6).half_widths[0], 2, draw(st.integers(8, 64)))
     return S, s, L, xp, yp, quad
 
 
@@ -524,11 +532,12 @@ class TestInversionBudget:
     def test_default_grids_stay_small(self, name, S, eta):
         # the three verify-suite geometries; the fixed grid had 512 points per axis
         for s in (0.3, 0.7):
-            assert all(inversion_quadspec(s, S, direction=j).points <= 64 for j in range(S.nu))
+            assert all(inversion_quadspec(s, mu, 1e-6).points <= 64 for mu in S.mu[: S.nu])
 
     @pytest.mark.parametrize("tol", [1.0, 1e3, 1e6])
     def test_loose_tolerance_reuses_the_tight_grid(self, heis_spectral, tol):
-        assert inversion_quadspec(0.3, heis_spectral, tol=tol) == inversion_quadspec(0.3, heis_spectral)
+        mu = heis_spectral.mu[0]
+        assert inversion_quadspec(0.3, mu, tol) == inversion_quadspec(0.3, mu, 1e-6)
 
     @settings(max_examples=60, deadline=None)
     @given(case=_inversion_cases())

@@ -9,7 +9,6 @@ from quadheat import (
     decompose_form,
     eigendecompose,
     heisenberg,
-    rank_nu,
     rho_hat,
 )
 from quadheat.quadric import HERMITIAN_DEFECT_TOL
@@ -123,10 +122,12 @@ class TestEigendecompose:
 
 class TestRank:
     def test_all_zero(self):
-        assert rank_nu([0.0, 0.0], 1e-10) == 0
+        assert eigendecompose(np.zeros((2, 2))).nu == 0
 
     def test_threshold(self):
-        assert rank_nu([3.0, -2.0, 1e-16], 1e-10) == 2
+        # tol is 1e-10 |A|_F = 3.6e-10 here: 1e-16 is cut, 1e-9 is not
+        assert eigendecompose(np.diag([3.0, -2.0, 1e-16]).astype(complex)).nu == 2
+        assert eigendecompose(np.diag([3.0, -2.0, 1e-9]).astype(complex)).nu == 3
 
     def test_heisenberg_n2(self):
         S = decompose_form(heisenberg(2), [5.0])

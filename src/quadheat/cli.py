@@ -72,9 +72,11 @@ DEFAULT_TOLERANCES = {
     "evenness": 1e-12,
 }
 SERIES_MARGIN = 10  # terms the mehler check sums past each time's default_series_terms
-# The top-level fields of the README's config schema, and initial_csv; any other field exits 2.
+# The README schema's top-level fields and initial_csv, then its grid and debug keys; others exit 2.
 CONFIG_FIELDS = ("quadric", "lambda", "L", "s", "points", "point_tilde", "grid", "initial",
                  "initial_csv", "out_points", "checks", "tolerances", "debug")
+GRID_FIELDS = ("half_widths", "points")
+DEBUG_FIELDS = ("phase_sign",)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +211,11 @@ def _config_relative(config_path: str, path: str) -> str:
     return os.path.join(os.path.dirname(os.path.abspath(config_path)), path)
 
 
+def _unknown(obj: dict, prefix: str, known) -> list:
+    """One error per key of ``obj`` not in ``known``, naming it as '<prefix><key>'."""
+    return [f"config field '{prefix}{key}': unknown field" for key in obj if key not in known]
+
+
 def load_config(path: str) -> JobConfig:
     """Parse and validate the job config, raising ValueError with field names."""
     try:
@@ -221,7 +228,7 @@ def load_config(path: str) -> JobConfig:
     if not isinstance(raw, dict):
         raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
 
-    errors = [f"config field '{key}': unknown field" for key in raw if key not in CONFIG_FIELDS]
+    errors = _unknown(raw, "", CONFIG_FIELDS)
     quadric = None
     qspec = raw.get("quadric")
     if qspec is None:
@@ -338,6 +345,8 @@ def _grid_from_config(cfg: JobConfig) -> GridSpec:
     gspec = cfg.raw.get("grid")
     if gspec is None:
         raise ValueError("config field 'grid': missing")
+    if isinstance(gspec, dict) and (unknown := _unknown(gspec, "grid.", GRID_FIELDS)):
+        raise ValueError("; ".join(unknown))
     points = gspec.get("points") if isinstance(gspec, dict) else None
     if isinstance(points, bool) or not isinstance(points, (int, float)) or points % 1:
         raise ValueError(f"config field 'grid.points': expected an integer, got {points!r}")
@@ -467,8 +476,8 @@ def _check_inversion(cfg: JobConfig, tol: float) -> tuple:
     samples = np.array([(0.3, -0.2), (0.0, 0.0), (-0.7, 0.5)])
     xp, yp = (np.repeat(samples[:, k : k + 1], S.nu, axis=1) for k in (0, 1))
     for s in (0.3, 0.7):
-        want = rho_hat_eta(s, xp, yp, None, S, cfg.L)
-        got, (specs, tails, aliasing, budget) = rho_via_inversion(s, xp, yp, None, S, cfg.L, tol=tol)
+        want = rho_hat_eta(s, xp, yp, S, cfg.L)
+        got, (specs, tails, aliasing, budget) = rho_via_inversion(s, xp, yp, S, cfg.L, tol=tol)
         worst = max(worst, float(np.max(np.abs(got - want))), float(np.max(np.abs(got.imag))))
         notes.append(f"s={s}: nodes {', '.join(f'{q.points}x{q.points}' for q in specs)}, aliasing "
                      f"{', '.join(f'{a:.1e}' for a in aliasing)}, tails {', '.join(f'{t:.1e}' for t in tails)}"
@@ -553,6 +562,8 @@ def run_verification(cfg: JobConfig) -> dict:
     debug = cfg.raw.get("debug", {})
     if not isinstance(debug, dict):
         raise ValueError(f"config field 'debug': expected an object, got {debug!r}")
+    if unknown := _unknown(debug, "debug.", DEBUG_FIELDS):
+        raise ValueError("; ".join(unknown))
     _finite_array(debug.get("phase_sign", -1.0), "debug.phase_sign", ())
     tols = [float(overrides.get(name, DEFAULT_TOLERANCES[name])) for name in names]
     if not all(0.0 < tol < np.inf for tol in tols):

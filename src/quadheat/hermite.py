@@ -8,8 +8,8 @@ the transform-side series for the heat evolution into a product of Gaussians,
 so a truncated-series and a closed-form evaluator agree as one of the
 independent oracles for the kernel formulas.  The per-direction factor of the
 product is written once, in mehler_factor, which takes all directions in one
-call and which kernel.rho_via_inversion also integrates; eta_norm_sq is the
-one check of the kernel-block dual eta.  mehler_closed, mehler_factor and the
+call and which kernel.rho_via_inversion also integrates.  The solution is taken
+at kernel-block frequency 0.  mehler_closed, mehler_factor and the
 u_tilde evaluators work elementwise over arrays and return arrays, 0-d for
 one pair.  Series evaluation requires s > 0 (at s = 0 the series only
 converges distributionally).
@@ -87,25 +87,13 @@ def mehler_factor(s: float, a, b, mu, eps, factor=mehler_closed):
     return S ** ((1 - eps) // 2) * factor(-1j * S, alpha, beta)
 
 
-def eta_norm_sq(eta, S: SpectralData) -> float:
-    """|eta|^2 of the dual of the kernel-block coordinates, after checking that
-    ``eta`` has length n - nu; None stands for eta = 0."""
-    if eta is None:
-        return 0.0
-    eta = np.asarray(eta, dtype=complex).reshape(-1)
-    if eta.shape != (S.n - S.nu,):
-        raise ValueError(f"eta must have length n - nu = {S.n - S.nu}")
-    return float(np.sum(np.abs(eta) ** 2))
-
-
 @dataclass(frozen=True)
 class UTildeParams:
     """Arguments of the transform-side solution at fixed spectral data.
 
     a, b are the Fourier duals of the rank-block coordinates, of shape
     (..., nu); leading axes broadcast against each other and the solutions
-    are evaluated over them.  eta is the dual of the kernel-block
-    coordinates (complex, length n - nu, may be empty; None means 0).
+    are evaluated over them, at kernel-block frequency 0.
     """
 
     s: float
@@ -113,7 +101,6 @@ class UTildeParams:
     b: np.ndarray
     spectral: SpectralData
     L: FormIndex
-    eta: np.ndarray | None = None
 
     def __post_init__(self):
         if self.s <= 0.0:
@@ -123,23 +110,16 @@ class UTildeParams:
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
         if a.shape[-1] != nu or b.shape[-1] != nu:
             raise ValueError(f"a and b must have shape (..., nu) with nu={nu}")
-        eta_norm_sq(self.eta, self.spectral)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    def prefactor(self) -> float:
-        """(2 pi)^{-(2n + m - nu)/2} exp(-s |eta|^2 / 4)."""
-        n, m, nu = self.spectral.n, self.spectral.m, self.spectral.nu
-        eta_sq = eta_norm_sq(self.eta, self.spectral)
-        return (2.0 * np.pi) ** (-0.5 * (2 * n + m - nu)) * np.exp(-0.25 * self.s * eta_sq)
-
 
 def _product(p: UTildeParams, factor):
-    """prefactor * prod_j mehler_factor(s, a_j, b_j, mu_j, eps_j, factor) over
-    the leading axes of a, b, from one mehler_factor call for all directions."""
+    """(2 pi)^{-(2n + m - nu)/2} prod_j mehler_factor(s, a_j, b_j, mu_j, eps_j, factor)
+    over the leading axes of a, b, from one mehler_factor call for all directions."""
     S = p.spectral
     f = mehler_factor(p.s, p.a, p.b, S.mu[: S.nu], epsilon(p.L, S), factor)
-    return p.prefactor() * np.prod(f, axis=-1)
+    return (2.0 * np.pi) ** (-0.5 * (2 * S.n + S.m - S.nu)) * np.prod(f, axis=-1)
 
 
 def u_tilde_closed(p: UTildeParams):

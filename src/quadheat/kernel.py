@@ -23,12 +23,13 @@ weighted_heat_kernel_batch evaluates with the original form
 
 rho_via_inversion reproduces the closed form from the transform-side
 solution by inverse Fourier integration and is the package's strongest
-independent oracle.  It and rho_hat_eta, the closed form it checks, take K
-samples of shape (K, nu) and return K values.  The integral factorises into one 2-D trapezoid integral
-per rank direction, so it runs at every rank (full-rank n = 2 included), on a
-box from the direction's decay rate and a step from its aliasing bound (32 to
-45 points per axis at tol 1e-6); inversion_budget sums the tail and aliasing
-bounds into the product's budget.  Its integrand's per-direction factor is
+independent oracle.  It and rho_hat_eta, the closed form it checks at
+kernel-block frequency 0, take K samples of shape (K, nu) and return K
+values.  The integral factorises into one 2-D trapezoid integral per rank
+direction, so it runs at every rank (full-rank n = 2 included), on a box from
+the direction's decay rate and a step from its aliasing bound (32 to 45 points
+per axis at tol 1e-6); inversion_budget sums the tail and aliasing bounds into
+the product's budget.  Its integrand's per-direction factor is
 hermite.mehler_factor, the one the Mehler oracles multiply.
 """
 
@@ -40,7 +41,7 @@ import numpy as np
 
 from .errors import NumericsError
 from .forms import FormIndex, epsilon
-from .hermite import eta_norm_sq, mehler_factor
+from .hermite import mehler_factor
 from .quadric import QuadricForm
 # integrate_with_estimate stays in this namespace for callers that instrument it.
 from .quadrature import GridSpec, aliasing_bound, integrate_with_estimate, tail_bound  # noqa: F401
@@ -163,17 +164,14 @@ def _samples(xp, yp, nu: int) -> tuple:
     return xp, yp
 
 
-def rho_hat_eta(s: float, xp, yp, eta, S: SpectralData, L: FormIndex):
-    """Kernel with the kernel-block directions resolved in frequency.
-
-    (2 pi)^{-(m/2+n)} exp(-s |eta|^2 / 4) times the rank-block factors at
-    the K samples (xp, yp) of shape (K, nu): K values.  ``eta`` has length
-    n - nu; None means eta = 0.
-    """
+def rho_hat_eta(s: float, xp, yp, S: SpectralData, L: FormIndex):
+    """Kernel with the kernel-block directions resolved in frequency, at
+    kernel-block frequency 0: (2 pi)^{-(m/2+n)} times the rank-block factors
+    at the K samples (xp, yp) of shape (K, nu), K values."""
     xp, yp = _samples(xp, yp, S.nu)
     const, log_fac, rates = _log_rho_parts(s, S, L)
     rank = np.sum(log_fac[: S.nu] - rates[: S.nu] * (xp**2 + yp**2), axis=-1)
-    return np.exp(const - 0.25 * s * eta_norm_sq(eta, S) + rank)
+    return np.exp(const + rank)
 
 
 def weighted_heat_kernel_batch(
@@ -227,12 +225,12 @@ def inversion_quadspec(s: float, mu: float, tol: float) -> GridSpec:
     return GridSpec.cube(float(R), 2, int(np.ceil(2.0 * R * rho / np.pi)) + 1)
 
 
-def _inversion_pref(s: float, eta, S: SpectralData) -> float:
-    """The inversion's normalization, (2 pi)^(-(2n + m + nu)/2) exp(-s |eta|^2 / 4)."""
-    return (2.0 * np.pi) ** (-0.5 * (2 * S.n + S.m + S.nu)) * np.exp(-0.25 * s * eta_norm_sq(eta, S))
+def _inversion_pref(S: SpectralData) -> float:
+    """The inversion's normalization, (2 pi)^(-(2n + m + nu)/2)."""
+    return (2.0 * np.pi) ** (-0.5 * (2 * S.n + S.m + S.nu))
 
 
-def inversion_budget(s: float, xp, yp, eta, S: SpectralData, L: FormIndex,
+def inversion_budget(s: float, xp, yp, S: SpectralData, L: FormIndex,
                      quad: GridSpec | None = None, tol: float = 1e-6):
     """A priori error budget of rho_via_inversion at samples of shape (K, nu).
 
@@ -251,7 +249,7 @@ def inversion_budget(s: float, xp, yp, eta, S: SpectralData, L: FormIndex,
         mass.append(np.pi * peak / rate)
         alias.append(aliasing_bound(specs[j], mu_coth(s, S.mu[j]), mass[j], xp[:, j], yp[:, j]))
     rel = np.log1p((np.array(tails)[:, None] + np.array(alias)) / np.array(mass)[:, None])
-    budget = float(_inversion_pref(s, eta, S) * np.prod(mass) * np.max(np.expm1(np.sum(rel, axis=0))))
+    budget = float(_inversion_pref(S) * np.prod(mass) * np.max(np.expm1(np.sum(rel, axis=0))))
     aliasing = np.max(alias, axis=1).tolist()
     if not budget <= tol:
         raise NumericsError(
@@ -261,7 +259,7 @@ def inversion_budget(s: float, xp, yp, eta, S: SpectralData, L: FormIndex,
 
 
 def rho_via_inversion(
-    s: float, xp, yp, eta, S: SpectralData, L: FormIndex,
+    s: float, xp, yp, S: SpectralData, L: FormIndex,
     quad: GridSpec | None = None, tol: float = 1e-6, phase_signs: tuple = (-1.0, -1.0),
 ):
     """Numerical inverse Fourier transform of the transform-side solution.
@@ -273,8 +271,8 @@ def rho_via_inversion(
     every grid), G_j = w_a w_b^T o exp(-i a b / (4 mu_j)) o mehler_factor(s, a,
     b, mu_j, eps_j).  Times exp(-2i sum mu_j x_j y_j) and the normalization, it is
     an independent oracle for rho_hat_eta at the K samples ``xp``, ``yp`` of shape
-    (K, nu).  inversion_budget raises NumericsError before any integration when
-    the budget exceeds ``tol``.  Returns the K values and inversion_budget's
+    (K, nu), at kernel-block frequency 0.  inversion_budget raises NumericsError
+    before any integration when the budget exceeds ``tol``.  Returns the K values and inversion_budget's
     (grids, tails, aliasing, budget).  ``phase_signs`` (twist, a.b phase;
     physically -1) exist for ablation tests.
     """
@@ -284,10 +282,10 @@ def rho_via_inversion(
     if nu < 1:
         raise ValueError("inversion needs nu >= 1")
     xp, yp = _samples(xp, yp, nu)
-    budget = inversion_budget(s, xp, yp, eta, S, L, quad, tol)
+    budget = inversion_budget(s, xp, yp, S, L, quad, tol)
     twist_sign, ab_sign = phase_signs
     eps = epsilon(L, S)
-    values = _inversion_pref(s, eta, S) * np.exp(2j * twist_sign * np.sum(S.mu[:nu] * xp * yp, axis=1))
+    values = _inversion_pref(S) * np.exp(2j * twist_sign * np.sum(S.mu[:nu] * xp * yp, axis=1))
     for j, spec in enumerate(budget[0]):
         (a, b), (wa, wb) = spec.axes(), spec.weights()
         F = mehler_factor(s, a[:, None], b[None, :], S.mu[j], eps[j])

@@ -118,8 +118,8 @@ def test_criterion_3_fourier_inversion_oracle():
         for s in (0.3, 0.7):
             for L in (L_OUT, L_IN):
                 xp, yp = np.array(samples).T[:, :, None]  # one (K, nu = 1) stack each
-                want = rho_hat_eta(s, xp, yp, None, S, L)
-                got, _ = rho_via_inversion(s, xp, yp, None, S, L)
+                want = rho_hat_eta(s, xp, yp, S, L)
+                got, _ = rho_via_inversion(s, xp, yp, S, L)
                 worst = max(worst, float(np.max(np.abs(got - want))))
                 worst_imag = max(worst_imag, float(np.max(np.abs(got.imag))))
                 count += len(samples)

@@ -129,3 +129,13 @@ def test_verify_suite_round_passes_every_check(tmp_path, capsys):
         rc = main(job.argv)
         result = job.check(rc, capsys.readouterr().err)
         assert result.status == "ok", (job.kind, result.message)
+
+
+@pytest.mark.parametrize("workload", ["ScanGrid", "EvalSweep"])
+def test_scan_and_eval_rounds_pass_their_output_checks(tmp_path, capsys, workload):
+    # scan-grid's check calls rho_hat(KernelQuery(...)) on sampled rows and eval-sweep's
+    # recomputes its records, so a signature or value change there fails here too.
+    for job in load_perfbench("workloads")[workload](20261018, tmp_path).next_round():
+        rc = main(job.argv)
+        result = job.check(rc, capsys.readouterr().err)
+        assert result.status == "ok", (job.kind, result.message)

@@ -771,6 +771,17 @@ class TestUnknownFields:
         assert "config field 'point_tidle': unknown field" in captured.err
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("command,field,key", [("scan", "grid", "point"), ("evolve", "grid", "point"),
+                                                   ("verify", "debug", "phase_sgn")])
+    def test_unknown_nested_field_exits_2_naming_it(self, tmp_path, capsys, command, field, key):
+        # a misspelt debug.phase_sign would run the unfaulted negative control and pass
+        out = tmp_path / "out"
+        path, _ = write_config(tmp_path, **{**self.FIELDS, field: {**self.FIELDS.get(field, {}), key: 1}})
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"config field '{field}.{key}': unknown field" in captured.err
+        assert captured.out == "" and not out.exists()
+
 
 class TestReadme:
     """The README's usage line and config schema name exactly what the CLI accepts."""
@@ -782,9 +793,14 @@ class TestReadme:
         options = {o for a in cli.build_parser()._actions for o in a.option_strings}
         assert set(re.findall(r"--[a-z]+", usage)) == options - {"-h", "--help"}
 
+    SCHEMA = json.loads(TEXT.split("### Config schema", 1)[1].split("```json", 1)[1].split("```", 1)[0])
+
     def test_schema_block_lists_the_config_fields(self):
-        block = self.TEXT.split("### Config schema", 1)[1].split("```json", 1)[1].split("```", 1)[0]
-        assert set(json.loads(block)) | {"initial_csv"} == set(cli.CONFIG_FIELDS)
+        assert set(self.SCHEMA) | {"initial_csv"} == set(cli.CONFIG_FIELDS)
+
+    def test_schema_block_lists_the_grid_and_debug_fields(self):
+        assert set(self.SCHEMA["grid"]) == set(cli.GRID_FIELDS)
+        assert set(self.SCHEMA["debug"]) == set(cli.DEBUG_FIELDS)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -1387,13 +1403,14 @@ _FUZZ_FIELDS = {
     "point_tilde": [[[0.0, 0.1]], [[0.0, 0.1], [0.2, 0.0]], [1], None],
     "grid": [{"half_widths": [3.0, 3.0], "points": 9}, {"half_widths": [2.0] * 4, "points": 9},
              {"points": 9}, {"half_widths": [1.0, 1.0], "points": 8.5},
-             {"half_widths": [1e300, 1.0], "points": 9}, {"half_widths": [1.0, 1.0], "points": 10**6}, "grid"],
+             {"half_widths": [1e300, 1.0], "points": 9}, {"half_widths": [1.0, 1.0], "points": 10**6}, "grid",
+             {"half_widths": [3.0, 3.0], "points": 9, "point": 401}],
     "initial": ["exp(-(x1^2+y1^2+x2^2+y2^2))", "x1 +", "1/x1", "exp(x1^2)", "y3", 5],
     "initial_csv": ["no_such_field.csv", 3],
     "out_points": [[[[0.1, 0.0]]], [[[0.0, 0.0], [0.1, 0.1]]], [], 3],
     "checks": [["mehler"], ["pde_residual", "semigroup"], ["nope"], "mehler", [1]],
     "tolerances": [{"mehler": 1e-30}, {"mehler": -1.0}, {"nope": 1.0}, {"mehler": "a"}, []],
-    "debug": [{"phase_sign": 1.0}, {"phase_sign": "x"}, 3],
+    "debug": [{"phase_sign": 1.0}, {"phase_sign": "x"}, 3, {"phase_sgn": 1.0}],
 }
 _FUZZ_COMMANDS = {
     "eval": ["quadric", "lambda", "L", "s", "points", "point_tilde"],

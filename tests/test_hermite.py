@@ -205,20 +205,6 @@ class TestUTilde:
         p = UTildeParams(0.1, [2.0], [1.0], S, L_IN)
         assert abs(u_tilde_series(p) - u_tilde_closed(p)) <= 1e-10
 
-    def test_eta_factor(self):
-        # rank-deficient n = 2: eta enters through exp(-s |eta|^2 / 4)
-        from quadheat import QuadricForm
-
-        Q = QuadricForm(2, 1, [np.diag([1.0, 0.0])])
-        S = decompose_form(Q, [1.0])
-        assert S.nu == 1
-        s = 0.4
-        base = u_tilde_closed(UTildeParams(s, [0.3], [0.1], S, L_IN))
-        eta = np.array([0.7 - 0.2j])
-        shifted = u_tilde_closed(UTildeParams(s, [0.3], [0.1], S, L_IN, eta=eta))
-        want = base * np.exp(-0.25 * s * (0.7**2 + 0.2**2))
-        assert shifted == pytest.approx(want, rel=1e-13)
-
     def test_time_must_be_positive(self, heis_q):
         S = decompose_form(heis_q, [1.0])
         with pytest.raises(ValueError):

@@ -12,7 +12,6 @@ from quadheat import (
     NumericsError,
     QuadricForm,
     SpectralData,
-    UTildeParams,
     decompose_form,
     epsilon,
     heisenberg,
@@ -263,24 +262,20 @@ class TestRhoHatEta:
         s = 0.8
         z = np.array([0.4 - 0.3j])
         want = rho_hat(KernelQuery(s, z, heis_spectral, L_IN))
-        got = rho_hat_eta(s, [[0.4]], [[-0.3]], None, heis_spectral, L_IN)
+        got = rho_hat_eta(s, [[0.4]], [[-0.3]], heis_spectral, L_IN)
         assert got.shape == (1,) and got[0] == pytest.approx(want, rel=1e-14)
 
     def test_rank_zero(self):
         S = spectral_for_mu([0.0], lam=[0.0])
-        s = 0.5
-        eta = np.array([0.7 + 0.1j])
-        got = rho_hat_eta(s, np.zeros((1, 0)), np.zeros((1, 0)), eta, S, L_OUT)
-        want = (2 * np.pi) ** (-1.5) * np.exp(-0.25 * s * (0.7**2 + 0.1**2))
-        assert got[0] == pytest.approx(want, rel=1e-14)
+        got = rho_hat_eta(0.5, np.zeros((1, 0)), np.zeros((1, 0)), S, L_OUT)
+        assert got[0] == pytest.approx((2 * np.pi) ** (-1.5), rel=1e-14)
 
     def test_fourier_transform_of_rho_hat(self):
-        # transforming the kernel-block Gaussian pair reproduces rho_hat_eta
+        # integrating out the kernel-block Gaussian pair reproduces rho_hat_eta
         Q = QuadricForm(2, 1, [np.diag([1.0, 0.0])])
         S = decompose_form(Q, [1.0])
         assert S.nu == 1
         s, xp, yp = 0.6, 0.35, -0.2
-        eta = 0.4 + 0.3j
         grid = np.linspace(-6.0, 6.0, 301)
         h = grid[1] - grid[0]
         X2, Y2 = np.meshgrid(grid, grid, indexing="ij")
@@ -288,12 +283,9 @@ class TestRhoHatEta:
             [np.full(X2.shape, xp + 1j * yp), X2 + 1j * Y2], axis=-1
         )
         vals = rho_hat_adapted(s, c, S, L_IN)
-        ft = np.sum(
-            vals * np.exp(-1j * (X2 * eta.real + Y2 * eta.imag))
-        ) * h * h / (2 * np.pi)
-        want = rho_hat_eta(s, [[xp]], [[yp]], [eta], S, L_IN)[0]
+        ft = np.sum(vals) * h * h / (2 * np.pi)
+        want = rho_hat_eta(s, [[xp]], [[yp]], S, L_IN)[0]
         assert abs(ft - want) <= 1e-6
-        assert abs(ft.imag) <= 1e-9
 
 
 class TestWeightedKernel:
@@ -341,16 +333,16 @@ class TestInversionOracle:
     def test_matches_closed_form(self, heis_q, lam, s, L):
         S = decompose_form(heis_q, [lam])
         xp, yp = [[0.3], [0.0]], [[-0.2], [0.0]]
-        want = rho_hat_eta(s, xp, yp, None, S, L)
-        got, _ = rho_via_inversion(s, xp, yp, None, S, L)
+        want = rho_hat_eta(s, xp, yp, S, L)
+        got, _ = rho_via_inversion(s, xp, yp, S, L)
         assert np.max(np.abs(got - want)) <= 1e-6
         assert np.max(np.abs(got.imag)) <= 1e-8
 
     def test_origin_has_unit_twist(self, heis_q):
         # at (x, y) = (0, 0) the prefactor exp(-2i mu x y) is exactly 1
         S = decompose_form(heis_q, [1.0])
-        got, _ = rho_via_inversion(0.5, [[0.0]], [[0.0]], None, S, L_IN)
-        want = rho_hat_eta(0.5, [[0.0]], [[0.0]], None, S, L_IN)
+        got, _ = rho_via_inversion(0.5, [[0.0]], [[0.0]], S, L_IN)
+        want = rho_hat_eta(0.5, [[0.0]], [[0.0]], S, L_IN)
         assert got[0].real == pytest.approx(want[0], rel=1e-9)
 
     def test_quadspec_rule_sizes_box(self, heis_q):
@@ -374,12 +366,12 @@ class TestInversionOracle:
         S = decompose_form(heis_q, [0.5])
         tiny = GridSpec.cube(3.0, 2, 64)
         with pytest.raises(NumericsError, match="tail"):
-            rho_via_inversion(0.3, [[0.0]], [[0.0]], None, S, L_IN, quad=tiny)
+            rho_via_inversion(0.3, [[0.0]], [[0.0]], S, L_IN, quad=tiny)
 
     def test_requires_rank(self, heis_q):
         S0 = decompose_form(heis_q, [0.0])
         with pytest.raises(ValueError):
-            rho_via_inversion(0.5, [], [], None, S0, L_IN)
+            rho_via_inversion(0.5, [], [], S0, L_IN)
 
 
 # Non-commuting n = 2, m = 2 form: B1 + B2 = diag(1, -0.5), so lambda = (1, 1)
@@ -397,13 +389,21 @@ def _rotated_form(mu, seed):
 
 
 def _inversion_geometries():
-    """(name, spectral data, kernel-block dual eta) over nu = 1, 2, 3."""
+    """(name, spectral data) over nu = 1, 2, 3."""
     return [
-        ("heisenberg", decompose_form(heisenberg(1), [1.0]), None),
-        ("rank1_n2", decompose_form(_rotated_form([1.0, 0.0], 7), [1.0]), [0.4 - 0.3j]),
-        ("full_rank_n2", decompose_form(QuadricForm(2, 2, [_B1, _B2]), [1.0, 1.0]), None),
-        ("n3", decompose_form(_rotated_form([1.0, -0.5, 0.25], 11), [1.0]), None),
+        ("heisenberg", decompose_form(heisenberg(1), [1.0])),
+        ("rank1_n2", decompose_form(_rotated_form([1.0, 0.0], 7), [1.0])),
+        ("full_rank_n2", decompose_form(QuadricForm(2, 2, [_B1, _B2]), [1.0, 1.0])),
+        ("n3", decompose_form(_rotated_form([1.0, -0.5, 0.25], 11), [1.0])),
     ]
+
+
+def _geometry_params(rows):
+    """pytest params of (name, spectral data) rows.  The ids are '<name>-S<k>-None', and
+    '-eta<k>' on the row with a kernel block: the ids these tests had while each row also
+    carried a kernel-block frequency, kept so that the test names stay fixed."""
+    return [pytest.param(name, S, id=f"{name}-S{k}-{f'eta{k}' if S.nu < S.n else None}")
+            for k, (name, S) in enumerate(rows)]
 
 
 def _sample_duals(nu):
@@ -413,45 +413,45 @@ def _sample_duals(nu):
 
 
 class TestFactorisedInversion:
-    @pytest.mark.parametrize("name,S,eta", _inversion_geometries())
-    def test_matches_closed_form_every_rank(self, name, S, eta):
+    @pytest.mark.parametrize("name,S", _geometry_params(_inversion_geometries()))
+    def test_matches_closed_form_every_rank(self, name, S):
         xp, yp = _sample_duals(S.nu)
         for L in (FormIndex([1]), FormIndex([2]) if S.n > 1 else L_OUT):
             for s in (0.3, 0.7):
-                want = rho_hat_eta(s, xp, yp, eta, S, L)
-                got, _ = rho_via_inversion(s, xp, yp, eta, S, L)
+                want = rho_hat_eta(s, xp, yp, S, L)
+                got, _ = rho_via_inversion(s, xp, yp, S, L)
                 assert got.shape == (len(xp),)
                 assert np.max(np.abs(got - want)) <= 1e-6, (name, L, s)
                 assert np.max(np.abs(got.imag)) <= 1e-8, (name, L, s)
 
-    @pytest.mark.parametrize("name,S,eta", _inversion_geometries()[2:])
-    def test_batch_equals_single_calls(self, name, S, eta):
+    @pytest.mark.parametrize("name,S", _geometry_params(_inversion_geometries()[2:]))
+    def test_batch_equals_single_calls(self, name, S):
         xp, yp = _sample_duals(S.nu)
         L = FormIndex([1])
-        batch, _ = rho_via_inversion(0.3, xp, yp, eta, S, L)
+        batch, _ = rho_via_inversion(0.3, xp, yp, S, L)
         for k in range(len(xp)):
-            single, _ = rho_via_inversion(0.3, xp[k : k + 1], yp[k : k + 1], eta, S, L)
+            single, _ = rho_via_inversion(0.3, xp[k : k + 1], yp[k : k + 1], S, L)
             assert single.shape == (1,)
             assert abs(batch[k] - single[0]) <= 1e-14
 
     @pytest.mark.parametrize("signs", [(1.0, -1.0), (-1.0, 1.0)])
-    @pytest.mark.parametrize("name,S,eta", _inversion_geometries()[1:3])
-    def test_flipped_phase_sign_fails(self, name, S, eta, signs):
+    @pytest.mark.parametrize("name,S", _geometry_params(_inversion_geometries()[1:3]))
+    def test_flipped_phase_sign_fails(self, name, S, signs):
         # negative control: a flipped twist or a.b phase sign must not pass
         xp, yp = _sample_duals(S.nu)
         L = FormIndex([1])
         worst = 0.0
         for s in (0.3, 0.7):
-            want = rho_hat_eta(s, xp, yp, eta, S, L)
-            got, _ = rho_via_inversion(s, xp, yp, eta, S, L, phase_signs=signs)
+            want = rho_hat_eta(s, xp, yp, S, L)
+            got, _ = rho_via_inversion(s, xp, yp, S, L, phase_signs=signs)
             worst = max(worst, float(np.max(np.abs(got - want))))
         assert worst > 1e-3
 
     def test_budget_reported_per_direction(self):
         S = _inversion_geometries()[2][1]
         xp, yp = _sample_duals(2)
-        values, (_, tails, _, budget) = rho_via_inversion(0.3, xp, yp, None, S, FormIndex([1]))
-        assert budget == inversion_budget(0.3, xp, yp, None, S, FormIndex([1]))[3]
+        values, (_, tails, _, budget) = rho_via_inversion(0.3, xp, yp, S, FormIndex([1]))
+        assert budget == inversion_budget(0.3, xp, yp, S, FormIndex([1]))[3]
         assert values.shape == (4,) and len(tails) == 2
         assert 0.0 < budget <= 1e-6 and all(0.0 < t for t in tails)
         # each direction gets its own box from its own |mu_j|
@@ -462,43 +462,33 @@ class TestFactorisedInversion:
         S = _inversion_geometries()[2][1]
         tiny = GridSpec.cube(3.0, 2, 64)
         with pytest.raises(NumericsError, match="tail"):
-            rho_via_inversion(0.3, np.zeros((1, 2)), np.zeros((1, 2)), None, S, FormIndex([1]), quad=tiny)
+            rho_via_inversion(0.3, np.zeros((1, 2)), np.zeros((1, 2)), S, FormIndex([1]), quad=tiny)
 
-    @pytest.mark.parametrize("call", [
-        lambda S, eta: UTildeParams(0.5, [0.1], [0.2], S, L_IN, eta=eta),
-        lambda S, eta: rho_hat_eta(0.5, [[0.1]], [[0.2]], eta, S, L_IN),
-        lambda S, eta: rho_via_inversion(0.5, [[0.1]], [[0.2]], eta, S, L_IN),
-    ], ids=["u_tilde_params", "rho_hat_eta", "rho_via_inversion"])
-    def test_eta_length_checked(self, call):
-        S = _inversion_geometries()[1][1]  # rank 1, n = 2: eta has length n - nu = 1
-        with pytest.raises(ValueError, match="n - nu"):
-            call(S, [0.1, 0.2, 0.3])
-
-    @pytest.mark.parametrize("name,S,eta", _inversion_geometries())
-    def test_rho_hat_eta_rows_equal_single_calls(self, name, S, eta):
+    @pytest.mark.parametrize("name,S", _geometry_params(_inversion_geometries()))
+    def test_rho_hat_eta_rows_equal_single_calls(self, name, S):
         # the inversion check makes one rho_hat_eta call per time over all its samples
         xp, yp = _sample_duals(S.nu)
         for s in (0.3, 0.7):
-            batch = rho_hat_eta(s, xp, yp, eta, S, FormIndex([1]))
+            batch = rho_hat_eta(s, xp, yp, S, FormIndex([1]))
             assert batch.shape == (len(xp),)
             for k in range(len(xp)):
-                single = rho_hat_eta(s, xp[k : k + 1], yp[k : k + 1], eta, S, FormIndex([1]))
+                single = rho_hat_eta(s, xp[k : k + 1], yp[k : k + 1], S, FormIndex([1]))
                 assert single.shape == (1,) and batch[k] == single[0], (name, s, k)
 
     def test_sample_shape_checked(self):
         S = _inversion_geometries()[2][1]
         with pytest.raises(ValueError, match="shape"):
-            rho_via_inversion(0.3, np.zeros((3, 2)), np.zeros((2, 2)), None, S, L_IN)
+            rho_via_inversion(0.3, np.zeros((3, 2)), np.zeros((2, 2)), S, L_IN)
         for xp, yp in (([0.0], [0.0]), (np.zeros(2), np.zeros(2))):  # one sample is a (1, nu) stack
             with pytest.raises(ValueError, match="shape"):
-                rho_via_inversion(0.3, xp, yp, None, S, L_IN)
+                rho_via_inversion(0.3, xp, yp, S, L_IN)
 
     def test_rho_hat_eta_sample_shape_checked(self):
         S = _inversion_geometries()[2][1]
         for xp, yp in ((np.zeros((3, 2)), np.zeros((2, 2))), ([0.0], [0.0]), (np.zeros(2), np.zeros(2)),
                        (np.zeros((1, 1, 2)), np.zeros((1, 1, 2)))):
             with pytest.raises(ValueError, match="shape"):
-                rho_hat_eta(0.3, xp, yp, None, S, L_IN)
+                rho_hat_eta(0.3, xp, yp, S, L_IN)
 
 
 @st.composite
@@ -526,10 +516,10 @@ class TestInversionBudget:
         # 12 points used to return an error of 1.5e-3 under a budget of 4.5e-10
         quad = GridSpec.cube(18.0, 2, points)
         with pytest.raises(NumericsError, match="aliasing"):
-            rho_via_inversion(0.3, [[0.7]], [[0.5]], None, heis_spectral, L_IN, quad=quad)
+            rho_via_inversion(0.3, [[0.7]], [[0.5]], heis_spectral, L_IN, quad=quad)
 
-    @pytest.mark.parametrize("name,S,eta", _inversion_geometries()[:3])
-    def test_default_grids_stay_small(self, name, S, eta):
+    @pytest.mark.parametrize("name,S", _geometry_params(_inversion_geometries()[:3]))
+    def test_default_grids_stay_small(self, name, S):
         # the three verify-suite geometries; the fixed grid had 512 points per axis
         for s in (0.3, 0.7):
             assert all(inversion_quadspec(s, mu, 1e-6).points <= 64 for mu in S.mu[: S.nu])
@@ -544,9 +534,9 @@ class TestInversionBudget:
     def test_budget_bounds_the_error(self, case):
         S, s, L, xp, yp, quad = case
         try:
-            budget = inversion_budget(s, xp, yp, None, S, L, quad=quad)[3]
+            budget = inversion_budget(s, xp, yp, S, L, quad=quad)[3]
         except NumericsError:
             return
-        got, _ = rho_via_inversion(s, xp, yp, None, S, L, quad=quad)
-        want = rho_hat_eta(s, xp, yp, None, S, L)
+        got, _ = rho_via_inversion(s, xp, yp, S, L, quad=quad)
+        want = rho_hat_eta(s, xp, yp, S, L)
         assert np.max(np.abs(got - want)) <= budget + 1e-13

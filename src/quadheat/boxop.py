@@ -20,11 +20,12 @@ and pde_residual to rho_hat's one Gaussian per axis, so its residual field
 is 2 + 4n rank-one terms, reduced with no N-node array.
 
 Every grid is a quadrature.GridSpec.  sample_rho_hat, pde_residual's Gaussians and
-heat_apply's per-direction rates and peak come from kernel._log_rho_parts, the one assembly
+heat_apply's per-direction rates and peaks come from kernel._log_rho_parts, the one assembly
 of the closed form.  heat_apply, the one convolution engine (evolve, the semigroup check and
-initial_condition_check integrate through it), contracts the field with the weighted kernel,
-a Gaussian-times-phase vector per adapted axis, for all output points together.  It and
-sample_on_grid call BLAS only through _gemm, real products that stay on the calling thread.
+initial_condition_check integrate through it), reads a field one slab of axis 0 at a time, a
+GridFunction's rows or a SampledField's samples, and contracts it with the weighted kernel, a
+Gaussian-times-phase vector per adapted axis, for every (time, point) pair in that one pass.
+It and SampledField call BLAS only through _gemm, real products that stay on the calling thread.
 
 write_grid_csv is the one grid CSV writer (scan, GridFunction.save_csv): it
 takes each distinct row tail formatted once and a per-node key into them.
@@ -70,6 +71,10 @@ class GridFunction:
                 f"values shape {v.shape} does not match grid shape {self.spec.shape()}"
             )
         object.__setattr__(self, "values", v)
+
+    def slabs(self):  # as SampledField.slabs, its values' views
+        rows = max(1, _SLAB_NODES // self.spec.points ** (self.spec.dim - 1))
+        return ((i, self.values[i : i + rows]) for i in range(0, self.spec.points, rows))
 
     def save_csv(self, path: str) -> None:
         """Header row of coordinate names plus re,im; one node per row.  Each distinct
@@ -141,7 +146,7 @@ def write_grid_csv(path: str, spec: GridSpec, names, tails, key, comments=()) ->
     write_atomic(path, rows())
 
 
-_SLAB_NODES = 2**15  # nodes per slab of sample_on_grid, so f's temporaries stay in cache
+_SLAB_NODES = 2**15  # nodes per slab of axis 0, so a slab and its temporaries stay in cache
 # Largest M * N * K of one real product: OpenBLAS 0.3.31 (2-vCPU Xeon) ran dgemm on the calling
 _GEMM_SIZE = 2**18  # thread up to 7.9e5, and woke its spinning workers from 1.05e6 (zgemm from 6.6e4)
 
@@ -155,30 +160,41 @@ def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_on_grid(f, spec: GridSpec, S: SpectralData) -> GridFunction:
-    """Data ``f`` at every node c of an adapted grid, taken at the point z = V c.
+@dataclass(frozen=True)
+class SampledField:
+    """Data ``f`` at every node c of an adapted grid, taken at the point z = V c, slab by slab.
 
-    ``f(x1, y1, ..., xn, yn)`` must be elementwise: it gets the real and imaginary parts of z,
-    in the grid's axis order, as 2n real arrays over one slab of rows of axis 0 (about
-    _SLAB_NODES nodes), and is called once per slab; its result is broadcast to the slab.  The
-    output takes the dtype of the first slab's result.  Each coordinate x_k = sum_j (Re V[k, j]
-    x_j - Im V[k, j] y_j) or y_k = sum_j (Im V[k, j] x_j + Re V[k, j] y_j) sums one real P x P
-    term per direction: f gets views of it at n = 1, and at n >= 2 one rank-2 product per slab
-    (_gemm) of direction 0's term and the others' sum.  The only N-sized array is the output.
-    """
-    _check_dim(spec, S.n)
-    real_v = np.kron(S.V.real, np.eye(2)) + np.kron(S.V.imag, [[0.0, -1.0], [1.0, 0.0]])
-    terms = [[r[k] * spec.axis_coordinate(k) + r[k + 1] * spec.axis_coordinate(k + 1)
-              for k in range(0, spec.dim, 2)] for r in real_v]
-    P, rows, out = spec.points, max(1, _SLAB_NODES // spec.points ** (spec.dim - 1)), None
-    if S.n > 1:  # per coordinate [head, 1] and [1; tail], direction 0's term and the others' sum
-        heads = np.stack(np.broadcast_arrays([t[0].ravel() for t in terms], 1.0), axis=-1)
-        tails = np.stack(np.broadcast_arrays(1.0, [reduce(np.add, t[1:]).ravel() for t in terms]), axis=1)
-    for i in range(0, P, rows):
-        value = f(*([t[0][i : i + rows] for t in terms] if S.n == 1 else _gemm(
-            heads[:, i * P : (i + rows) * P], tails).reshape((len(terms), -1) + spec.shape()[1:])))
-        out = np.empty(spec.shape(), np.result_type(value)) if out is None else out
-        out[i : i + rows] = value
+    ``f(x1, y1, ..., xn, yn)`` must be elementwise: slabs() calls it on each slab of rows of axis 0
+    (about _SLAB_NODES nodes) with Re and Im of z as 2n real arrays, and yields the slab's first
+    row and the result broadcast to it.  A coordinate is one real P x P term per direction: views
+    of it at n = 1, at n >= 2 one rank-2 product (_gemm) of direction 0's and the others' sum."""
+
+    spec: GridSpec
+    f: object
+    S: SpectralData
+
+    def slabs(self):
+        spec, S = self.spec, self.S
+        _check_dim(spec, S.n)
+        real_v = np.kron(S.V.real, np.eye(2)) + np.kron(S.V.imag, [[0.0, -1.0], [1.0, 0.0]])
+        terms = [[r[k] * spec.axis_coordinate(k) + r[k + 1] * spec.axis_coordinate(k + 1)
+                  for k in range(0, spec.dim, 2)] for r in real_v]
+        P, rows = spec.points, max(1, _SLAB_NODES // spec.points ** (spec.dim - 1))
+        if S.n > 1:  # per coordinate [head, 1] and [1; tail], direction 0's term and the others' sum
+            heads = np.stack(np.broadcast_arrays([t[0].ravel() for t in terms], 1.0), axis=-1)
+            tails = np.stack(np.broadcast_arrays(1.0, [reduce(np.add, t[1:]).ravel() for t in terms]), axis=1)
+        for i in range(0, P, rows):  # no name holds a result while f makes the next one
+            yield i, np.broadcast_to(self.f(*([t[0][i : i + rows] for t in terms] if S.n == 1 else _gemm(
+                heads[:, i * P : (i + rows) * P], tails).reshape((len(terms), -1) + spec.shape()[1:]))),
+                (min(rows, P - i),) + spec.shape()[1:])
+
+
+def sample_on_grid(f, spec: GridSpec, S: SpectralData) -> GridFunction:
+    """SampledField(spec, f, S) stored: the output takes the dtype of the first slab's result."""
+    out = None
+    for i, slab in SampledField(spec, f, S).slabs():
+        out = np.empty(spec.shape(), slab.dtype) if out is None else out
+        out[i : i + len(slab)] = slab
     return GridFunction(spec, out)
 
 
@@ -354,57 +370,65 @@ def _axis_vectors(spec: GridSpec, c: np.ndarray, rates: np.ndarray, mu: np.ndarr
                  for k, (w, x) in enumerate(zip(spec.weights(), spec.axes()))]
 
 
-def heat_apply(
-    f: GridFunction, s: float, S: SpectralData, L: FormIndex, out_points,
-) -> list:
+def heat_apply(field, s, S: SpectralData, L: FormIndex, out_points) -> list:
     """Evolve sampled initial data by integrating the two-point kernel.
 
-    The grid of ``f`` is in adapted coordinates w.  With c = V^H z, the
-    weighted kernel at an output point z factorises over directions as
+    ``field`` (a GridFunction or SampledField) lies on a grid in adapted coordinates w; ``s`` is
+    one time or one per output point.  With c = V^H z, the weighted kernel at z factorises as
 
         pref * prod_j exp(-a_j |c_j - w_j|^2 - 2i mu_j Im(conj(w_j) c_j)),
 
-    with the rates a_j and, in log space, the peak ``pref`` both taken from
-    kernel._log_rho_parts, so no factor exceeds 1 in modulus; the phase is
-    lambda . Im phi(z, V w) in the eigenbasis, so ``S`` carries the form.
-    Per output point, each direction's factor (times its axes' trapezoid weights) is the outer
-    product of one vector per axis (_axis_vectors): 2P exps, not P^2.  One pass over ``f``
-    contracts up to P // 2 + 1 points: axis 0 by one real product (_gemm) with the stacked Re
-    and Im of their axis-0 vectors, a complex ``f`` read as (re, im) pairs, and the other axes by
-    einsum, so its one temporary is at most about ``f``'s size and a real ``f`` is never copied.
-    Raises NumericsError when pref is not finite, c is outside the box, or the tail may exceed
-    HEAT_TAIL_TOL: pref times tail_bound of the per-axis Gaussians at c, times max |f| on the
-    faces, assumed to bound |f| beyond the box.  That bounds what the box's extent drops, not
-    whether the grid resolves the kernel.
+    the rates a_j and, in log space, the peak ``pref`` from kernel._log_rho_parts; the phase is
+    lambda . Im phi(z, V w) in the eigenbasis.  Per (time, point) pair each direction's weighted
+    factor is an outer product of one vector per axis (_axis_vectors).  One pass over the field's
+    slabs counts non-finite nodes, takes max |f| on the faces and contracts axes 1.. for up to
+    P // 2 + 1 pairs at a time, axis 1 by one real product (_gemm); axis 0 follows at the end.
+    Then raises ValueError if the data is not finite, and NumericsError if pref is not finite, c
+    is outside the box, or the tail may exceed HEAT_TAIL_TOL: pref times tail_bound of the
+    per-axis Gaussians at c, times max |f| on the faces, assumed to bound |f| beyond the box.
+    That bounds what the box's extent drops, not whether the grid resolves the kernel.
     """
-    spec = f.spec
+    spec, K, P, d = field.spec, len(out_points), field.spec.points, field.spec.dim
     _check_dim(spec, S.n)
     const, log_fac, rates = _log_rho_parts(s, S, L)
-    with np.errstate(over="ignore"):  # an overflowed peak is refused here
-        pref = float((2.0 * np.pi) ** (0.5 * S.m) * np.exp(const + np.sum(log_fac)))
-    if not np.isfinite(pref):
-        raise NumericsError(f"kernel peak {pref} at s={s!r} is not finite")
-    v = f.values
-    edge = float(np.max([np.abs(v[(slice(None),) * ax + (end,)]).max()  # |f| on the 2 dim faces
-                         for ax in range(spec.dim) for end in (0, -1)]))
-    vecs = [_axis_vectors(spec, S.V.conj().T @ np.ravel(z), rates, S.mu) for z in out_points]  # at c = V^H z
-    for i, (own, _) in enumerate(vecs):
-        if not np.all(np.abs(own) <= spec.half_widths):
-            raise NumericsError(f"out_points[{i}] lies outside the grid box at adapted coordinates {own}")
-        if not (tail := pref * tail_bound(spec, np.repeat(rates, 2), edge, own)) <= HEAT_TAIL_TOL:
+    times, rates = np.broadcast_to(s, (K,)), np.broadcast_to(rates, (K, S.n))
+    with np.errstate(over="ignore"):  # an overflowed peak is refused below
+        pref = np.broadcast_to((2.0 * np.pi) ** (0.5 * S.m) * np.exp(const + np.sum(log_fac, axis=-1)), (K,))
+    pairs = [_axis_vectors(spec, S.V.conj().T @ np.ravel(z), r, S.mu) for z, r in zip(out_points, rates)]
+    vecs = np.array([v for _, v in pairs], complex).reshape(K, d, P)  # at c = V^H z, per pair and axis
+    per = max(1, min(P // 2 + 1, _GEMM_SIZE // (64 * P)))  # pairs per product, so w is at most about
+    # a slab and each product's a at most 1/32 of _GEMM_SIZE; faces: a row's nodes on axes 1..'s faces
+    faces = np.flatnonzero(np.pad(np.zeros((P - 2,) * (d - 1), bool), 1, constant_values=True))
+    acc, bad, edge = np.empty((K, 2, 2, P), complex), 0, 0.0
+    for i, slab in field.slabs():
+        slab, rows = np.ascontiguousarray(slab, np.result_type(slab, float)), len(slab)
+        bad += slab.size - np.count_nonzero(np.isfinite(slab))
+        if ends := [e - i for e in (0, P - 1) if i <= e < i + rows]:  # its rows on axis 0's faces
+            edge = max(edge, np.abs(slab[ends]).max())
+        edge = max(edge, np.abs(slab.reshape(rows, -1).take(faces, axis=1)).max())
+        for g in range(0, K, per):  # axes 1 and 2 (n = 1: a unit axis 2) by their vectors' Re and Im
+            v, z = vecs[g : g + per], vecs[g : g + per, 2] if d > 2 else np.ones((min(per, K - g), 1))
+            w = _gemm(np.concatenate([v[:, 1].real, v[:, 1].imag]), slab.reshape(rows, P, -1).view(float))
+            # axis 2 by einsum keeps the parts Re y, Im y times Re z, Im z real (complex z: 4x slower); each
+            # later axis, last first, is a two-operand einsum's innermost, so groupings sum alike (n >= 2)
+            e = np.einsum("cqj,iaqjr->qcair", [z.real, z.imag], w.reshape(rows, 2, len(v), len(z[0]), -1))
+            e = e.view(slab.dtype).reshape((len(v), 2, 2, rows) + (P,) * (d - 3))
+            for k in range(d - 1, 2, -1):
+                e = np.einsum("q...k,qk->q...", e.astype(complex, copy=False), v[:, k])
+            acc[g : g + per, :, :, i : i + rows] = e
+        slab = w = None  # so the next slab is made without them
+    if bad:
+        raise ValueError(f"initial data is not finite at {bad} of {P ** d} grid nodes")
+    for k, (c, _) in enumerate(pairs):
+        if not np.isfinite(pref[k]):
+            raise NumericsError(f"kernel peak {pref[k]} at s={float(times[k])!r} is not finite")
+        if not np.all(np.abs(c) <= spec.half_widths):
+            raise NumericsError(f"out_points[{k}] lies outside the grid box at adapted coordinates {c}")
+        if not (tail := pref[k] * tail_bound(spec, np.repeat(rates[k], 2), edge, c)) <= HEAT_TAIL_TOL:
             raise NumericsError(f"boundary tail bound {tail:.3e} exceeds "
                                 f"{HEAT_TAIL_TOL:.3e}; enlarge the grid box")
-    P, out, field = spec.points, [], np.ascontiguousarray(v, np.result_type(v, float))
-    per = max(1, min(P // 2 + 1, _GEMM_SIZE // (64 * P)))  # points per pass: w at most about f's size,
-    for g in range(0, len(vecs), per):  # and each product's a at most 1/32 of _GEMM_SIZE
-        x, y, *rest = (np.array(k) for k in zip(*(vec for _, vec in vecs[g : g + per])))  # each (points, P)
-        w = _gemm(np.concatenate([x.real, x.imag]), field.reshape(P, -1).view(float))  # f as (re, im) pairs
-        # axis 1 by Re y and Im y apart: an einsum of complex y with real w is 4x slower
-        re, im = np.einsum("cqj,dqjr->cdqr", [y.real, y.imag], w.reshape(2, len(x), P, -1)).view(field.dtype)
-        xre, xim = (re + 1j * im).reshape((2, len(x)) + (P,) * len(rest))  # rows Re x, Im x
-        ops = [a for k, r in enumerate(rest, 1) for a in (r, [0, k])]
-        out += [complex(pref * a) for a in np.einsum(xre + 1j * xim, [*range(len(rest) + 1)], *ops, [0])]
-    return out
+    parts = (acc[:, 0, 0] - acc[:, 1, 1]) + 1j * (acc[:, 0, 1] + acc[:, 1, 0])  # y z = sum over the parts
+    return [complex(p * a) for p, a in zip(pref, np.einsum("qi,qi->q", parts, vecs[:, 0]))]
 
 
 def semigroup_check(

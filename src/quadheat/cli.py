@@ -33,11 +33,11 @@ import numpy as np
 from .boxop import (  # noqa: F401
     GridFunction,
     GridSpec,
+    SampledField,
     heat_apply,
     initial_condition_check,
     pde_residual,
     pde_residual_richardson,
-    sample_on_grid,
     semigroup_check,
     write_atomic,
     write_grid_csv,
@@ -47,6 +47,7 @@ from .forms import FormIndex, epsilon
 from .hermite import UTildeParams, default_series_terms, u_tilde_closed, u_tilde_series
 # rho_hat and weighted_heat_kernel stay in this namespace for callers that instrument them.
 from .kernel import (  # noqa: F401
+    _matmul_rows,
     log_rho_hat,
     rho_hat,
     rho_hat_adapted,
@@ -106,7 +107,7 @@ def parse_initial_expression(text: str, n: int):
     """Compile an initial-data expression over x1, y1, ..., xn, yn.
 
     Returns an elementwise callable ``f(x1, y1, ..., xn, yn)`` of 2n real
-    arrays, the contract of boxop.sample_on_grid (one call per slab), whose
+    arrays, the contract of boxop.SampledField (one call per slab), whose
     result has their broadcast shape (a constant stays a scalar).
     """
     names = [f"{a}{j + 1}" for j in range(n) for a in "xy"]
@@ -312,7 +313,7 @@ def cmd_eval(cfg: JobConfig, out_path: str | None) -> int:
     # log10_abs of an underflowed value comes from log rho_hat, times (2 pi)^{m/2} with zt
     log_norm = 0.0 if zt is None else 0.5 * S.m * np.log(2.0 * np.pi)
     with np.errstate(all="ignore"):  # a non-finite value is reported below
-        c = (P if zt is None else P - zt) @ np.conj(S.V)
+        c = _matmul_rows(P if zt is None else P - zt, np.conj(S.V))
         for s in cfg.s_values:
             if zt is None:
                 vals = rho_hat_adapted(s, c, S, cfg.L).astype(complex)
@@ -343,16 +344,19 @@ def cmd_eval(cfg: JobConfig, out_path: str | None) -> int:
 
 def _grid_from_config(cfg: JobConfig) -> GridSpec:
     gspec = cfg.raw.get("grid")
-    if gspec is None:
-        raise ValueError("config field 'grid': missing")
-    if isinstance(gspec, dict) and (unknown := _unknown(gspec, "grid.", GRID_FIELDS)):
+    if not isinstance(gspec, dict):
+        what = "missing" if gspec is None else f"expected an object, got {gspec!r}"
+        raise ValueError(f"config field 'grid': {what}")
+    if unknown := _unknown(gspec, "grid.", GRID_FIELDS):
         raise ValueError("; ".join(unknown))
-    points = gspec.get("points") if isinstance(gspec, dict) else None
+    points = gspec.get("points")
     if isinstance(points, bool) or not isinstance(points, (int, float)) or points % 1:
         raise ValueError(f"config field 'grid.points': expected an integer, got {points!r}")
+    if "half_widths" not in gspec:
+        raise ValueError("config field 'grid.half_widths': missing")
     try:
         spec = GridSpec(gspec["half_widths"], int(points))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"config field 'grid': {exc}") from exc
     # GridSpec has refused non-finite widths; this refuses strings and booleans.
     _finite_array(gspec["half_widths"], "grid.half_widths", (2 * cfg.quadric.n,))
@@ -402,44 +406,28 @@ def cmd_scan(cfg: JobConfig, out_path: str) -> int:
 def cmd_evolve(cfg: JobConfig, out_path: str) -> int:
     n = cfg.quadric.n
     spec = _grid_from_config(cfg)
-    expr = cfg.raw.get("initial")
-    csv_path = cfg.raw.get("initial_csv")
+    expr, csv_path = cfg.raw.get("initial"), cfg.raw.get("initial_csv")
     if (expr is None) == (csv_path is None):
-        raise ValueError(
-            "config field 'initial': evolve needs exactly one of "
-            "'initial' (expression) or 'initial_csv' (grid CSV)"
-        )
+        raise ValueError("config field 'initial': evolve needs exactly one of "
+                         "'initial' (expression) or 'initial_csv' (grid CSV)")
     out_points = _parse_points(cfg.raw.get("out_points"), n, "out_points")
     source = "initial" if expr is not None else "initial_csv"
-    value = expr if expr is not None else csv_path
-    if not isinstance(value, str):
-        raise ValueError(f"config field '{source}': expected a string, got {value!r}")
-    S = cfg.spectral
-    if expr is not None:
-        # Overflow and division by zero show up as non-finite nodes, reported below.
-        try:
-            with np.errstate(all="ignore"):
-                gf = sample_on_grid(parse_initial_expression(expr, n), spec, S)
-        except ExprError as exc:
-            raise ValueError(f"config field 'initial': {exc}") from exc
-    else:
-        try:
-            gf = GridFunction.load_csv(_config_relative(cfg.path, csv_path), spec)
-        except (OSError, ValueError) as exc:
-            raise ValueError(f"config field 'initial_csv': {exc}") from exc
-    bad = int(np.count_nonzero(~np.isfinite(gf.values)))
-    if bad:
-        raise ValueError(f"config field '{source}': initial data is not finite at "
-                         f"{bad} of {gf.values.size} grid nodes")
-    lines = [
-        f"# config_sha256={config_digest(cfg.raw)}",
-        "s,point_index,re,im",
-    ]
-    for s in cfg.s_values:
-        for i, v in enumerate(heat_apply(gf, s, S, cfg.L, out_points=out_points)):
-            if not np.isfinite(v):
-                raise NumericsError(f"evolved value {v} at s={s!r}, out_points[{i}] is not finite")
-            lines.append(f"{repr(float(s))},{i},{repr(v.real)},{repr(v.imag)}")
+    if not isinstance(cfg.raw[source], str):
+        raise ValueError(f"config field '{source}': expected a string, got {cfg.raw[source]!r}")
+    times, pairs = np.repeat(cfg.s_values, len(out_points)), np.tile(out_points, (len(cfg.s_values), 1))
+    try:  # each names the initial data: a parse error, an unreadable CSV, non-finite nodes
+        field = (SampledField(spec, parse_initial_expression(expr, n), cfg.spectral) if expr is not None
+                 else GridFunction.load_csv(_config_relative(cfg.path, csv_path), spec))
+        with np.errstate(all="ignore"):  # overflow and division by zero: non-finite nodes or values
+            values = heat_apply(field, times, cfg.spectral, cfg.L, out_points=pairs)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"config field '{source}': {exc}") from exc
+    lines = [f"# config_sha256={config_digest(cfg.raw)}", "s,point_index,re,im"]
+    for k, (s, v) in enumerate(zip(times.tolist(), values)):
+        i = k % len(out_points)  # the (time, point) pairs are time-major
+        if not np.isfinite(v):
+            raise NumericsError(f"evolved value {v} at s={s!r}, out_points[{i}] is not finite")
+        lines.append(f"{s!r},{i},{v.real!r},{v.imag!r}")
     write_atomic(out_path, ["\n".join(lines) + "\n"])
     return EXIT_OK
 

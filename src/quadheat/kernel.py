@@ -51,6 +51,14 @@ from .spectral import SpectralData
 SMALL_X_SWITCH = 1e-8
 
 
+def _matmul_rows(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x @ m over the last axis of complex x in blocks of rows, each M * N * K <= 2^15: OpenBLAS woke
+    its pool for zgemm from 6.6e4.  Rows matched one unblocked product bit for bit (n = 1, 2, 3, 12)."""
+    flat, rows = x.reshape(-1, x.shape[-1]), max(1, 2**15 // m.size)
+    blocks = [flat[i : i + rows] @ m for i in range(0, len(flat), rows)] or [flat @ m]
+    return np.concatenate(blocks).reshape(x.shape[:-1] + m.shape[1:])
+
+
 @dataclass(frozen=True)
 class KernelQuery:
     """A single kernel evaluation request in original coordinates."""
@@ -186,11 +194,11 @@ def weighted_heat_kernel_batch(
     default -1 in exp(2i phase_sign lambda . Im phi(z, zt)).
     """
     z, Zt = np.asarray(z, dtype=complex), np.asarray(Zt, dtype=complex)
-    mag = (2.0 * np.pi) ** (0.5 * S.m) * rho_hat_adapted(s, (z - Zt) @ np.conj(S.V), S, L)
+    mag = (2.0 * np.pi) ** (0.5 * S.m) * rho_hat_adapted(s, _matmul_rows(z - Zt, np.conj(S.V)), S, L)
     arg = np.zeros(np.broadcast_shapes(z.shape, Zt.shape)[:-1])  # lambda . Im phi(z, zt)
     for lk, a in zip(S.lam, Q.A):
         if lk != 0.0:
-            arg = arg + lk * np.sum(np.conj(Zt) * (z @ a.T), axis=-1).imag
+            arg = arg + lk * np.sum(np.conj(Zt) * _matmul_rows(z, a.T), axis=-1).imag
     return mag * np.exp(2j * phase_sign * arg)
 
 

@@ -27,7 +27,7 @@ from quadheat import (
     weighted_heat_kernel_batch,
 )
 from quadheat import boxop, cli, kernel
-from quadheat.boxop import _BLOCK_ROWS, _normalized_max, sample_on_grid, write_atomic
+from quadheat.boxop import _BLOCK_ROWS, SampledField, _normalized_max, sample_on_grid, write_atomic
 from quadheat.cli import parse_initial_expression
 
 L_IN = FormIndex([1])
@@ -527,6 +527,77 @@ class TestOutputPoints:
         assert heat_apply(gf, 0.5, _geometry("full_rank"), L_IN, []) == []
 
 
+class TestStreamedField:
+    """heat_apply reads a SampledField one slab at a time, with every (time, point) pair in one pass."""
+
+    @staticmethod
+    def _field(kind, points, monkeypatch):
+        """A SampledField of smooth data with no symmetry in x1 or the last axis, in slabs of 3 rows."""
+        S = _geometry(kind)
+        spec = GridSpec.cube(4.0, 2 * S.n, points)
+        monkeypatch.setattr(boxop, "_SLAB_NODES", 3 * points ** (spec.dim - 1))
+        names = [f"{a}{j + 1}" for j in range(S.n) for a in "xy"]
+        expr = f"exp(-0.5*({'+'.join(v + '^2' for v in names)}))*(1 + 0.3*x1 - 0.2*{names[-1]})"
+        return S, SampledField(spec, parse_initial_expression(expr, S.n), S)
+
+    @pytest.mark.parametrize("kind,points", [("heisenberg", 41), ("full_rank", 13), ("rank1_n3", 8)])
+    def test_same_bits_as_the_stored_field(self, kind, points, monkeypatch):
+        # sample_on_grid stores the same slabs, and a GridFunction yields the same rows back
+        S, field = self._field(kind, points, monkeypatch)
+        out = list(0.3 * (np.random.default_rng(points).uniform(-1, 1, (5, S.n)) + 0.5j))
+        streamed = heat_apply(field, 0.5, S, L_IN, out)
+        stored = heat_apply(sample_on_grid(field.f, field.spec, S), 0.5, S, L_IN, out)
+        assert streamed == stored
+
+    @pytest.mark.parametrize("source", ["sampled", "float", "complex"])
+    @pytest.mark.parametrize("kind,points", [("heisenberg", 41), ("full_rank", 13), ("rank1_n3", 8)])
+    def test_all_times_at_once_as_one_call_each(self, kind, points, source, monkeypatch):
+        # 4 times x 5 points: more pairs than one product takes at 13^4 and 8^6 (P // 2 + 1)
+        S, field = self._field(kind, points, monkeypatch)
+        if source != "sampled":
+            values = sample_on_grid(field.f, field.spec, S).values
+            field = GridFunction(field.spec, values * (1.0 - 0.4j) if source == "complex" else values)
+        times = [0.3, 0.5, 0.8, 1.2]
+        out = list(0.3 * (np.random.default_rng(points).uniform(-1, 1, (5, S.n)) + 0.2j))
+        together = heat_apply(field, np.repeat(times, len(out)), S, L_IN, out * len(times))
+        for k, s in enumerate(times):
+            alone = heat_apply(field, s, S, L_IN, out)
+            for got, want in zip(together[k * len(out) : (k + 1) * len(out)], alone):
+                assert abs(got - want) <= 1e-15 * abs(want)
+
+    def test_memory_per_node(self):
+        # 9.9 B/node when evolve stored the sampled field (8) and then contracted it; streamed,
+        # the peak is one slab's coordinates and expression temporaries, 1.7 B/node on 33^4.
+        S = _geometry("full_rank")
+        spec = GridSpec.cube(5.0, 4, 33)
+        field = SampledField(spec, parse_initial_expression("exp(-(x1^2+y1^2+x2^2+y2^2))", 2), S)
+        out = TestHeatApplyFactorised.OUT
+        heat_apply(field, 0.5, S, L_IN, out)  # first-call allocations (caches) out of the peak
+        peak, values = _traced_peak(lambda: heat_apply(field, np.repeat([0.3, 0.5, 0.8], 2), S, L_IN, out * 3))
+        assert len(values) == 6 and all(np.isfinite(values))
+        assert peak <= 2 * spec.points ** spec.dim
+
+    @pytest.mark.parametrize("axis", range(4))
+    @pytest.mark.parametrize("end", [0, -1])
+    def test_tail_guard_sees_every_face_across_slabs(self, axis, end, monkeypatch):
+        # the face test on 9^4 in slabs of two rows, so axis 0's two faces lie in different slabs
+        monkeypatch.setattr(boxop, "_SLAB_NODES", 2 * 9**3)
+        TestHeatApplyFactorised().test_tail_guard_sees_every_face(axis, end)
+
+    def test_nonfinite_data_is_refused_first(self, monkeypatch):
+        # every node is counted, over all slabs, before the peak, box and tail refusals
+        S = _geometry("rank1")
+        spec = GridSpec.cube(5.0, 4, 11)
+        monkeypatch.setattr(boxop, "_SLAB_NODES", 2 * 11**3)
+        f = parse_initial_expression("1/x1 + 1/y2", 2)  # inf where z1 or Im z2 is 0
+        with np.errstate(all="ignore"):
+            bad = np.count_nonzero(~np.isfinite(sample_on_grid(f, spec, S).values))
+            assert bad > 0
+            with pytest.raises(ValueError, match=f"initial data is not finite at {bad} of {11**4} grid nodes"):
+                heat_apply(SampledField(spec, f, S), [1e-300, 0.5], S, L_IN,
+                           [np.zeros(2, complex), np.full(2, 9.0 + 0j)])
+
+
 class TestSemigroupCheck:
     QUAD = GridSpec.cube(6.0, 2, 400)
 
@@ -813,11 +884,13 @@ class TestPdeResidualRichardson:
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="OpenBLAS runs one thread on one CPU")
-def test_heat_apply_leaves_no_blas_thread_spinning():
+def test_heat_apply_leaves_no_blas_thread_spinning(tmp_path):
     # OpenBLAS picks its thread count per call from the product's size, and a worker it wakes
     # spins for about 0.12 CPU-s after the call, taking the second core from whatever runs next.
     # A BLAS dot down to the scalar did so at n = 1 and a tensordot at n >= 2.  Unsized real
     # products did so in heat_apply on every n >= 2 shape here, and in sampling on 14^6 (not 13^6).
+    # Unblocked complex products did so in eval and weighted_heat_kernel_batch from about 16k
+    # points at n = 2 and 455 at n = 12.
     def idle_cpu():  # process CPU over a short sleep: about 0 unless a worker spins
         t0 = time.process_time()
         time.sleep(0.1)
@@ -836,6 +909,21 @@ def test_heat_apply_leaves_no_blas_thread_spinning():
                 out = list(0.3 * (rng.uniform(-1, 1, (count, S.n)) + 1j * rng.uniform(-1, 1, (count, S.n))))
                 heat_apply(gf, 0.5, S, L_IN, out)
                 assert idle_cpu() < 0.02, (kind, points, count, gf.values.dtype)
+    for kind, points in (("full_rank", 33), ("rank1_n3", 14)):  # sampled and contracted slab by slab
+        S = _geometry(kind)
+        spec = GridSpec.cube(4.0, 2 * S.n, points)
+        out = list(0.3 * (rng.uniform(-1, 1, (2, S.n)) + 1j * rng.uniform(-1, 1, (2, S.n))))
+        heat_apply(SampledField(spec, lambda *xy: np.exp(-xy[0] ** 2), S), 0.5, S, L_IN, out)
+        assert idle_cpu() < 0.02, (kind, points, "SampledField")
+    for n, m, count in ((2, 2, 20000), (12, 3, 1000)):
+        Q = random_hermitian_quadric(rng, n, m)
+        S = decompose_form(Q, rng.normal(size=m))
+        z = 0.3 * (rng.normal(size=(count, n)) + 1j * rng.normal(size=(count, n)))
+        weighted_heat_kernel_batch(0.5, z, z[0], Q, S, L_IN)
+        assert idle_cpu() < 0.02, (n, count, "weighted_heat_kernel_batch")
+    raw = {"points": np.stack([z.real, z.imag], axis=-1).tolist()}  # eval's product: 1000 points at n = 12
+    cli.cmd_eval(cli.JobConfig(Q, S.lam, L_IN, [0.5], raw, ""), str(tmp_path / "eval.jsonl"))
+    assert idle_cpu() < 0.02, (n, count, "eval")
 
 
 class TestRankDeficient:

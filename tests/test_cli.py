@@ -621,6 +621,26 @@ class TestEvolve:
         assert f"not finite at {bad} of 441 grid nodes" in err
         assert "Traceback" not in err and not out.exists()
 
+    @pytest.mark.parametrize("fields", [
+        # out_points[1] lies outside the box
+        {"grid": {"half_widths": [2.0, 2.0], "points": 21}, "out_points": [[[0.0, 0.0]], [[5.0, 0.0]]]},
+        # rank-1 n = 2 at s = 1e-300: the kernel peak overflows
+        {"quadric": {"n": 2, "m": 1, "A": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]}, "L": [1],
+         "s": [0.5, 1e-300], "grid": {"half_widths": [5.0] * 4, "points": 11},
+         "out_points": [[[0.1, 0.0], [0.1, 0.0]]]},
+    ], ids=["outside_the_box", "peak_overflows"])
+    def test_nonfinite_initial_data_exits_2_before_numeric_refusals(self, tmp_path, capsys, monkeypatch, fields):
+        # inf on the x1 = 0 nodes, counted over slabs of two rows of axis 0
+        path, cfg = self.evolve_config(tmp_path, initial="1/x1", **fields)
+        points, dim = cfg["grid"]["points"], len(cfg["grid"]["half_widths"])
+        monkeypatch.setattr(boxop, "_SLAB_NODES", 2 * points ** (dim - 1))
+        out = tmp_path / "x.csv"
+        assert main(["evolve", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: config field 'initial': initial data is not finite at "
+                       f"{points ** (dim - 1)} of {points ** dim} grid nodes\n")
+        assert not out.exists()
+
     def test_nonfinite_initial_csv_rejected(self, tmp_path, capsys):
         from quadheat import GridFunction, GridSpec
 
@@ -1273,6 +1293,21 @@ class TestVerifyFailures:
         assert main(["verify", "--config", path]) == 2
         captured = capsys.readouterr()
         assert f"config field '{field}'" in captured.err and captured.out == ""
+
+
+class TestGridShape:
+    @pytest.mark.parametrize("grid,field,message", [
+        ([2.0, 2.0], "grid", "expected an object, got [2.0, 2.0]"),  # said grid.points ... got None
+        ({"points": 9}, "grid.half_widths", "missing"),  # said the KeyError's repr
+    ], ids=["list", "no_half_widths"])
+    @pytest.mark.parametrize("command", ["scan", "evolve"])
+    def test_malformed_grid_names_its_field(self, tmp_path, capsys, command, grid, field, message):
+        path, _ = write_config(tmp_path, s=0.5, grid=grid, initial="exp(-(x1^2+y1^2))",
+                               out_points=[[[0.0, 0.0]]])
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: config field '{field}': {message}\n"
+        assert not out.exists()
 
 
 class TestGridPoints:

@@ -21,9 +21,9 @@ is 2 + 4n rank-one terms, reduced with no N-node array.
 
 Every grid is a quadrature.GridSpec.  sample_rho_hat, pde_residual's Gaussians and
 heat_apply's per-direction rates and peaks come from kernel._log_rho_parts, the one assembly
-of the closed form.  heat_apply, the one convolution engine (evolve, the semigroup check and
-initial_condition_check integrate through it), reads a field one slab of axis 0 at a time, a
-GridFunction's rows or a SampledField's samples, and contracts it with the weighted kernel, a
+of the closed form.  heat_apply, the one convolution engine, reads a field one slab of axis 0 at
+a time, a GridFunction's rows or a SampledField's samples (evolve's expression data, the semigroup
+check's and initial_condition_check's, none stored), and contracts it with the weighted kernel, a
 Gaussian-times-phase vector per adapted axis, for every (time, point) pair in that one pass.
 It and SampledField call BLAS only through _gemm, real products that stay on the calling thread.
 
@@ -187,15 +187,6 @@ class SampledField:
             yield i, np.broadcast_to(self.f(*([t[0][i : i + rows] for t in terms] if S.n == 1 else _gemm(
                 heads[:, i * P : (i + rows) * P], tails).reshape((len(terms), -1) + spec.shape()[1:]))),
                 (min(rows, P - i),) + spec.shape()[1:])
-
-
-def sample_on_grid(f, spec: GridSpec, S: SpectralData) -> GridFunction:
-    """SampledField(spec, f, S) stored: the output takes the dtype of the first slab's result."""
-    out = None
-    for i, slab in SampledField(spec, f, S).slabs():
-        out = np.empty(spec.shape(), slab.dtype) if out is None else out
-        out[i : i + len(slab)] = slab
-    return GridFunction(spec, out)
 
 
 def _check_dim(spec: GridSpec, n: int) -> None:
@@ -437,8 +428,8 @@ def semigroup_check(
 ) -> float:
     """Relative defect of kernel composition against the kernel at s1 + s2.
 
-    heat_apply applies H(s1) at z to H(s2, w, zt), sampled from
-    weighted_heat_kernel_batch by sample_on_grid, and the result is compared
+    heat_apply applies H(s1) at z to H(s2, w, zt), a SampledField of
+    weighted_heat_kernel_batch read slab by slab, and the result is compared
     with H(s1 + s2, z, zt).  heat_apply's phase is taken in the eigenbasis, the
     batch's in original coordinates, so a fault in either shows (the batch's
     (2 pi)^{m/2} cancels).  ``phase_sign`` other than -1 corrupts the sampled
@@ -467,7 +458,7 @@ def semigroup_check(
         w = np.stack([x + 1j * y for x, y in zip(xy[0::2], xy[1::2])], axis=-1)
         return weighted_heat_kernel_batch(s2, w, zt, Q, S, L, phase_sign=phase_sign)
 
-    value = heat_apply(sample_on_grid(second, quad, S), s1, S, L, out_points=[z])[0]
+    value = heat_apply(SampledField(quad, second, S), s1, S, L, out_points=[z])[0]
     ref = weighted_heat_kernel_batch(s1 + s2, z, zt, Q, S, L)
     return float(abs(value - ref) / abs(ref))
 
@@ -475,7 +466,7 @@ def semigroup_check(
 def initial_condition_check(f, s_list, S: SpectralData, L: FormIndex) -> list:
     """Errors |H{f}(s, 0) - f(0)| along a decreasing list of times.
 
-    ``f(x1, y1, ..., xn, yn)`` takes real coordinates as in sample_on_grid
+    ``f(x1, y1, ..., xn, yn)`` takes real coordinates as in SampledField
     and must have Gaussian decay.  The box has half-width 3; its points per
     axis, odd and at least 19, grow like s^-0.6 from 19 at the first time, so
     the kernel stays resolved and the errors decrease along the list.
@@ -485,6 +476,6 @@ def initial_condition_check(f, s_list, S: SpectralData, L: FormIndex) -> list:
     f0 = complex(np.ravel(f(*np.zeros(2 * n)))[0])
     for s in s_list:
         points = max(19, int(np.ceil(19 * (s_ref / float(s)) ** 0.6)))
-        gf = sample_on_grid(f, GridSpec.cube(3.0, 2 * n, points + 1 - points % 2), S)
-        errors.append(abs(heat_apply(gf, float(s), S, L, out_points=[origin])[0] - f0))
+        field = SampledField(GridSpec.cube(3.0, 2 * n, points + 1 - points % 2), f, S)
+        errors.append(abs(heat_apply(field, float(s), S, L, out_points=[origin])[0] - f0))
     return errors

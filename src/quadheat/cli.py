@@ -55,6 +55,7 @@ from .kernel import (  # noqa: F401
     rho_hat_eta,
     weighted_heat_kernel,
     weighted_heat_kernel_batch,
+    weighted_phase,
 )
 from .quadrature import NODE_BUDGET
 from .quadric import QuadricForm, json_numbers
@@ -224,7 +225,7 @@ def load_config(path: str) -> JobConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the second: nested past the stack
         raise ValueError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
@@ -240,7 +241,7 @@ def load_config(path: str) -> JobConfig:
                 with open(_config_relative(path, qspec), "r", encoding="utf-8") as fh:
                     qspec = json.load(fh)
             quadric = QuadricForm.from_json(qspec)
-        except (ValueError, OSError, json.JSONDecodeError) as exc:
+        except (ValueError, OSError, RecursionError) as exc:  # JSONDecodeError is a ValueError
             errors.append(f"config field 'quadric': {exc}")
 
     lam = None
@@ -293,13 +294,18 @@ def _pairs(z) -> list:
     return [[float(c.real), float(c.imag)] for c in z]
 
 
+def _values_and_logs(log_rho, m: int = 0, phase=1.0) -> tuple:
+    """The written values ((2 pi)^{m/2} exp(log_rho)) * phase and their log10_abs: log10|value|,
+    or where the value underflows to 0, (log_rho + (m/2) log 2 pi) / ln 10, so it stays finite."""
+    values = (2.0 * np.pi) ** (0.5 * m) * np.exp(log_rho) * phase
+    logs = (log_rho + 0.5 * m * np.log(2.0 * np.pi)) / np.log(10.0)
+    return values, np.log10(np.abs(values), out=logs, where=values != 0.0)
+
+
 def cmd_eval(cfg: JobConfig, out_path: str | None) -> int:
-    n = cfg.quadric.n
+    n, S = cfg.quadric.n, cfg.spectral
     P = _parse_points(cfg.raw.get("points"), n, "points")
-    zt = None
-    if "point_tilde" in cfg.raw:
-        zt = _parse_complex_vector(cfg.raw["point_tilde"], n, "point_tilde")
-    S = cfg.spectral
+    zt = _parse_complex_vector(cfg.raw["point_tilde"], n, "point_tilde") if "point_tilde" in cfg.raw else None
     eps = epsilon(cfg.L, S)
     # Each line is json.dumps(record, allow_nan=False) of the record dict {s, point,
     # lambda, L, mu, nu, eps, value, log10_abs[, point_tilde]}; fields that do not
@@ -310,26 +316,16 @@ def cmd_eval(cfg: JobConfig, out_path: str | None) -> int:
     heads = [f'{_json_field("point", _pairs(z))}, {job}, "value": [' for z in P]
     tail = "}" if zt is None else f', {_json_field("point_tilde", _pairs(zt))}}}'
     lines = []
-    # log10_abs of an underflowed value comes from log rho_hat, times (2 pi)^{m/2} with zt
-    log_norm = 0.0 if zt is None else 0.5 * S.m * np.log(2.0 * np.pi)
     with np.errstate(all="ignore"):  # a non-finite value is reported below
         c = _matmul_rows(P if zt is None else P - zt, np.conj(S.V))
+        sq = c.real**2 + c.imag**2
+        # the two-point kernel (2 pi)^{m/2} rho_hat(z - zt) times weighted_heat_kernel_batch's phase
+        m, phase = (0, 1.0) if zt is None else (S.m, weighted_phase(P, zt, cfg.quadric, S))
         for s in cfg.s_values:
-            if zt is None:
-                vals = rho_hat_adapted(s, c, S, cfg.L).astype(complex)
-            else:
-                vals = weighted_heat_kernel_batch(s, P, zt, cfg.quadric, S, cfg.L)
-            bad = np.flatnonzero(~np.isfinite(vals))
-            if bad.size:
-                i = int(bad[0])
-                raise NumericsError(f"kernel value {complex(vals[i])} at s={s!r}, "
-                                    f"points[{i}] is not finite")
-            logs = np.log10(np.abs(vals))
-            under = vals == 0
-            if under.any():
-                cu = c[under]
-                logs[under] = (log_rho_hat(s, cu.real**2 + cu.imag**2, S, cfg.L)
-                               + log_norm) / np.log(10.0)
+            vals, logs = _values_and_logs(log_rho_hat(s, sq, S, cfg.L), m, phase)
+            if not np.isfinite(vals).all():
+                i = int(np.argmin(np.isfinite(vals)))
+                raise NumericsError(f"kernel value {complex(vals[i])} at s={s!r}, points[{i}] is not finite")
             for head, v, lg in zip(heads, vals.tolist(), logs.tolist()):
                 log = "null" if lg == -np.inf else repr(lg)  # only when |c|^2 overflowed
                 lines.append(f'{{"s": {s!r}, {head}{v.real!r}, {v.imag!r}], '
@@ -379,10 +375,7 @@ def cmd_scan(cfg: JobConfig, out_path: str) -> int:
         key = key * bits.size + inverse.reshape(sq.shape)
     table = np.stack(np.meshgrid(*radii, indexing="ij"), axis=-1).reshape(-1, S.n)
     with np.errstate(all="ignore"):  # a non-finite cell is reported below
-        log_rho = log_rho_hat(s, table, S, cfg.L)
-        values = np.exp(log_rho)
-        # Where the value underflows to 0.0, log10_abs is the finite log-space value.
-        logs = np.log10(values, out=log_rho / np.log(10.0), where=values > 0.0)
+        values, logs = _values_and_logs(log_rho_hat(s, table, S, cfg.L))
     bad = ~(np.isfinite(values) & np.isfinite(logs))
     if bad.any():
         i = np.unravel_index(int(np.argmax(bad[key])), key.shape)
@@ -613,15 +606,13 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.out is None and args.command in ("scan", "evolve"):
             raise ValueError(f"{args.command} requires --out PATH for its CSV output")
-        if args.command == "eval":
-            return cmd_eval(cfg, args.out)
-        if args.command == "scan":
-            return cmd_scan(cfg, args.out)
-        if args.command == "evolve":
-            return cmd_evolve(cfg, args.out)
-        return cmd_verify(cfg, args.out)
+        command = {"eval": cmd_eval, "scan": cmd_scan, "evolve": cmd_evolve, "verify": cmd_verify}[args.command]
+        return command(cfg, args.out)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_INVALID
+    except OSError as exc:  # every read above raises ValueError: this is the output's write
+        sys.stderr.write(f"error: cannot write {args.out or 'stdout'}: {exc.strerror or exc}\n")
         return EXIT_INVALID
     except NumericsError as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")

@@ -17,9 +17,8 @@ products of up to 16 exp(+-s|mu|)/sinh factors cannot overflow.  Factors take
 their branch elementwise, so s may be times broadcasting against the points.
 
 The two-point weighted kernel multiplies the one-point kernel at z - zt by
-the oscillatory phase exp(-2i lambda . Im phi(z, zt)), which
-weighted_heat_kernel_batch evaluates with the original form
-(boxop.heat_apply uses the eigenbasis sum).
+the oscillatory phase exp(-2i lambda . Im phi(z, zt)), weighted_phase, from
+the original form (boxop.heat_apply uses the eigenbasis sum).
 
 rho_via_inversion reproduces the closed form from the transform-side
 solution by inverse Fourier integration and is the package's strongest
@@ -195,11 +194,17 @@ def weighted_heat_kernel_batch(
     """
     z, Zt = np.asarray(z, dtype=complex), np.asarray(Zt, dtype=complex)
     mag = (2.0 * np.pi) ** (0.5 * S.m) * rho_hat_adapted(s, _matmul_rows(z - Zt, np.conj(S.V)), S, L)
+    return mag * weighted_phase(z, Zt, Q, S, phase_sign)
+
+
+def weighted_phase(z, Zt, Q: QuadricForm, S: SpectralData, phase_sign: float = -1.0) -> np.ndarray:
+    """exp(2i phase_sign lambda . Im phi(z, zt)) over broadcast complex (..., n) batches z and Zt,
+    the phase weighted_heat_kernel_batch multiplies by, from the original form Q."""
     arg = np.zeros(np.broadcast_shapes(z.shape, Zt.shape)[:-1])  # lambda . Im phi(z, zt)
     for lk, a in zip(S.lam, Q.A):
         if lk != 0.0:
             arg = arg + lk * np.sum(np.conj(Zt) * _matmul_rows(z, a.T), axis=-1).imag
-    return mag * np.exp(2j * phase_sign * arg)
+    return np.exp(2j * phase_sign * arg)
 
 
 def weighted_heat_kernel(

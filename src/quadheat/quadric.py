@@ -40,6 +40,14 @@ def json_numbers(obj, shape: tuple) -> np.ndarray:
     return arr
 
 
+def frobenius_norm(a) -> float:
+    """|a|_F without overflow: numpy's norm, or where its sum of squares overflows (entries past
+    about 1e154) the norm of a over its largest modulus, times that modulus."""
+    with np.errstate(over="ignore"):  # inf only where |a|_F itself passes the float range
+        norm, top = float(np.linalg.norm(a)), np.abs(a).max(initial=0.0)
+        return float(top * np.linalg.norm(a / top)) if norm == np.inf and top < np.inf else norm
+
+
 @dataclass(frozen=True)
 class QuadricForm:
     """m Hermitian n x n matrices defining the vector-valued form.
@@ -65,8 +73,8 @@ class QuadricForm:
             a = np.asarray(a, dtype=complex)
             if a.shape != (n, n):
                 raise ValueError(f"matrix A[{k}] has shape {a.shape}, expected ({n}, {n})")
-            defect = np.linalg.norm(a - a.conj().T)
-            if not defect <= HERMITIAN_DEFECT_TOL * max(1.0, np.linalg.norm(a)):  # NaN too
+            defect = frobenius_norm(a - a.conj().T)
+            if not defect <= HERMITIAN_DEFECT_TOL * max(1.0, frobenius_norm(a)):  # NaN too
                 raise ValueError(f"matrix A[{k}] is not Hermitian (defect {defect:.3e})")
             h = 0.5 * (a + a.conj().T)
             h.setflags(write=False)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError
-from .quadric import HERMITIAN_DEFECT_TOL, QuadricForm, phi_lambda_matrix
+from .quadric import HERMITIAN_DEFECT_TOL, QuadricForm, frobenius_norm, phi_lambda_matrix
 
 DEFAULT_RANK_TOL_REL = 1e-10
 
@@ -82,15 +82,16 @@ def eigendecompose(A, lam=None) -> SpectralData:
     """Diagonalize a Hermitian matrix into canonical SpectralData.
 
     Eigenvalues with magnitude at most ``DEFAULT_RANK_TOL_REL * max(1, |A|_F)``
-    count as the kernel block and are stored as 0.0.  eigh reads one triangle
+    count as the kernel block and are stored as 0.0; |A|_F is quadric.frobenius_norm, which
+    does not overflow, so the tolerance scales with A up to entries near the float range.  eigh reads one triangle
     only, so a matrix whose Hermitian defect ``|A - A^H|_F`` exceeds
     ``HERMITIAN_DEFECT_TOL * max(1, |A|_F)`` raises ValueError.  Raises NumericsError if LAPACK fails to converge.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    scale = max(1.0, np.linalg.norm(A))
-    defect = np.linalg.norm(A - A.conj().T)
+    scale = max(1.0, frobenius_norm(A))
+    defect = frobenius_norm(A - A.conj().T)
     if not defect <= HERMITIAN_DEFECT_TOL * scale:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
     try:

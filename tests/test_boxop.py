@@ -27,7 +27,7 @@ from quadheat import (
     weighted_heat_kernel_batch,
 )
 from quadheat import boxop, cli, kernel
-from quadheat.boxop import _BLOCK_ROWS, SampledField, _normalized_max, sample_on_grid, write_atomic
+from quadheat.boxop import _BLOCK_ROWS, SampledField, _normalized_max, write_atomic
 from quadheat.cli import parse_initial_expression
 
 L_IN = FormIndex([1])
@@ -372,7 +372,7 @@ def _geometry(kind):
 
 
 class TestSampleOnGrid:
-    """sample_on_grid passes f the real coordinates of z = V c, one slab of axis 0 at a time."""
+    """SampledField passes f the real coordinates of z = V c, one slab of axis 0 at a time."""
 
     @pytest.mark.parametrize("kind,points", [("heisenberg", 21), ("full_rank", 9),
                                              ("rank1_n3", 8)])
@@ -382,7 +382,7 @@ class TestSampleOnGrid:
         rows = next(r for r in (2, 3) if points % r)  # rows of axis 0 per slab, the last fewer
         monkeypatch.setattr(boxop, "_SLAB_NODES", rows * points ** (spec.dim - 1))
         calls = []
-        sample_on_grid(lambda *xy: calls.append(xy) or 0.0, spec, S)
+        list(SampledField(spec, lambda *xy: calls.append(xy) or 0.0, S).slabs())
         sizes = [min(rows, points - i) for i in range(0, points, rows)]
         assert sizes[-1] < rows
         assert [len(xy) for xy in calls] == [2 * S.n] * len(sizes)
@@ -413,7 +413,7 @@ class TestSampleOnGrid:
         for nodes in (9**4, 2 * 9**3):  # one slab; five, the last of one row
             monkeypatch.setattr(boxop, "_SLAB_NODES", nodes)
             with np.errstate(all="ignore"):
-                fields.append(sample_on_grid(f, spec, S).values)
+                fields.append(np.concatenate([v for _, v in SampledField(spec, f, S).slabs()]))
         one, slabs = fields
         assert slabs.dtype == one.dtype == np.float64
         assert slabs.tobytes() == one.tobytes()
@@ -421,15 +421,17 @@ class TestSampleOnGrid:
 
     def test_complex_result_stays_complex(self):
         spec = GridSpec.cube(1.0, 2, 9)
-        gf = sample_on_grid(lambda x1, y1: x1 + 1j * y1, spec, _geometry("heisenberg"))
-        assert gf.values.dtype == np.complex128
-        assert np.all(gf.values.imag == np.broadcast_to(spec.axis_coordinate(1), spec.shape()))
+        field = SampledField(spec, lambda x1, y1: x1 + 1j * y1, _geometry("heisenberg"))
+        values = np.concatenate([v for _, v in field.slabs()])
+        assert values.dtype == np.complex128
+        assert np.all(values.imag == np.broadcast_to(spec.axis_coordinate(1), spec.shape()))
 
     def test_constant_fills_the_grid(self):
         spec = GridSpec.cube(1.0, 4, 9)
-        gf = sample_on_grid(parse_initial_expression("3.5", 2), spec, _geometry("full_rank"))
-        assert gf.values.shape == spec.shape()
-        assert np.all(gf.values == 3.5)
+        field = SampledField(spec, parse_initial_expression("3.5", 2), _geometry("full_rank"))
+        values = np.concatenate([v for _, v in field.slabs()])
+        assert values.shape == spec.shape()
+        assert np.all(values == 3.5)
 
     @pytest.mark.parametrize("dim", [2, 6])
     def test_grid_dimension_checked(self, dim):
@@ -437,19 +439,9 @@ class TestSampleOnGrid:
         # would index past V; both are refused before f is called
         calls = []
         with pytest.raises(ValueError, match=f"grid has {dim} axes, expected 2n = 4"):
-            sample_on_grid(lambda *xy: calls.append(xy) or 0.0, GridSpec.cube(1.0, dim, 9),
-                           _geometry("full_rank"))
+            list(SampledField(GridSpec.cube(1.0, dim, 9), lambda *xy: calls.append(xy) or 0.0,
+                              _geometry("full_rank")).slabs())
         assert calls == []
-
-    def test_memory_per_node(self):
-        # 48 B/node with 2n N-sized coordinates and the expression's own
-        # temporaries over the whole grid; 10 with slabs, the output field's 8
-        # and the slabs' scratch.
-        spec = GridSpec.cube(4.0, 4, 33)
-        f = parse_initial_expression("exp(-(x1^2+y1^2+x2^2+y2^2))", 2)
-        peak, gf = _traced_peak(lambda: sample_on_grid(f, spec, _geometry("full_rank")))
-        assert np.isrealobj(gf.values)
-        assert peak <= 12 * gf.values.size
 
 
 def _traced_peak(fn):
@@ -542,11 +534,12 @@ class TestStreamedField:
 
     @pytest.mark.parametrize("kind,points", [("heisenberg", 41), ("full_rank", 13), ("rank1_n3", 8)])
     def test_same_bits_as_the_stored_field(self, kind, points, monkeypatch):
-        # sample_on_grid stores the same slabs, and a GridFunction yields the same rows back
+        # the same slabs stored, and a GridFunction yields the same rows back
         S, field = self._field(kind, points, monkeypatch)
         out = list(0.3 * (np.random.default_rng(points).uniform(-1, 1, (5, S.n)) + 0.5j))
         streamed = heat_apply(field, 0.5, S, L_IN, out)
-        stored = heat_apply(sample_on_grid(field.f, field.spec, S), 0.5, S, L_IN, out)
+        stored = heat_apply(GridFunction(field.spec, np.concatenate([v for _, v in field.slabs()])),
+                            0.5, S, L_IN, out)
         assert streamed == stored
 
     @pytest.mark.parametrize("source", ["sampled", "float", "complex"])
@@ -555,7 +548,7 @@ class TestStreamedField:
         # 4 times x 5 points: more pairs than one product takes at 13^4 and 8^6 (P // 2 + 1)
         S, field = self._field(kind, points, monkeypatch)
         if source != "sampled":
-            values = sample_on_grid(field.f, field.spec, S).values
+            values = np.concatenate([v for _, v in field.slabs()])
             field = GridFunction(field.spec, values * (1.0 - 0.4j) if source == "complex" else values)
         times = [0.3, 0.5, 0.8, 1.2]
         out = list(0.3 * (np.random.default_rng(points).uniform(-1, 1, (5, S.n)) + 0.2j))
@@ -591,7 +584,7 @@ class TestStreamedField:
         monkeypatch.setattr(boxop, "_SLAB_NODES", 2 * 11**3)
         f = parse_initial_expression("1/x1 + 1/y2", 2)  # inf where z1 or Im z2 is 0
         with np.errstate(all="ignore"):
-            bad = np.count_nonzero(~np.isfinite(sample_on_grid(f, spec, S).values))
+            bad = sum(np.count_nonzero(~np.isfinite(v)) for _, v in SampledField(spec, f, S).slabs())
             assert bad > 0
             with pytest.raises(ValueError, match=f"initial data is not finite at {bad} of {11**4} grid nodes"):
                 heat_apply(SampledField(spec, f, S), [1e-300, 0.5], S, L_IN,
@@ -643,14 +636,25 @@ class TestSemigroupCheck:
             apply = boxop.heat_apply
 
             def conjugated_apply(f, s, S, L, out_points):
-                return [np.conj(v) for v in apply(GridFunction(f.spec, np.conj(f.values)), s, S, L,
-                                                  out_points=out_points)]
+                conj = GridFunction(f.spec, np.conj(np.concatenate([v for _, v in f.slabs()])))
+                return [np.conj(v) for v in apply(conj, s, S, L, out_points=out_points)]
 
             for module in (boxop, cli):
                 monkeypatch.setattr(module, "heat_apply", conjugated_apply)
         Q, S, L, z, zt = self._geometry(name, heis_q, heis_spectral)
         err = semigroup_check(0.4, 0.4, z, zt, Q, S, L)
         assert err <= 1e-12 if fault is None else err >= 1e-2
+
+    def test_memory_per_node(self, monkeypatch, heis_q, heis_spectral):
+        # 23.1 B/node when the sampled second factor was stored (16) before heat_apply read it;
+        # streamed, 6.5: one slab's batch-kernel temporaries on the full-rank n = 2 grid, 26^4
+        Q, S, L, z, zt = self._geometry("full_rank_n2", heis_q, heis_spectral)
+        semigroup_check(0.4, 0.4, z, zt, Q, S, L)  # first-call allocations (caches) out of the peak
+        apply, grids = boxop.heat_apply, []
+        monkeypatch.setattr(boxop, "heat_apply", lambda f, *a, **k: grids.append(f.spec) or apply(f, *a, **k))
+        peak, err = _traced_peak(lambda: semigroup_check(0.4, 0.4, z, zt, Q, S, L))
+        assert err <= 1e-12 and [(g.dim, g.points) for g in grids] == [(4, 26)]
+        assert peak <= 8 * 26**4
 
     @pytest.mark.parametrize("s", [0.0, -0.3])
     def test_refuses_nonpositive_times(self, heis_q, heis_spectral, s):
@@ -686,8 +690,8 @@ class TestInitialCondition:
         def f(*xy):
             return np.exp(-sum(a**2 for a in xy))
 
-        gf = sample_on_grid(f, GridSpec.cube(4.0, 2, 401), heis_spectral)
-        value = heat_apply(gf, 0.5, heis_spectral, L_IN, out_points=[np.zeros(1, complex)])[0]
+        field = SampledField(GridSpec.cube(4.0, 2, 401), f, heis_spectral)
+        value = heat_apply(field, 0.5, heis_spectral, L_IN, out_points=[np.zeros(1, complex)])[0]
         assert abs(value - 1.0) <= 1e-10
 
 
@@ -902,8 +906,9 @@ def test_heat_apply_leaves_no_blas_thread_spinning(tmp_path):
                                  ("full_rank", 41, (8,)), ("rank1_n3", 14, (2,))):
         S = _geometry(kind)
         spec = GridSpec.cube(4.0, 2 * S.n, points)
-        real = sample_on_grid(lambda *xy: np.exp(-sum(a**2 for a in xy)), spec, S)
-        assert idle_cpu() < 0.02, (kind, points, "sample_on_grid")
+        field = SampledField(spec, lambda *xy: np.exp(-sum(a**2 for a in xy)), S)
+        real = GridFunction(spec, np.concatenate([v for _, v in field.slabs()]))
+        assert idle_cpu() < 0.02, (kind, points, "SampledField")
         for gf in (real, GridFunction(spec, real.values * (1.0 + 0.5j))):
             for count in counts:
                 out = list(0.3 * (rng.uniform(-1, 1, (count, S.n)) + 1j * rng.uniform(-1, 1, (count, S.n))))

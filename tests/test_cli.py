@@ -22,9 +22,11 @@ from quadheat import (
     KernelQuery,
     NumericsError,
     QuadricForm,
+    heisenberg,
     rho_hat,
     rho_hat_adapted,
     weighted_heat_kernel,
+    weighted_heat_kernel_batch,
 )
 from quadheat import boxop, cli, hermite, kernel
 from quadheat.cli import ExprError, load_config, main, parse_initial_expression
@@ -150,7 +152,7 @@ class TestExpressionGrammar:
         assert f(np.array([2.0]), np.array([0.0]))[0] == 2.0**9
 
     def test_constant_expression_broadcasts(self):
-        # The parser returns the scalar; sample_on_grid broadcasts it to the grid
+        # The parser returns the scalar; SampledField broadcasts it to the grid
         # (tests/test_boxop.py::TestSampleOnGrid::test_constant_fills_the_grid).
         f = parse_initial_expression("3.5", 2)
         assert f(*np.zeros((4, 4))) == 3.5
@@ -545,7 +547,7 @@ class TestEvolve:
         assert [l for l in out.read_text().splitlines() if not l.startswith("#")] == ["s,point_index,re,im"]
 
     def test_output_bytes_do_not_depend_on_slabs(self, tmp_path, monkeypatch):
-        # sample_on_grid calls the expression once per slab of axis 0; the
+        # SampledField calls the expression once per slab of axis 0; the
         # evolved values are the same bytes for one slab and for several.
         path, _ = self.evolve_config(
             tmp_path, quadric=FULL_RANK_N2, **{"lambda": [1.0, 1.0]}, L=[1], s=[0.5],
@@ -763,6 +765,37 @@ class TestConfigEdgeCases:
         path.write_text("{not json")
         assert main(["eval", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("where", ["config", "quadric"])
+    def test_json_nested_past_the_recursion_limit_exits_2(self, tmp_path, capsys, where):
+        # json raised RecursionError, a traceback with exit 1
+        path, _ = write_config(tmp_path, quadric="deep.json", points=[[[0.0, 0.0]]])
+        (tmp_path / ("cfg.json" if where == "config" else "deep.json")).write_text("[" * 10**5 + "]" * 10**5)
+        assert main(["eval", "--config", path]) == 2
+        captured = capsys.readouterr()
+        named = "config is not valid JSON: " if where == "config" else "config field 'quadric': "
+        assert captured.err.startswith(f"error: {named}maximum recursion depth exceeded")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("target", ["missing_directory", "directory"])
+    @pytest.mark.parametrize("command", ["eval", "scan", "verify", "evolve"])
+    def test_unwritable_out_exits_2_naming_it(self, tmp_path, capsys, command, target):
+        # write_atomic's FileNotFoundError or os.replace's IsADirectoryError was a traceback, exit 1
+        fields = {"eval": {"points": [[[0.1, 0.2]]]}, "verify": {"checks": ["euclidean"]},
+                  "scan": {"s": 0.5, "grid": {"half_widths": [3.0, 3.0], "points": 9}},
+                  "evolve": _evolve_fields()}[command]
+        path, _ = write_config(tmp_path, **fields)
+        out = tmp_path / "out"
+        if target == "directory":
+            out.mkdir()
+        else:
+            out = tmp_path / "missing" / "out"
+        listed = sorted(os.listdir(tmp_path))
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        reason = "Is a directory" if target == "directory" else "No such file or directory"
+        assert captured.err == f"error: cannot write {out}: {reason}\n" and captured.out == ""
+        assert sorted(os.listdir(tmp_path)) == listed  # no temporary left beside it
+
     def test_negative_time_rejected(self, tmp_path, capsys):
         path, _ = write_config(tmp_path, s=-1.0, points=[[[0.0, 0.0]]])
         assert main(["eval", "--config", path]) == 2
@@ -967,6 +1000,18 @@ class TestEvalStrictJson:
         assert record["value"] == [0.0, 0.0]
         assert record["log10_abs"] == pytest.approx(log_rho / np.log(10.0), rel=1e-12)
 
+    def test_rank_and_log10_survive_the_norms_overflow(self, tmp_path, capsys):
+        # |phi . lambda|_F overflowed at lambda = 1e300: the rank tolerance was inf, nu 0, and
+        # eval wrote the Euclidean kernel with exit 0 and a RuntimeWarning
+        path, _ = write_config(tmp_path, quadric=heisenberg(2).to_json(), L=[1], s=1.0,
+                               points=[[[0.0, 0.0], [0.0, 0.0]]], **{"lambda": [1e300]})
+        assert main(["eval", "--config", path]) == 0
+        captured = capsys.readouterr()
+        record = strict_json(captured.out)
+        assert captured.err == "" and record["nu"] == 2 and record["eps"] == [1, -1]
+        assert record["value"] == [0.0, 0.0] and math.isfinite(record["log10_abs"])
+        assert record["log10_abs"] < -307
+
 
 def strict_json(text):
     def reject(token):
@@ -991,7 +1036,7 @@ def seeded_points(n, count, seed):
 
 
 class TestEvalBatched:
-    """eval makes one batched kernel call per time; records match the per-point scalar path."""
+    """eval's values are the batch kernels' rows bit for bit and match the per-point scalar path."""
 
     GEOMETRIES = {
         "heisenberg_n1": (HEIS, [1.0], [1]),
@@ -1014,6 +1059,9 @@ class TestEvalBatched:
         assert len(lines) == 2 * len(points)
         cfg = load_config(path)
         zs = [np.array([complex(*c) for c in p]) for p in points]
+        S, P = cfg.spectral, np.array(zs)
+        rows = [weighted_heat_kernel_batch(s, P, zs[3], cfg.quadric, S, cfg.L) if two_point
+                else rho_hat_adapted(s, P @ np.conj(S.V), S, cfg.L) for s in (0.3, 1.2)]
         for k, line in enumerate(lines):
             assert line == json.dumps(json.loads(line), allow_nan=False)
             record = strict_json(line)
@@ -1026,7 +1074,8 @@ class TestEvalBatched:
             else:
                 want = complex(rho_hat(KernelQuery(s, z, cfg.spectral, cfg.L)))
                 assert "point_tilde" not in record
-            got = complex(*record["value"])
+            got, row = complex(*record["value"]), complex(rows[k // len(points)][k % len(points)])
+            assert np.array(got).tobytes() == np.array(row).tobytes()  # Re and Im, bit for bit
             assert abs(got - want) <= 1e-13 * abs(want)
             if want.imag == 0.0:
                 assert math.copysign(1.0, got.imag) == math.copysign(1.0, want.imag)
@@ -1457,8 +1506,8 @@ _FUZZ_COMMANDS = {
 
 @st.composite
 def _fuzzed_jobs(draw):
-    """A command, its config and whether the output goes to a file (eval and verify may
-    write to stdout)."""
+    """A command, its config and its output: a writable file, a path in a missing directory, an
+    existing directory or (eval and verify) stdout."""
     command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
     fields = _FUZZ_COMMANDS[command]
     cfg = {k: v for k, v in _FUZZ_BASE[draw(st.sampled_from([1, 2]))].items() if k in fields}
@@ -1468,7 +1517,8 @@ def _fuzzed_jobs(draw):
             cfg.pop(name, None)
         else:
             cfg[name] = value
-    return command, cfg, command in ("scan", "evolve") or draw(st.booleans())
+    targets = ["file", "missing_directory", "directory"] + (["stdout"] if command in ("eval", "verify") else [])
+    return command, cfg, draw(st.sampled_from(targets))
 
 
 def _assert_strict_output(command: str, text: str) -> None:
@@ -1489,29 +1539,37 @@ def _assert_strict_output(command: str, text: str) -> None:
 
 class TestConfigFuzz:
     """Every command on fuzzed configs: exit 0, 1 or 2; no traceback; output strict JSON or
-    CSV; exit 2 leaves no output file; no temporary file is left."""
+    CSV; exit 2 leaves no output file; no temporary file is left; an --out that cannot be
+    written never exits 0."""
 
     @settings(max_examples=200, deadline=None)
     @given(job=_fuzzed_jobs())
     # rank-1 n = 2 evolve at s = 1e-300 once wrote nan with exit 0: the kernel peak overflowed
     @example(job=("evolve", {**{k: v for k, v in _FUZZ_BASE[2].items() if k in _FUZZ_COMMANDS["evolve"]},
-                             "s": 1e-300}, True))
+                             "s": 1e-300}, "file"))
     def test_every_command_has_one_of_three_outcomes(self, job):
-        command, cfg, to_file = job
+        command, cfg, target = job
         with tempfile.TemporaryDirectory() as tmp:
             path, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "out")
+            if target == "directory":
+                os.mkdir(out)
+            elif target == "missing_directory":
+                out = os.path.join(tmp, "missing", "out")
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(cfg, fh)
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
                     np.errstate(all="ignore"):
-                rc = main([command, "--config", path] + (["--out", out] if to_file else []))
+                rc = main([command, "--config", path] + (["--out", out] if target != "stdout" else []))
             assert rc in (0, 1, 2)
             assert "Traceback" not in stderr.getvalue()
             assert sorted(os.listdir(tmp)) in (["cfg.json"], ["cfg.json", "out"])
-            written = Path(out).read_text(encoding="utf-8") if os.path.exists(out) else stdout.getvalue()
+            if target in ("missing_directory", "directory"):
+                assert rc != 0 and stdout.getvalue() == "" and not os.path.isfile(out)
+                assert target == "missing_directory" or os.listdir(out) == []
+            written = Path(out).read_text(encoding="utf-8") if os.path.isfile(out) else stdout.getvalue()
             if rc == 2:
-                assert not os.path.exists(out) and stdout.getvalue() == ""
+                assert not os.path.isfile(out) and stdout.getvalue() == ""
             elif written:
                 _assert_strict_output(command, written)
 

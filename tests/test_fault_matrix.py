@@ -100,7 +100,8 @@ def _y_phase_flipped(mp):  # exp(-2i mu y Re c) conjugated on heat_apply's y-axe
 
 
 def _conjugated_heat_apply(orig, f, s, S, L, out_points):
-    return [np.conj(v) for v in orig(GridFunction(f.spec, np.conj(f.values)), s, S, L, out_points)]
+    conj = GridFunction(f.spec, np.conj(np.concatenate([v for _, v in f.slabs()])))
+    return [np.conj(v) for v in orig(conj, s, S, L, out_points)]
 
 
 def _end_weights_not_halved(mp):

@@ -69,6 +69,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match="Hermitian"):
             QuadricForm(2, 1, [A])
 
+    def test_large_defect_rejected_past_the_norms_overflow(self):
+        # numpy's |.|_F overflows from entries of about 1e154: the defect check read inf <= 1e-10 inf
+        with pytest.raises(ValueError, match=r"A\[0\] is not Hermitian \(defect 1.414e\+200\)"):
+            QuadricForm(2, 1, [[[0, 1e200], [0, 0]]])
+
     def test_wrong_matrix_count(self):
         with pytest.raises(ValueError):
             QuadricForm(2, 2, [np.eye(2)])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,14 @@ class TestRank:
         assert 0.0 < np.min(np.abs(raw)) <= S.tol
         assert S.nu == 1 and S.mu[0] == raw[np.argmax(np.abs(raw))]
         assert S.mu[1:].tobytes() == np.zeros(1).tobytes()  # +0.0, not the residue
+
+    def test_tolerance_scales_past_the_norms_overflow(self):
+        # |A|_F of 1e300 I overflowed numpy's sum of squares: tol was inf, and mu stored as (0, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            S = decompose_form(heisenberg(2), [1e300])
+        assert S.nu == 2 and S.tol == pytest.approx(1e-10 * np.sqrt(2.0) * 1e300, rel=1e-15)
+        np.testing.assert_allclose(S.mu, [1e300, 1e300], rtol=1e-15)
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_full_rank_eigenvalues_are_eighs_bitwise(self, rng, n):

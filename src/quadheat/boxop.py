@@ -77,27 +77,27 @@ class GridFunction:
         return ((i, self.values[i : i + rows]) for i in range(0, self.spec.points, rows))
 
     def save_csv(self, path: str) -> None:
-        """Header row of coordinate names plus re,im; one node per row.  Each distinct
-        (re, im) bit pair, not value, is formatted once: -0.0 and NaN payloads keep their text."""
-        pairs = np.stack([np.real(self.values), np.imag(self.values)], axis=-1, dtype=float)
-        bits, key = np.unique(pairs.view(np.dtype((np.void, 16))), return_inverse=True)
-        re, im = (repr(c.tolist())[1:-1].split(", ") for c in bits.view(float).reshape(-1, 2).T)
-        write_grid_csv(path, self.spec, ["re", "im"], [f"{a},{b}" for a, b in zip(re, im)],
-                       key.reshape(self.spec.shape()))
+        """Header row of coordinate names plus re,im; one node per row, its re and im
+        each the repr of its float (-0.0, inf and nan as Python writes them)."""
+        pairs = np.stack([np.real(self.values), np.imag(self.values)], axis=-1, dtype=float).reshape(-1, 2)
+        write_grid_csv(path, self.spec, ["re", "im"], [f"{a!r},{b!r}" for a, b in pairs.tolist()],
+                       np.arange(len(pairs)).reshape(self.spec.shape()))
 
     @classmethod
     def load_csv(cls, path: str, spec: GridSpec) -> "GridFunction":
-        """Read a save_csv file whose coordinate columns are the nodes of ``spec``."""
+        """Read a save_csv file whose coordinate columns are the nodes of ``spec``, checked one by one."""
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        N, dim = spec.points ** spec.dim, spec.dim
+        N, dim, P = spec.points ** spec.dim, spec.dim, spec.points
         if data.shape != (N, dim + 2):
             raise ValueError(f"{path} has {data.shape} rows x columns, expected {(N, dim + 2)}")
-        nodes = spec.flat_points()
-        ok = np.abs(data[:, :dim] - nodes) <= 1e-9 * np.array(spec.spacing)  # False on NaN
+        ok = np.ones(N, bool)  # seen as (P^k, P, rest), column k runs along axis k in its middle index
+        for k, (axis, h) in enumerate(zip(spec.axes(), spec.spacing)):  # False on NaN
+            ok &= (np.abs(data[:, k].reshape(P**k, P, -1) - axis[:, None]) <= 1e-9 * h).ravel()
         if not ok.all():
-            i = int(np.argmin(ok.all(axis=1)))
+            i = int(np.argmin(ok))
+            node = [float(a[j]) for a, j in zip(spec.axes(), np.unravel_index(i, spec.shape()))]
             raise ValueError(f"{path} line {i + 2}: coordinates {data[i, :dim].tolist()} "
-                             f"are not the grid node {nodes[i].tolist()}")
+                             f"are not the grid node {node}")
         re, im = data[:, -2], data[:, -1]  # an all-zero im column loads as a real field
         return cls(spec, (re + 1j * im if im.any() else re.copy()).reshape(spec.shape()))
 
@@ -166,8 +166,8 @@ class SampledField:
 
     ``f(x1, y1, ..., xn, yn)`` must be elementwise: slabs() calls it on each slab of rows of axis 0
     (about _SLAB_NODES nodes) with Re and Im of z as 2n real arrays, and yields the slab's first
-    row and the result broadcast to it.  A coordinate is one real P x P term per direction: views
-    of it at n = 1, at n >= 2 one rank-2 product (_gemm) of direction 0's and the others' sum."""
+    row and the result broadcast to it.  A coordinate, one real P x P term per direction, is one
+    rank-2 product [head, 1] @ [1; tail] (_gemm): direction 0's term, the others' sum (0 at n = 1)."""
 
     spec: GridSpec
     f: object
@@ -180,13 +180,12 @@ class SampledField:
         terms = [[r[k] * spec.axis_coordinate(k) + r[k + 1] * spec.axis_coordinate(k + 1)
                   for k in range(0, spec.dim, 2)] for r in real_v]
         P, rows = spec.points, max(1, _SLAB_NODES // spec.points ** (spec.dim - 1))
-        if S.n > 1:  # per coordinate [head, 1] and [1; tail], direction 0's term and the others' sum
-            heads = np.stack(np.broadcast_arrays([t[0].ravel() for t in terms], 1.0), axis=-1)
-            tails = np.stack(np.broadcast_arrays(1.0, [reduce(np.add, t[1:]).ravel() for t in terms]), axis=1)
+        heads = np.stack(np.broadcast_arrays([t[0].ravel() for t in terms], 1.0), axis=-1)
+        tails = np.stack(np.broadcast_arrays(1.0, [reduce(np.add, t[1:] or [np.zeros(1)]).ravel()
+                                                   for t in terms]), axis=1)
         for i in range(0, P, rows):  # no name holds a result while f makes the next one
-            yield i, np.broadcast_to(self.f(*([t[0][i : i + rows] for t in terms] if S.n == 1 else _gemm(
-                heads[:, i * P : (i + rows) * P], tails).reshape((len(terms), -1) + spec.shape()[1:]))),
-                (min(rows, P - i),) + spec.shape()[1:])
+            yield i, np.broadcast_to(self.f(*_gemm(heads[:, i * P : (i + rows) * P], tails).reshape(
+                (len(terms), -1) + spec.shape()[1:])), (min(rows, P - i),) + spec.shape()[1:])
 
 
 def _check_dim(spec: GridSpec, n: int) -> None:

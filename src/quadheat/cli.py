@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import errno
 import functools
 import hashlib
 import json
@@ -302,6 +303,13 @@ def _values_and_logs(log_rho, m: int = 0, phase=1.0) -> tuple:
     return values, np.log10(np.abs(values), out=logs, where=values != 0.0)
 
 
+def _emit(out_path: str | None, text: str) -> None:  # atomically to out_path, or to stdout without one
+    if out_path:
+        write_atomic(out_path, [text])
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_eval(cfg: JobConfig, out_path: str | None) -> int:
     n, S = cfg.quadric.n, cfg.spectral
     P = _parse_points(cfg.raw.get("points"), n, "points")
@@ -330,11 +338,7 @@ def cmd_eval(cfg: JobConfig, out_path: str | None) -> int:
                 log = "null" if lg == -np.inf else repr(lg)  # only when |c|^2 overflowed
                 lines.append(f'{{"s": {s!r}, {head}{v.real!r}, {v.imag!r}], '
                              f'"log10_abs": {log}{tail}\n')
-    text = "".join(lines)  # no points: no records, empty output
-    if out_path:
-        write_atomic(out_path, [text])
-    else:
-        sys.stdout.write(text)
+    _emit(out_path, "".join(lines))  # no points: no records, empty output
     return EXIT_OK
 
 
@@ -467,12 +471,13 @@ def _check_inversion(cfg: JobConfig, tol: float) -> tuple:
 
 
 def _check_pde_residual(cfg: JobConfig, tol: float) -> tuple:
-    n, hs = cfg.quadric.n, 1e-4
+    n = cfg.quadric.n
     if n > 3:  # the smallest grid whose every-other-node subgrid has 8 points per axis
         raise NumericsError(f"pde_residual check needs n <= 3: its 15^{2 * n}-node grid "
                             f"exceeds the node budget {NODE_BUDGET}")
-    grid = GridSpec.cube(2.0, 2, 401) if n == 1 else GridSpec.cube(0.06, 2 * n, 25 if n == 2 else 15)
-    r, floor = pde_residual_richardson(0.7, cfg.spectral, cfg.L, grid, hs)
+    k = max(1.0, float(np.abs(cfg.spectral.mu).max()))  # rho_hat(s/k, z/k^0.5, mu) = k^n rho_hat(s, z, mu/k)
+    grid, hs = GridSpec.cube((2.0 if n == 1 else 0.06) / np.sqrt(k), 2 * n, {1: 401, 2: 25, 3: 15}[n]), 1e-4 / k
+    r, floor = pde_residual_richardson(0.7 / k, cfg.spectral, cfg.L, grid, hs)
     return r, (f"Richardson on {grid.points}^{2 * n} and {(grid.points + 1) // 2}^{2 * n} nodes, "
                f"hs={hs:g}; second-order floor {floor:.1e}")
 
@@ -572,11 +577,7 @@ def run_verification(cfg: JobConfig) -> dict:
 
 def cmd_verify(cfg: JobConfig, out_path: str | None) -> int:
     report = run_verification(cfg)
-    text = json.dumps(report, indent=2, allow_nan=False) + "\n"
-    if out_path:
-        write_atomic(out_path, [text])
-    else:
-        sys.stdout.write(text)
+    _emit(out_path, json.dumps(report, indent=2, allow_nan=False) + "\n")
     return EXIT_OK if report["all_pass"] else EXIT_NUMERIC
 
 
@@ -604,14 +605,18 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     try:
         cfg = load_config(args.config)
-        if args.out is None and args.command in ("scan", "evolve"):
+        if not args.out and args.command in ("scan", "evolve"):  # "" too: it names no file
             raise ValueError(f"{args.command} requires --out PATH for its CSV output")
+        if args.out:  # a missing directory, or a directory as the target, is refused before the job
+            os.stat(os.path.dirname(args.out) or ".")
+            if os.path.isdir(args.out):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         command = {"eval": cmd_eval, "scan": cmd_scan, "evolve": cmd_evolve, "verify": cmd_verify}[args.command]
         return command(cfg, args.out)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
-    except OSError as exc:  # every read above raises ValueError: this is the output's write
+    except OSError as exc:  # every read above raises ValueError: this is the output's path
         sys.stderr.write(f"error: cannot write {args.out or 'stdout'}: {exc.strerror or exc}\n")
         return EXIT_INVALID
     except NumericsError as exc:

@@ -147,7 +147,5 @@ def u_tilde_series(p: UTildeParams, N: int | None = None):
 
 def default_series_terms(s: float, mu_nonzero) -> int:
     """Truncation order from the geometric tail rate of S_j = e^{-2|mu|s}."""
-    mu = np.abs(np.asarray(mu_nonzero, dtype=float))
-    if mu.size == 0:
-        return 50
-    return max(50, int(np.ceil(-np.log(SERIES_TOL) / (2.0 * s * mu.min()))))
+    mu = np.abs(np.asarray(mu_nonzero, dtype=float))  # none: an infinite rate, so the floor of 50
+    return max(50, int(np.ceil(-np.log(SERIES_TOL) / (2.0 * s * mu.min(initial=np.inf)))))

@@ -17,8 +17,8 @@ products of up to 16 exp(+-s|mu|)/sinh factors cannot overflow.  Factors take
 their branch elementwise, so s may be times broadcasting against the points.
 
 The two-point weighted kernel multiplies the one-point kernel at z - zt by
-the oscillatory phase exp(-2i lambda . Im phi(z, zt)), weighted_phase, from
-the original form (boxop.heat_apply uses the eigenbasis sum).
+the phase exp(-2i lambda . Im phi(z, zt)) = exp(-2i Im(zt^H A_lambda z)), weighted_phase, with
+A_lambda the matrix of phi . lambda in original coordinates (boxop.heat_apply: the eigenbasis).
 
 rho_via_inversion reproduces the closed form from the transform-side
 solution by inverse Fourier integration and is the package's strongest
@@ -41,7 +41,7 @@ import numpy as np
 from .errors import NumericsError
 from .forms import FormIndex, epsilon
 from .hermite import mehler_factor
-from .quadric import QuadricForm
+from .quadric import QuadricForm, phi_lambda_matrix
 # integrate_with_estimate stays in this namespace for callers that instrument it.
 from .quadrature import GridSpec, aliasing_bound, integrate_with_estimate, tail_bound  # noqa: F401
 from .spectral import SpectralData
@@ -137,11 +137,8 @@ def log_rho_hat(s, sq, S: SpectralData, L: FormIndex):
     if sq.shape[-1:] != (S.n,):
         raise ValueError(f"adapted coordinates must have length n={S.n}")
     const, log_fac, rates = _log_rho_parts(s, S, L)
-    nu = S.nu
-    out = (np.sum(log_fac[..., nu:], axis=-1) + const) - np.sum(sq[..., nu:], axis=-1) / np.asarray(s)
-    if nu:
-        out = out + np.sum(log_fac[..., :nu] - rates[..., :nu] * sq[..., :nu], axis=-1)
-    return out
+    out = (np.sum(log_fac[..., S.nu:], axis=-1) + const) - np.sum(sq[..., S.nu:], axis=-1) / np.asarray(s)
+    return out + np.sum(log_fac[..., :S.nu] - rates[..., :S.nu] * sq[..., :S.nu], axis=-1)  # nu = 0: + 0.0
 
 
 def rho_hat_adapted(s, c, S: SpectralData, L: FormIndex):
@@ -198,12 +195,9 @@ def weighted_heat_kernel_batch(
 
 
 def weighted_phase(z, Zt, Q: QuadricForm, S: SpectralData, phase_sign: float = -1.0) -> np.ndarray:
-    """exp(2i phase_sign lambda . Im phi(z, zt)) over broadcast complex (..., n) batches z and Zt,
-    the phase weighted_heat_kernel_batch multiplies by, from the original form Q."""
-    arg = np.zeros(np.broadcast_shapes(z.shape, Zt.shape)[:-1])  # lambda . Im phi(z, zt)
-    for lk, a in zip(S.lam, Q.A):
-        if lk != 0.0:
-            arg = arg + lk * np.sum(np.conj(Zt) * _matmul_rows(z, a.T), axis=-1).imag
+    """exp(2i phase_sign Im(zt^H A_lambda z)), A_lambda = sum_k lambda_k A_k of Q, over broadcast complex
+    (..., n) batches z and Zt: the phase weighted_heat_kernel_batch multiplies by, one product."""
+    arg = np.sum(np.conj(Zt) * _matmul_rows(z, phi_lambda_matrix(Q, S.lam).T), axis=-1).imag
     return np.exp(2j * phase_sign * arg)
 
 

@@ -15,6 +15,7 @@ from quadheat import (
     GridSpec,
     NumericsError,
     QuadricForm,
+    SpectralData,
     apply_box_ll_lambda,
     decompose_form,
     heat_apply,
@@ -419,6 +420,31 @@ class TestSampleOnGrid:
         assert slabs.tobytes() == one.tobytes()
         assert np.isfinite(one).all() == (expr != "1/(x1^2+y1^2)")
 
+    @pytest.mark.parametrize("expr", ["exp(-(x1^2+y1^2))*(1 + x1 - 0.5*y1^3)", "1/(x1^2+y1^2)", "3.5"])
+    def test_slabs_match_one_slab_at_n1(self, expr, monkeypatch):
+        spec = GridSpec.cube(3.0, 2, 21)  # odd: through the origin
+        field, fields = SampledField(spec, parse_initial_expression(expr, 1), _geometry("heisenberg")), []
+        for nodes in (21**2, 2 * 21):  # one slab; eleven, the last of one row
+            monkeypatch.setattr(boxop, "_SLAB_NODES", nodes)
+            with np.errstate(all="ignore"):
+                fields.append(np.concatenate([v for _, v in field.slabs()]))
+        one, slabs = fields
+        assert slabs.dtype == one.dtype == np.float64 and slabs.shape == spec.shape()
+        assert slabs.tobytes() == one.tobytes()
+
+    def test_n1_coordinates_are_the_rotated_nodes(self):
+        # V = [[exp(i t)]]: z = exp(i t) (x + i y), so f gets cos t x - sin t y and sin t x + cos t y,
+        # the same floats a direct evaluation gives
+        t = 0.7
+        S = SpectralData(np.array([1.0]), np.array([[np.exp(1j * t)]]), 1, 1e-10, np.array([1.0]))
+        spec = GridSpec([3.0, 2.0], 15)
+        x, y = spec.axis_coordinate(0), spec.axis_coordinate(1)
+        calls = []
+        list(SampledField(spec, lambda *xy: calls.append(xy) or 0.0, S).slabs())
+        (gx, gy), = calls
+        assert np.array_equal(gx, np.cos(t) * x - np.sin(t) * y)
+        assert np.array_equal(gy, np.sin(t) * x + np.cos(t) * y)
+
     def test_complex_result_stays_complex(self):
         spec = GridSpec.cube(1.0, 2, 9)
         field = SampledField(spec, lambda x1, y1: x1 + 1j * y1, _geometry("heisenberg"))
@@ -454,6 +480,21 @@ def _traced_peak(fn):
         return tracemalloc.get_traced_memory()[1] - before, out
     finally:
         tracemalloc.stop()
+
+
+class TestLoadCsvMemory:
+    def test_peak_per_node(self, tmp_path):
+        # 21^4 nodes, 17 MB of text: np.loadtxt's table is 48 B per node, the field 16; the node
+        # check adds one flag per node (an (N, dim) node table and comparison peaked at 144 B)
+        spec = GridSpec.cube(3.0, 4, 21)
+        rng = np.random.default_rng(5)
+        vals = rng.normal(size=spec.shape()) + 1j * rng.normal(size=spec.shape())
+        path = str(tmp_path / "field.csv")
+        GridFunction(spec, vals).save_csv(path)
+        vals = None
+        peak, loaded = _traced_peak(lambda: GridFunction.load_csv(path, spec))
+        assert peak / 21**4 <= 72.0
+        assert loaded.values.dtype == np.complex128 and loaded.values.shape == spec.shape()
 
 
 class TestRealFieldHeatApply:

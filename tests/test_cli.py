@@ -331,6 +331,17 @@ class TestScan:
             want = 2 * (2 * np.pi) ** -1.5 / s * np.exp(-(x * x + y * y) / s)
             assert abs(re - want) <= 1e-14 * want
 
+    # sha256 of the file written when log_rho_hat skipped its rank-block sum at nu = 0
+    LAMBDA_ZERO_DIGEST = "04f8383c19638d3da1f7cfa6a193a1508104830a3c6ce605296732938e542e3a"
+
+    def test_lambda_zero_bytes_match_recorded_digest(self, tmp_path):
+        path, _ = write_config(tmp_path, quadric=FULL_RANK_N2, L=[1], s=0.5, **{"lambda": [0.0, 0.0]},
+                               grid={"half_widths": [1.0, 2.0, 0.5, 3.0], "points": 9})
+        out = tmp_path / "scan0.csv"
+        assert main(["scan", "--config", path, "--out", str(out)]) == 0
+        assert "# nu=0\n" in out.read_text()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.LAMBDA_ZERO_DIGEST
+
     @pytest.mark.parametrize("quadric,lam,L,half_widths,points", [
         pytest.param(FULL_RANK_N2, [1.0, 1.0], [1], [1.0, 2.0, 0.5, 3.0], 9,
                      id="quadric0-lam0-half_widths0-9"),
@@ -425,8 +436,9 @@ class TestScan:
 
     def test_requires_out(self, tmp_path, capsys):
         path, _ = self.grid_config(tmp_path)
-        assert main(["scan", "--config", path]) == 2
-        assert capsys.readouterr().err == "error: scan requires --out PATH for its CSV output\n"
+        for out in ([], ["--out", ""]):  # an empty --out names no file: refused before the scan runs
+            assert main(["scan", "--config", path] + out) == 2
+            assert capsys.readouterr().err == "error: scan requires --out PATH for its CSV output\n"
         path, _ = self.grid_config(tmp_path, L=[1.5])  # the config's own errors come first
         assert main(["scan", "--config", path]) == 2
         assert "config field 'L'" in capsys.readouterr().err
@@ -729,6 +741,20 @@ class TestGridCsv:
                  for c, v in zip(spec.flat_points(), vals.ravel())]
         assert path.read_text() == "\n".join(want) + "\n"
 
+    # sha256 of the file below as written when save_csv formatted each distinct (re, im) bit pair once
+    SAVE_CSV_DIGEST = "66217da885b35e611ccbd39c9d68ba6c02150f50db8617f131bba07b94a3c1ae"
+
+    def test_save_csv_bytes_match_recorded_digest(self, tmp_path):
+        spec = GridSpec([1.0, 2.0, 0.5, 1.5], 8)
+        rng = np.random.default_rng(29)
+        vals = np.empty(spec.shape(), dtype=complex)  # -0.0, NaNs, repeated and distinct values
+        vals.real = np.where(rng.random(spec.shape()) < 0.5, rng.choice(REPEATED, spec.shape()),
+                             rng.normal(size=spec.shape()))
+        vals.imag = rng.choice(REPEATED + [0.5, -3.0], spec.shape())
+        path = tmp_path / "field.csv"
+        GridFunction(spec, vals).save_csv(str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.SAVE_CSV_DIGEST
+
     def test_save_load_roundtrip_on_unequal_axes(self, tmp_path):
         spec = GridSpec([1.0, 2.0, 0.5, 3.0], 9)
         vals = np.random.default_rng(8).normal(size=spec.shape()) + 0.5j
@@ -778,7 +804,7 @@ class TestConfigEdgeCases:
 
     @pytest.mark.parametrize("target", ["missing_directory", "directory"])
     @pytest.mark.parametrize("command", ["eval", "scan", "verify", "evolve"])
-    def test_unwritable_out_exits_2_naming_it(self, tmp_path, capsys, command, target):
+    def test_unwritable_out_exits_2_naming_it(self, tmp_path, capsys, monkeypatch, command, target):
         # write_atomic's FileNotFoundError or os.replace's IsADirectoryError was a traceback, exit 1
         fields = {"eval": {"points": [[[0.1, 0.2]]]}, "verify": {"checks": ["euclidean"]},
                   "scan": {"s": 0.5, "grid": {"half_widths": [3.0, 3.0], "points": 9}},
@@ -790,11 +816,22 @@ class TestConfigEdgeCases:
         else:
             out = tmp_path / "missing" / "out"
         listed = sorted(os.listdir(tmp_path))
+        # the target is refused before the command's work (eval and scan: the kernel, evolve:
+        # heat_apply, verify: its check), so none of these is called
+        calls = []
+
+        def recording(name, real):
+            return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+        for name in ("log_rho_hat", "heat_apply"):
+            monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
+        monkeypatch.setitem(cli.CHECK_FUNCTIONS, "euclidean", recording("euclidean", cli._check_euclidean))
         assert main([command, "--config", path, "--out", str(out)]) == 2
         captured = capsys.readouterr()
         reason = "Is a directory" if target == "directory" else "No such file or directory"
         assert captured.err == f"error: cannot write {out}: {reason}\n" and captured.out == ""
         assert sorted(os.listdir(tmp_path)) == listed  # no temporary left beside it
+        assert calls == []
 
     def test_negative_time_rejected(self, tmp_path, capsys):
         path, _ = write_config(tmp_path, s=-1.0, points=[[[0.0, 0.0]]])
@@ -1396,18 +1433,40 @@ class TestPdeResidualCheck:
         entry = strict_json(capsys.readouterr().out)["checks"][0]
         assert entry["error"] <= entry["tolerance"] == 1e-5
         # the message names the grid pair, hs and the second-order floor the extrapolation removes
-        n = quadric["n"]
+        n, k = quadric["n"], max(1.0, float(np.abs(load_config(path).spectral.mu).max()))
         points = {1: 401, 2: 25}[n]
-        assert f"{points}^{2 * n} and {(points + 1) // 2}^{2 * n} nodes, hs=0.0001" in entry["message"]
+        assert f"{points}^{2 * n} and {(points + 1) // 2}^{2 * n} nodes, hs={1e-4 / k:g}" in entry["message"]
         assert float(entry["message"].split("floor ")[1]) > 100.0 * entry["error"]
         assert len(entry["message"]) <= 120
+
+    # Each failed a correct kernel (2.5e-2 to 1.7e6) when the check ran at a fixed s = 0.7, hs = 1e-4
+    # and box: at s |mu| >~ 3.5 an eps = +1 factor stops changing with s, and at |mu| = 50 the Gaussian
+    # is narrower than the box resolves.  The check runs at s / k, hs / k on the box shrunk by sqrt k.
+    @pytest.mark.parametrize("quadric,lam,L", [
+        (HEIS, [5.0], [1]), (HEIS, [10.0], [1]), (HEIS, [20.0], [1]), (HEIS, [50.0], []), (HEIS, [-5.0], []),
+        (_diag_n2([1.0, 1.0]), [10.0], [1, 2]), (_diag_n2([50.0, 1.0]), [1.0], []),
+        (_diag_n2([50.0, 1.0]), [1.0], [1]), (_diag_n2([50.0, 1.0]), [1.0], [2]),
+        (_diag_n2([50.0, 1.0]), [1.0], [1, 2]),
+    ], ids=["heisenberg_lambda5", "heisenberg_lambda10", "heisenberg_lambda20", "heisenberg_lambda50_L0",
+            "heisenberg_lambda-5_L0", "heisenberg_n2_lambda10", "mu50,1_L0", "mu50,1_L1", "mu50,1_L2",
+            "mu50,1_L12"])
+    def test_passes_at_large_eigenvalues(self, tmp_path, capsys, quadric, lam, L):
+        path, _ = write_config(tmp_path, quadric=quadric, L=L, checks=["pde_residual"], **{"lambda": lam})
+        assert main(["verify", "--config", path]) == 0
+        entry = strict_json(capsys.readouterr().out)["checks"][0]
+        assert entry["error"] <= 1e-6
+        k = max(1.0, float(np.abs(load_config(path).spectral.mu).max()))
+        assert k >= 5.0 and f"hs={1e-4 / k:g};" in entry["message"]
 
     @pytest.mark.parametrize("quadric,lam,L,wrong", [
         (HEIS, [1.0], [1], []),
         (FULL_RANK_N2, [1.0, 1.0], [1, 2], [1]),
         (rotated_form_json([1.0, 0.0, 0.0], 7), [1.0], [1], []),
         (rotated_form_json([1.0, -0.5, 0.75], 5), [1.0], [2], []),
-    ], ids=["heisenberg_n1", "full_rank_n2", "rank1_n3", "n3"])
+        (HEIS, [20.0], [1], []),
+        (HEIS, [-50.0], [1], []),
+    ], ids=["heisenberg_n1", "full_rank_n2", "rank1_n3", "n3", "heisenberg_lambda20",
+            "heisenberg_lambda-50"])
     def test_fails_a_wrong_index_kernel(self, tmp_path, capsys, monkeypatch, quadric, lam, L, wrong):
         # the kernel takes the index set ``wrong`` while the stencil keeps L
         monkeypatch.setattr(boxop, "_log_rho_parts",

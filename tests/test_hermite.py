@@ -14,7 +14,7 @@ from quadheat import (
     u_tilde_closed,
     u_tilde_series,
 )
-from quadheat.hermite import PSI_MAX_ORDER, _psi_table
+from quadheat.hermite import PSI_MAX_ORDER, _psi_table, default_series_terms
 
 
 def spectral_for_mu(mu):
@@ -247,3 +247,12 @@ class TestUTilde:
         S = decompose_form(heis_q, [1.0])
         with pytest.raises(ValueError, match="nu"):
             UTildeParams(0.5, np.zeros((3, 2)), np.zeros((3, 1)), S, L_IN)
+
+
+@pytest.mark.parametrize("s", [1e-3, 0.5, 4.0])
+def test_default_series_terms_without_a_nonzero_eigenvalue_is_the_floor(s):
+    # an empty minimum is +inf, a tail rate with no term to sum: the floor of 50
+    for mu in ([], np.zeros(0)):
+        got = default_series_terms(s, mu)
+        assert got == 50 and type(got) is int
+    assert default_series_terms(s, [1e-3]) > 50  # a slow rate still raises it

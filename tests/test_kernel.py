@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import random_hermitian_quadric
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +28,7 @@ from quadheat import (
     rho_via_inversion,
     weighted_heat_kernel,
 )
-from quadheat.kernel import SMALL_X_SWITCH, _log_rho_parts
+from quadheat.kernel import SMALL_X_SWITCH, _log_rho_parts, weighted_phase
 
 L_IN = FormIndex([1])
 L_OUT = FormIndex([])
@@ -321,6 +322,28 @@ class TestWeightedKernel:
         val = weighted_heat_kernel(s, z, zt, heis_q, heis_spectral, L_IN)
         want = (2 * np.pi) ** 0.5 * rho_hat(KernelQuery(s, z - zt, heis_spectral, L_IN))
         assert abs(val) == pytest.approx(want, rel=1e-13)
+
+
+class TestWeightedPhase:
+    """One product with A_lambda gives the per-component phase sum of lambda_k Im(zt^H A_k z)."""
+
+    @pytest.mark.parametrize("lam", [[0.8], [0.6, -1.3], [0.4, -0.9, 1.1], [0.7, 0.0, -0.5], [0.0, 0.0]],
+                             ids=["m1", "m2", "m3", "m3_one_zero", "lambda0"])
+    def test_matches_the_per_component_sum(self, lam):
+        rng = np.random.default_rng(7 + len(lam))
+        n, m = 4, len(lam)
+        Q = random_hermitian_quadric(rng, n, m)
+        S = decompose_form(Q, lam)
+        z = rng.normal(size=(40, n)) + 1j * rng.normal(size=(40, n))
+        zt = rng.normal(size=(40, n)) + 1j * rng.normal(size=(40, n))
+        for Zt in (zt, zt[0]):  # a batch, and one second point broadcast against it
+            arg = sum(lk * np.einsum("ki,ij,kj->k", np.conj(np.broadcast_to(Zt, z.shape)), a, z).imag
+                      for lk, a in zip(lam, Q.A))
+            got = weighted_phase(z, Zt, Q, S)
+            assert got.shape == (40,)
+            assert np.max(np.abs(got - np.exp(-2j * arg))) <= 1e-13  # |phase| = 1: relative
+            if not any(lam):
+                assert np.all(got == 1.0)
 
 
 class TestInversionOracle:
